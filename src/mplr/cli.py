@@ -171,16 +171,17 @@ def cmd_stats(settings):
 
 def cmd_indicators(settings):
     kg, _, _ = _load(settings)
+    wanted = None
+    if settings["predicates"]:
+        names = [name.strip() for name in settings["predicates"].split(",")]
+        unknown = [name for name in names if name not in kg.predicate_index]
+        if unknown:
+            raise CliError(f"unknown predicate {unknown[0]!r}")
+        wanted = [kg.predicate_index[name] for name in names]
     files = ["saturation.tsv", "saturation.txt", "bifurcation.tsv", "bifurcation.txt"]
     out = _prepare_out(settings, files)
     if settings["sample"]:
         kg = ind.sample_subgraph(kg, settings["seed"], settings["sample"])
-    wanted = None
-    if settings["predicates"]:
-        wanted = [
-            kg.predicate_index[name.strip()]
-            for name in settings["predicates"].split(",")
-        ]
     records = ind.saturation_report(
         kg,
         max_len=settings["max_rule_len"],

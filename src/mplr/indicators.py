@@ -11,18 +11,25 @@ lambda neighbors.
 By default, path search for a triplet (h, q, t) excludes the triplet's own
 edge from traversal so a pattern containing q cannot explain the edge with
 itself; pass exclude_direct_edge=False for literal inclusion. Both conventions
-are exact, not sampled.
+are exact, not sampled, and vectorised at every pattern length: one pass of
+sparse chain products (`_saturation_scan`) yields every pattern's counts, with
+the exclusion applied in closed form by inclusion-exclusion over the pattern's
+q-hops. `operators.count_paths` stays the per-triplet reference.
 """
 
 from __future__ import annotations
 
+import itertools
 import logging
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import sparse
 
 from .kg import KnowledgeGraph, fw_degree, bw_degree
-from .operators import OperatorSet, RulePattern, count_paths
+from .operators import OperatorSet, RulePattern
+# the per-triplet reference count; bench/tracing.py hooks it under this name
+from .operators import count_paths  # noqa: F401
 
 log = logging.getLogger(__name__)
 
@@ -61,72 +68,182 @@ def estimate_cost(kg: KnowledgeGraph, max_len: int) -> float:
     return float(kg.num_predicates) ** (max_len + 1) * len(kg.triples)
 
 
-def _triplet_arrays(kg, predicate=None):
-    triples = (
-        kg.triples
-        if predicate is None
-        else [(h, p, t) for h, p, t in kg.triples if p == predicate]
-    )
+def _triplet_arrays(kg, predicates):
+    """Heads, predicates and tails of the triples of `predicates`, in graph order."""
+    wanted = set(predicates)
+    triples = [tri for tri in kg.triples if tri[1] in wanted]
     hs = np.fromiter((h for h, _, _ in triples), dtype=np.int64, count=len(triples))
     qs = np.fromiter((p for _, p, _ in triples), dtype=np.int64, count=len(triples))
     ts = np.fromiter((t for _, _, t in triples), dtype=np.int64, count=len(triples))
     return hs, qs, ts
 
 
-def _extract_pairs(mat_csr, rows, cols):
-    if len(rows) == 0:
-        return np.zeros(0)
-    return np.asarray(mat_csr[rows, cols]).ravel().astype(np.float64)
+def _chain_index(chain, base):
+    """Position of `chain` among the chains of its length, lexicographically."""
+    index = 0
+    for p in chain:
+        index = index * base + p
+    return index
 
 
-def _adjusted_counts(ops, pattern, chain, hs, qs, ts, exclude, diags):
-    """Per-triplet path counts for `pattern`, honoring the direct-edge convention.
+def _gather(mat, rows, cols):
+    mat.sort_indices()  # sorted rows let the lookup bisect instead of scanning
+    return mat[rows, cols]
 
-    For length-2 patterns the exclusion is a closed-form correction on the
-    chain product: a path can only reuse the triplet's own edge through a
-    self-loop on its other hop. Longer patterns fall back to exact per-triplet
-    frontier propagation with the edge removed.
+
+def _split_blocks(mat, num_blocks, width):
+    """Cut the column blocks of `mat` (R, num_blocks * width) into R-row matrices."""
+    coo = mat.tocoo()
+    block, col = np.divmod(coo.col, width)
+    r = mat.shape[0]
+    stacked = sparse.csr_array(
+        (coo.data, (block * r + coo.row, col)), shape=(num_blocks * r, width)
+    )
+    return [stacked[b * r:(b + 1) * r] for b in range(num_blocks)]
+
+
+def _saturation_scan(kg, ops, max_len, active, exclude):
+    """Exact gamma and delta of every pattern of length 2..max_len per active predicate.
+
+    Returns (hops, gamma, delta): `hops` is (num_patterns, max_len), padded
+    with -1, in enumerate_patterns order (shorter first, then lexicographic);
+    gamma and delta are (num_patterns, len(active)).
+
+    Level k extends every chain of length k-1 by all predicates at once, as
+    one product with the side-by-side operators [M_0 ... M_{P-1}]. Chains keep
+    only the rows of the scanned triplets' endpoints, and each level's
+    products are gathered at the triplets' (h, t) for the pattern counts,
+    which stay sparse (nonzeros only) until the totals are known.
+
+    With the direct edge of (h, q, t) excluded, a pattern p counts
+    e_h^T prod_i (M_{p_i} - [p_i = q] e_h e_t^T) e_t paths. Expanding over the
+    set S = {i_1 < ... < i_k} of q-hops that take the removed edge gives the
+    signed terms (-1)^k chain(p_1..p_{i_1-1})[h, h]
+    * prod_j chain(p_{i_j+1}..p_{i_{j+1}-1})[t, h] * chain(p_{i_k+1}..p_L)[t, t],
+    where the empty chain is the identity. Every factor is a chain shorter
+    than the pattern, so each level keeps its chains' diagonals over the
+    endpoint rows ([h, h] and [t, t]) and their [t, h] entries for the next.
     """
-    hops = pattern.hops
-    if not exclude:
-        return _extract_pairs(chain, hs, ts)
-    if len(hops) == 2:
-        raw = _extract_pairs(chain, hs, ts)
-        p1, p2 = hops
-        use1 = (qs == p1).astype(np.float64)
-        use2 = (qs == p2).astype(np.float64)
-        raw -= use1 * diags[p2 + 1][ts]
-        raw -= use2 * diags[p1 + 1][hs]
-        raw += use1 * use2 * (hs == ts)
-        return raw
-    out = np.empty(len(hs))
-    for i in range(len(hs)):
-        out[i] = count_paths(
-            ops, int(hs[i]), pattern, int(ts[i]), excluded_edge=(int(hs[i]), int(qs[i]), int(ts[i]))
-        )
-    return out
+    num_preds = ops.num_predicates
+    hs, qs, ts = _triplet_arrays(kg, active)
+    n = len(hs)
+    slot = np.full(num_preds, -1, dtype=np.int64)
+    slot[active] = np.arange(len(active))
+    rows, ends = np.unique(np.concatenate([hs, ts]), return_inverse=True)
+    rh, rt = ends[:n], ends[n:]
+    num_rows, num_ents = len(rows), ops.num_entities
+    side = sparse.hstack(
+        [ops.predicate_matrix(p) for p in range(num_preds)], format="csr"
+    )
+    # gather positions in a (rows, P * |E|) product, block b first
+    shift = np.arange(num_preds)[:, None] * num_ents
+    at_pairs = (np.tile(rh, num_preds), (shift + ts).ravel())
+    at_diag = (np.tile(np.arange(num_rows), num_preds), (shift + rows).ravel())
+    at_back = (np.tile(rt, num_preds), (shift + hs).ravel())
+    # return entries of the chains of each length: diag[m] is (P^m, rows) and
+    # back[m] is (P^m, n); the empty chain is the identity
+    diag = [np.ones((1, num_rows))]
+    back = [(hs == ts).astype(np.float64)[None, :]]
+    by_pred = {q: np.flatnonzero(qs == q) for q in active}
+    columns = np.arange(n)
+
+    def exclude_direct_edge(block, chain, index):
+        # S = {last hop}: the rest of the path is `chain` returning to h
+        block[qs, columns] -= diag[len(chain)][index][rh]
+        for q in sorted(set(chain) & by_pred.keys()):
+            idx = by_pred[q]
+            at = [j for j, p in enumerate(chain) if p == q]
+            for size in range(1, len(at) + 1):
+                for hops in itertools.combinations(at, size):
+                    w = (-1.0) ** size * diag[hops[0]][
+                        _chain_index(chain[:hops[0]], num_preds)][rh[idx]]
+                    for a, b in zip(hops, hops[1:]):
+                        mid = chain[a + 1:b]
+                        w = w * back[len(mid)][_chain_index(mid, num_preds)][idx]
+                    tail = chain[hops[-1] + 1:]
+                    ti = _chain_index(tail, num_preds)
+                    # S = hops: the last hop is free, the suffix is tail + (b,)
+                    suffix = diag[len(tail) + 1][ti * num_preds:(ti + 1) * num_preds]
+                    block[:, idx] += w * suffix[:, rt[idx]]
+                    # S = hops + {last hop}: tail returns from t to h in between
+                    block[q, idx] -= w * back[len(tail)][ti][idx]
+
+    pattern_ids, triplet_ids, counts = [], [], []
+    offset = 0  # id of the first pattern of the current length
+    frontier = [sparse.csr_array(
+        (np.ones(num_rows), (np.arange(num_rows), rows)), shape=(num_rows, num_ents)
+    )]
+    for k in range(1, max_len + 1):
+        keep_diag = exclude and k < max_len
+        keep_back = exclude and k < max_len - 1
+        if keep_diag:
+            diag.append(np.zeros((num_preds**k, num_rows)))
+        if keep_back:
+            back.append(np.zeros((num_preds**k, n)))
+        children = []
+        for index, mat in enumerate(frontier):
+            if mat is None or mat.nnz == 0:  # an empty chain only has empty extensions
+                if k < max_len:
+                    children.extend([None] * num_preds)
+                continue
+            prod = mat @ side
+            lo, hi = index * num_preds, (index + 1) * num_preds
+            if keep_diag:
+                diag[k][lo:hi] = _gather(prod, *at_diag).reshape(num_preds, num_rows)
+            if keep_back:
+                back[k][lo:hi] = _gather(prod, *at_back).reshape(num_preds, n)
+            if k >= 2:
+                block = _gather(prod, *at_pairs).reshape(num_preds, n)
+                if exclude and block.any():
+                    chain = np.unravel_index(index, (num_preds,) * (k - 1))
+                    exclude_direct_edge(block, tuple(int(p) for p in chain), index)
+                b, i = np.nonzero(block)
+                pattern_ids.append(offset + lo + b)
+                triplet_ids.append(i)
+                counts.append(block[b, i])
+            if k < max_len:
+                children.extend(_split_blocks(prod, num_preds, num_ents))
+        frontier = children
+        if k >= 2:
+            offset += num_preds**k
+
+    hops = np.full((offset, max_len), -1, dtype=np.int64)
+    start = 0
+    for k in range(2, max_len + 1):
+        size = num_preds**k
+        hops[start:start + size, :k] = np.indices((num_preds,) * k).reshape(k, -1).T
+        start += size
+
+    pid = np.concatenate(pattern_ids) if pattern_ids else np.zeros(0, dtype=np.int64)
+    trip = np.concatenate(triplet_ids) if triplet_ids else np.zeros(0, dtype=np.int64)
+    cnt = np.concatenate(counts) if counts else np.zeros(0)
+    totals = np.bincount(trip, weights=cnt, minlength=n)
+    shares = cnt / totals[trip]  # every stored count is positive
+    width = len(active)
+    key = pid * width + slot[qs[trip]]
+    nq = np.bincount(slot[qs], minlength=width).astype(np.float64)
+    gamma = np.bincount(key, minlength=offset * width).reshape(offset, width) / nq
+    delta = np.bincount(key, weights=shares, minlength=offset * width).reshape(
+        offset, width
+    ) / nq
+    return hops, gamma, delta
 
 
-def _pattern_stream(ops, max_len):
-    """Yield (pattern, chain product CSR) for every pattern of length 2..max_len."""
-
-    def rec(prefix, mat):
-        for p in range(ops.num_predicates):
-            m2 = mat @ ops.predicate_matrix(p)
-            pat = prefix + (p,)
-            if len(pat) >= 2:
-                yield RulePattern(pat), m2
-            if len(pat) < max_len:
-                yield from rec(pat, m2)
-
-    for p0 in range(ops.num_predicates):
-        yield from rec((p0,), ops.predicate_matrix(p0))
-
-
-def _scan_counts(kg, ops, max_len, hs, qs, ts, exclude):
-    diags = ops.diagonals()
-    for pattern, chain in _pattern_stream(ops, max_len):
-        yield pattern, _adjusted_counts(ops, pattern, chain, hs, qs, ts, exclude, diags)
+def _pattern_saturation(kg, pattern, predicate, max_len, exclude, ops):
+    """(gamma, delta) of one pattern, read off the scan of `predicate`."""
+    if len(pattern) > max_len:
+        raise ValueError(f"pattern length {len(pattern)} exceeds max_len {max_len}")
+    if len(pattern) < 2 or not all(0 <= p < kg.num_predicates for p in pattern.hops):
+        raise ValueError(f"not a saturation pattern: {pattern.hops}")
+    if kg.num_edges(predicate) == 0:
+        raise EmptySubgraphError(f"empty subgraph for predicate {predicate}")
+    _, gamma, delta = _saturation_scan(
+        kg, ops or OperatorSet(kg), max_len, [predicate], exclude
+    )
+    row = sum(kg.num_predicates**m for m in range(2, len(pattern))) + _chain_index(
+        pattern.hops, kg.num_predicates
+    )
+    return float(gamma[row, 0]), float(delta[row, 0])
 
 
 def macro_saturation(
@@ -138,18 +255,9 @@ def macro_saturation(
     ops: OperatorSet | None = None,
 ) -> float:
     """Fraction of (h, predicate, t) triplets connected by at least one pattern path."""
-    n_q = kg.num_edges(predicate)
-    if n_q == 0:
-        raise EmptySubgraphError(f"empty subgraph for predicate {predicate}")
-    ops = ops or OperatorSet(kg)
-    hs, qs, ts = _triplet_arrays(kg, predicate)
-    chain = None
-    if not (exclude_direct_edge and len(pattern) > 2):
-        chain = _chain_product(ops, pattern)
-    counts = _adjusted_counts(
-        ops, pattern, chain, hs, qs, ts, exclude_direct_edge, ops.diagonals()
-    )
-    return float(np.count_nonzero(counts > 0)) / n_q
+    return _pattern_saturation(
+        kg, pattern, predicate, len(pattern), exclude_direct_edge, ops
+    )[0]
 
 
 def micro_saturation(
@@ -166,36 +274,15 @@ def micro_saturation(
     Triplets with no connecting path at all contribute share 0 (the average
     still divides by the full subgraph edge count).
     """
-    if len(pattern) > max_len:
-        raise ValueError(f"pattern length {len(pattern)} exceeds max_len {max_len}")
-    n_q = kg.num_edges(predicate)
-    if n_q == 0:
-        raise EmptySubgraphError(f"empty subgraph for predicate {predicate}")
-    ops = ops or OperatorSet(kg)
-    hs, qs, ts = _triplet_arrays(kg, predicate)
-    totals = np.zeros(len(hs))
-    wanted = None
-    for pat, counts in _scan_counts(kg, ops, max_len, hs, qs, ts, exclude_direct_edge):
-        totals += counts
-        if pat.hops == pattern.hops:
-            wanted = counts
-    if wanted is None:
-        raise ValueError("pattern not covered by the scan (check predicate indices)")
-    shares = np.divide(wanted, totals, out=np.zeros_like(wanted), where=totals > 0)
-    return float(shares.mean())
+    return _pattern_saturation(
+        kg, pattern, predicate, max_len, exclude_direct_edge, ops
+    )[1]
 
 
 def comprehensive_saturation(gamma: float, delta: float) -> float:
     if not (0.0 <= gamma <= 1.0 and 0.0 <= delta <= 1.0):
         raise ValueError("saturations must lie in [0, 1]")
     return gamma * delta
-
-
-def _chain_product(ops, pattern):
-    mat = ops.predicate_matrix(pattern.hops[0])
-    for p in pattern.hops[1:]:
-        mat = mat @ ops.predicate_matrix(p)
-    return mat
 
 
 def bifurcation(
@@ -264,31 +351,21 @@ def saturation_report(
     if not active:
         return []
 
-    hs, qs, ts = _triplet_arrays(kg)
-    keep = np.isin(qs, active)
-    hs, qs, ts = hs[keep], qs[keep], ts[keep]
-    nq = np.bincount(qs, minlength=kg.num_predicates).astype(np.float64)
-
-    totals = np.zeros(len(hs))
-    for _, counts in _scan_counts(kg, ops, max_len, hs, qs, ts, exclude_direct_edge):
-        totals += counts
-
-    by_pred: dict[int, list[SaturationRecord]] = {q: [] for q in active}
-    for pattern, counts in _scan_counts(kg, ops, max_len, hs, qs, ts, exclude_direct_edge):
-        shares = np.divide(counts, totals, out=np.zeros_like(counts), where=totals > 0)
-        gamma_q = np.bincount(qs, weights=counts > 0, minlength=kg.num_predicates)
-        delta_q = np.bincount(qs, weights=shares, minlength=kg.num_predicates)
-        for q in active:
-            gamma = gamma_q[q] / nq[q]
-            delta = delta_q[q] / nq[q]
-            by_pred[q].append(
-                SaturationRecord(pattern, q, gamma, delta, gamma * delta)
-            )
-
+    scanned = list(dict.fromkeys(active))
+    hops, gamma, delta = _saturation_scan(
+        kg, ops, max_len, scanned, exclude_direct_edge
+    )
+    eta = gamma * delta
+    # ties go to the lexicographically smaller hop tuple (a prefix sorts first)
+    tie_keys = tuple(hops[:, j] for j in reversed(range(max_len)))
     out: list[SaturationRecord] = []
     for q in active:
-        ranked = sorted(by_pred[q], key=lambda r: (-r.eta, -r.gamma, r.pattern.hops))
-        out.extend(ranked[:top_n])
+        s = scanned.index(q)
+        for i in np.lexsort(tie_keys + (-gamma[:, s], -eta[:, s]))[:top_n]:
+            pattern = RulePattern(tuple(int(p) for p in hops[i] if p >= 0))
+            out.append(
+                SaturationRecord(pattern, q, gamma[i, s], delta[i, s], eta[i, s])
+            )
     return out
 
 

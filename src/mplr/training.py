@@ -287,6 +287,9 @@ def evaluate(
             excluded_edges=(q, tails, present),
             normalize=params.normalize,
         )
+        # a NaN answer score ties with nothing and would rank 0.5
+        if not np.isfinite(scores).all():
+            raise ValueError(f"non-finite scores for predicate {kg.predicates[q]!r}")
         rr_q, hits_q = [], {k: [] for k in ks}
         for i in range(len(pairs)):
             rank = rank_among(scores[i], int(tails[i]), exclude=int(heads[i]))

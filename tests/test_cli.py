@@ -49,6 +49,16 @@ class TestIndicators:
         assert "budget" in capsys.readouterr().err
         assert not (out / "saturation.tsv").exists()
 
+    def test_unknown_predicate_exits_one_before_making_out(
+        self, kin_dir, tmp_path, capsys
+    ):
+        out = tmp_path / "ind4"
+        assert run("indicators", "--dataset-dir", kin_dir, "--out", out,
+                   "--predicates", "wifeOf,nosuch") == 1
+        err = capsys.readouterr().err
+        assert err == "error: unknown predicate 'nosuch'\n"
+        assert not out.exists()
+
     def test_sampling_respects_budget(self, kin_dir, tmp_path):
         out = tmp_path / "ind3"
         assert run("indicators", "--dataset-dir", kin_dir, "--out", out,

@@ -126,17 +126,39 @@ class TestSaturation:
 
     @pytest.mark.parametrize("exclude", [True, False])
     def test_matches_dfs_oracle_length_three(self, exclude):
-        kg = random_kg(11, num_entities=6, num_predicates=2, edge_prob=0.3)
-        q = kg.triples[0][1]
-        expected = oracle_saturations(kg, q, 3, exclude)
-        for hops in itertools.product(range(2), repeat=3):
-            gamma, delta = expected[hops]
-            assert macro_saturation(
-                kg, RulePattern(hops), q, exclude_direct_edge=exclude
-            ) == pytest.approx(gamma, abs=1e-12)
-            assert micro_saturation(
-                kg, RulePattern(hops), q, max_len=3, exclude_direct_edge=exclude
-            ) == pytest.approx(delta, abs=1e-12)
+        # lengths 3 and 4: with two predicates q recurs at several hops
+        for seed, max_len in ((11, 3), (11, 4), (3, 4)):
+            kg = random_kg(seed, num_entities=6, num_predicates=2, edge_prob=0.3)
+            q = kg.triples[0][1]
+            expected = oracle_saturations(kg, q, max_len, exclude)
+            for hops, (gamma, delta) in expected.items():
+                assert macro_saturation(
+                    kg, RulePattern(hops), q, exclude_direct_edge=exclude
+                ) == pytest.approx(gamma, abs=1e-12)
+                assert micro_saturation(
+                    kg, RulePattern(hops), q, max_len=max_len,
+                    exclude_direct_edge=exclude,
+                ) == pytest.approx(delta, abs=1e-12)
+
+    def test_matches_dfs_oracle_length_three_with_self_loops(self):
+        # paths that take the removed edge at two q-hops: a -q-> b -q-> a -q-> b
+        # returns along b -q-> a in between, and a -q-> a -q-> a -r-> a uses
+        # the self-loop twice before a hop that is not q
+        kg = KnowledgeGraph(
+            ["a", "b", "c"],
+            ["q", "r"],
+            [(0, 0, 1), (1, 0, 0), (0, 0, 0), (1, 0, 1), (0, 1, 2), (2, 1, 1),
+             (2, 0, 2), (0, 1, 0)],
+        )
+        for exclude in (True, False):
+            expected = oracle_saturations(kg, 0, 3, exclude)
+            for hops, (gamma, delta) in expected.items():
+                assert macro_saturation(
+                    kg, RulePattern(hops), 0, exclude_direct_edge=exclude
+                ) == pytest.approx(gamma, abs=1e-12)
+                assert micro_saturation(
+                    kg, RulePattern(hops), 0, max_len=3, exclude_direct_edge=exclude
+                ) == pytest.approx(delta, abs=1e-12)
 
     def test_micro_shares_sum_to_explained_fraction(self):
         kg = random_kg(5, num_entities=8, num_predicates=3, edge_prob=0.25)
@@ -260,6 +282,16 @@ class TestReport:
         names = top.pattern.names(kg)
         assert names in {("motherOf", "sonOf"), ("motherOf", "daughterOf")}
         assert top.gamma > 0.5
+
+    @pytest.mark.parametrize("exclude", [True, False])
+    def test_predicate_subset_matches_full_scan(self, exclude):
+        kg = random_kg(7, num_entities=8, num_predicates=3, edge_prob=0.3)
+        full = saturation_report(kg, max_len=3, top_n=4, exclude_direct_edge=exclude)
+        for q in range(kg.num_predicates):
+            alone = saturation_report(
+                kg, max_len=3, top_n=4, exclude_direct_edge=exclude, predicates=[q]
+            )
+            assert alone == [r for r in full if r.predicate == q]
 
     def test_empty_predicate_warned_and_skipped(self, caplog):
         kg = KnowledgeGraph(["a", "b"], ["r", "unused"], [(0, 0, 1)])

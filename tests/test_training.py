@@ -201,6 +201,19 @@ class TestEvaluate:
         with pytest.raises(ValueError, match="empty"):
             evaluate(kg, params, [])
 
+    def test_non_finite_scores_rejected(self, trained, monkeypatch):
+        kg, splits, params = trained
+        real = training.score_entities
+
+        def poisoned(*args, **kwargs):
+            scores = real(*args, **kwargs)
+            scores[0, 0] = np.nan
+            return scores
+
+        monkeypatch.setattr(training, "score_entities", poisoned)
+        with pytest.raises(ValueError, match="non-finite scores for predicate 'q'"):
+            evaluate(kg, params, splits.valid)
+
 
 class TestHitUpperBound:
     def record(self, proportions, direction=FORWARD):
