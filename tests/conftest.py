@@ -140,6 +140,58 @@ def oracle_scores(kg, weights, query):
     return s
 
 
+def recurrence_scores(kg, weights, query, epsilon_mode="corrected", normalize=None):
+    """Scores from the per-target correction recurrence, one dense row per target.
+
+    Per rank, the state u_l = u_{l-1} W_l with W_l = sum_k a_{l,k} M_k (M_0 is
+    the identity) and, for every target t, a correction row
+    eps_l = eps_{l-1} W_l + a_{l,q} * base_l * e_t. The injected base is
+    u_{l-1}[head] in the corrected mode; the printed (literal) recurrence uses
+    1 at the first hop and u_{l-1}[t] after it. Target t loses eps_L[t], and
+    each rank's row is divided by the l1/l2 norm of its uncorrected u_L (left
+    alone when that norm is 0). Returns (prediction, per-target corrections).
+    Dense matrices only, independent of the library's operators.
+    """
+    R, L, K = weights.shape
+    E = kg.num_entities
+    mats = [np.eye(E)] + [np.zeros((E, E)) for _ in range(kg.num_predicates)]
+    for h, p, t in kg.triples:
+        mats[p + 1][h, t] = 1.0
+    targets = np.asarray(query.targets)
+    rows = np.arange(len(targets))
+    q_op = query.query + 1
+    s = np.zeros(E)
+    corr_total = np.zeros(len(targets))
+    for r in range(R):
+        u = np.zeros(E)
+        u[query.head] = 1.0
+        eps = np.zeros((len(targets), E))
+        for l in range(1, L + 1):
+            w_l = sum(weights[r, l - 1, k] * mats[k] for k in range(K))
+            if epsilon_mode == "corrected":
+                base = np.full(len(targets), u[query.head])
+            elif l == 1:
+                base = np.ones(len(targets))
+            else:
+                base = u[targets]
+            eps = eps @ w_l
+            eps[rows, targets] += weights[r, l - 1, q_op] * base
+            u = u @ w_l
+        corr = eps[rows, targets]
+        if normalize == "l2":
+            n = np.sqrt(np.dot(u, u))
+        elif normalize == "l1":
+            n = np.abs(u).sum()
+        else:
+            n = 1.0
+        d = n if n > 0 else 1.0
+        pred = u.copy()
+        pred[targets] -= corr
+        s += pred / d
+        corr_total += corr / d
+    return s, dict(zip(query.targets, corr_total))
+
+
 def naive_bernoulli_loss(s, v):
     """Direct -sum v log sigma(s) + (1-v) log sigma(-s); fine for |s| <= 20."""
     s = np.asarray(s, dtype=np.float64)

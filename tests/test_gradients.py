@@ -86,12 +86,14 @@ def test_every_parameter_class_matches_finite_differences(epsilon_mode, normaliz
 def test_longer_recurrence_and_higher_rank():
     kg = four_entity_kg()
     ops = build_operators(kg)
-    params = ModelParams(
-        kg.num_predicates, rank=3, max_len=3, embed_dim=5, hidden_dim=4, seed=7,
-        normalize="l2",
-    )
-    queries = [MultiTargetQuery(0, 2, (2, 3))]
-    check_all_tensors(params, ops, queries, coords_per_tensor=4)
+    queries = [MultiTargetQuery(0, 2, (2, 3)), MultiTargetQuery(2, 2, (0,))]
+    for epsilon_mode in ("corrected", "literal"):
+        for max_len in (3, 4):
+            params = ModelParams(
+                kg.num_predicates, rank=3, max_len=max_len, embed_dim=5,
+                hidden_dim=4, seed=7, normalize="l2", epsilon_mode=epsilon_mode,
+            )
+            check_all_tensors(params, ops, queries, coords_per_tensor=4)
 
 
 def test_unused_query_embedding_has_zero_gradient():

@@ -16,7 +16,12 @@ from mplr.model import (
     score_query,
 )
 
-from conftest import naive_bernoulli_loss, oracle_scores, random_kg
+from conftest import (
+    naive_bernoulli_loss,
+    oracle_scores,
+    random_kg,
+    recurrence_scores,
+)
 
 
 def one_hot_attention(num_ops, hops):
@@ -118,13 +123,42 @@ class TestScoreQuery:
         kg = random_kg(seed, num_entities=7, num_predicates=3, edge_prob=0.25)
         ops = build_operators(kg)
         rng = np.random.default_rng(seed + 1000)
-        w = rng.dirichlet(np.ones(kg.num_predicates + 1), size=(1, 2))
-        attn = AttentionTensor(w)
-        for query in group_queries(kg.triples)[:6]:
-            res = score_query(ops, attn, query)
-            np.testing.assert_allclose(
-                res.prediction, oracle_scores(kg, w, query), atol=1e-9
-            )
+        queries = group_queries(kg.triples)
+        picked = queries[:4] + [q for q in queries[4:] if len(q.targets) > 1][:2]
+        assert any(len(q.targets) > 1 for q in picked)
+        for max_len, rank in ((2, 1), (3, 2), (4, 2)):
+            w = rng.dirichlet(np.ones(kg.num_predicates + 1), size=(rank, max_len))
+            attn = AttentionTensor(w)
+            for query in picked:
+                res = score_query(ops, attn, query)
+                np.testing.assert_allclose(
+                    res.prediction, oracle_scores(kg, w, query), atol=1e-9,
+                    err_msg=f"L={max_len} R={rank} query={query}",
+                )
+
+    @pytest.mark.parametrize("normalize", [None, "l1", "l2"])
+    @pytest.mark.parametrize("max_len", [2, 3, 4])
+    @pytest.mark.parametrize("epsilon_mode", ["corrected", "literal"])
+    def test_matches_recurrence_reference(self, epsilon_mode, max_len, normalize):
+        for seed in range(3):
+            kg = random_kg(seed + 20, num_entities=7, num_predicates=3, edge_prob=0.3)
+            ops = build_operators(kg)
+            rng = np.random.default_rng(seed)
+            w = rng.dirichlet(np.ones(kg.num_predicates + 1), size=(2, max_len))
+            queries = group_queries(kg.triples)
+            assert any(len(q.targets) > 1 for q in queries[:6])
+            for query in queries[:6]:
+                res = score_query(
+                    ops, AttentionTensor(w), query,
+                    epsilon_mode=epsilon_mode, normalize=normalize,
+                )
+                pred, corr = recurrence_scores(kg, w, query, epsilon_mode, normalize)
+                np.testing.assert_allclose(res.prediction, pred, rtol=1e-12, atol=1e-12)
+                assert res.per_target_corrections.keys() == corr.keys()
+                for t, c in corr.items():
+                    assert res.per_target_corrections[t] == pytest.approx(
+                        c, rel=1e-12, abs=1e-12
+                    )
 
     def test_subtract_equals_delete_without_reuse(self, toy):
         # deleting the direct edge and scoring plainly must agree with the
