@@ -10,6 +10,7 @@ byte. Exit codes: 0 success, 1 error, 2 saturation cost budget exceeded.
 from __future__ import annotations
 
 import argparse
+import itertools
 import sys
 import time
 from pathlib import Path
@@ -241,12 +242,27 @@ def cmd_train(settings):
     return 0
 
 
+def _load_model(settings, kg):
+    """The checkpoint's parameters, refused unless trained on kg's predicates."""
+    path = settings["checkpoint"]
+    if not path or not Path(path).is_file():
+        raise CliError("--checkpoint pointing at a trained model is required")
+    params = load_checkpoint(path)
+    if params.predicates != kg.predicates:
+        # a checkpoint that records no vocabulary differs at index 0 (None)
+        pairs = itertools.zip_longest(params.predicates or [None], kg.predicates)
+        i, (mine, theirs) = next((i, p) for i, p in enumerate(pairs) if p[0] != p[1])
+        raise CliError(
+            f"checkpoint predicates differ from the dataset's in names or order: "
+            f"predicate {i} is {mine!r} in the checkpoint, {theirs!r} in the dataset"
+        )
+    return params
+
+
 def cmd_eval(settings):
     kg, splits, _ = _load(settings)
-    if not settings["checkpoint"] or not Path(settings["checkpoint"]).is_file():
-        raise CliError("--checkpoint pointing at a trained model is required")
+    params = _load_model(settings, kg)
     out = _prepare_out(settings, ["eval_report.tsv", "eval_report.txt"])
-    params = load_checkpoint(settings["checkpoint"])
     report = evaluate(kg, params, splits.test, ks=_ks(settings))
     (out / "eval_report.tsv").write_text(report.as_tsv())
     (out / "eval_report.txt").write_text(report.as_text())
@@ -256,10 +272,8 @@ def cmd_eval(settings):
 
 def cmd_rules(settings):
     kg, _, _ = _load(settings)
-    if not settings["checkpoint"] or not Path(settings["checkpoint"]).is_file():
-        raise CliError("--checkpoint pointing at a trained model is required")
+    params = _load_model(settings, kg)
     out = _prepare_out(settings, ["rules.tsv", "rules.txt"])
-    params = load_checkpoint(settings["checkpoint"])
     if settings["query"]:
         if settings["query"] not in kg.predicate_index:
             raise CliError(f"unknown predicate {settings['query']!r}")

@@ -33,7 +33,7 @@ from .operators import count_paths  # noqa: F401
 
 log = logging.getLogger(__name__)
 
-# complexity guardrail for full saturation scans, in |P|^(L+1) * |G| units
+# complexity guardrail for saturation scans, in estimate_cost units
 DEFAULT_COST_BUDGET = 2e9
 
 FORWARD = "forward"
@@ -64,8 +64,16 @@ class BifurcationRecord:
     proportions: dict[int, float]
 
 
-def estimate_cost(kg: KnowledgeGraph, max_len: int) -> float:
-    return float(kg.num_predicates) ** (max_len + 1) * len(kg.triples)
+def estimate_cost(kg: KnowledgeGraph, max_len: int, predicates=None) -> float:
+    """Pattern counts the scan materializes: sum_{k=2..L} |P|^k * scanned triples.
+
+    Level k of `_saturation_scan` gathers one count per (pattern of length k,
+    triple of a scanned predicate); `predicates` None scans all of them.
+    """
+    wanted = range(kg.num_predicates) if predicates is None else set(predicates)
+    scanned = sum(kg.num_edges(q) for q in wanted)
+    patterns = sum(float(kg.num_predicates) ** k for k in range(2, max_len + 1))
+    return patterns * scanned
 
 
 def _triplet_arrays(kg, predicates):
@@ -331,13 +339,14 @@ def saturation_report(
     """Top rule patterns per predicate, ranked by comprehensive saturation.
 
     Covers every pattern of length 2..max_len against every predicate (or the
-    given subset), skipping empty subgraphs with a warning. Guarded by the
-    |P|^(L+1) * |G| cost estimate; sample the graph or raise the budget for
-    large inputs.
+    given subset), skipping empty subgraphs with a warning. Guarded by
+    `estimate_cost` over the scanned predicates; sample the graph or raise
+    the budget for large inputs.
     """
-    if budget is not None and estimate_cost(kg, max_len) > budget:
+    cost = estimate_cost(kg, max_len, predicates)
+    if budget is not None and cost > budget:
         raise CostBudgetError(
-            f"saturation scan cost {estimate_cost(kg, max_len):.2e} exceeds budget "
+            f"saturation scan cost {cost:.2e} exceeds budget "
             f"{budget:.2e}; sample the graph (sample_subgraph) or raise the budget"
         )
     ops = ops or OperatorSet(kg)

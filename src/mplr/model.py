@@ -4,10 +4,12 @@ A query predicate is embedded and fed (at every step) through R independent
 bidirectional recurrent cells; each step's concatenated hidden states pass
 through a shared linear projection and softmax, yielding per-hop attention
 distributions over the |P|+1 operators (identity first). Scoring propagates a
-one-hot head vector through the attention-weighted operator sum for L hops
-while a per-target correction recurrence tracks, and finally subtracts, the
-score mass a target receives from traversing its own direct edge - the
-multi-target replacement for deleting edges from the graph.
+one-hot head vector through the attention-weighted operator sums W_1..W_L and
+subtracts, per target, the score mass the target receives from traversing
+its own direct edge - the multi-target replacement for deleting edges from
+the graph. That mass has a closed form: what enters the direct edge at hop l
+(the mode-dependent base) times the return entry (W_{l+1} ... W_L)[t, t],
+which depends on the predicate and the target but not on the query.
 
 All gradients are exact reverse-mode, hand-derived, and validated against
 central finite differences in the test suite. Everything is deterministic
@@ -54,7 +56,9 @@ class ModelParams:
     Tensors live in an ordered dict so optimizers and gradient checks can
     iterate them generically. Gate weights are fused (input, forget, candidate,
     output); forget biases start at 1.0, everything else from symmetric uniform
-    ranges scaled by fan-in, all drawn from the seed.
+    ranges scaled by fan-in, all drawn from the seed. `predicates` optionally
+    names the predicate vocabulary, in index order; checkpoints record it so a
+    model is only ever applied to the vocabulary it was trained on.
     """
 
     def __init__(
@@ -67,6 +71,7 @@ class ModelParams:
         seed=0,
         normalize="l2",
         epsilon_mode=CORRECTED,
+        predicates=None,
     ):
         if normalize not in NORMALIZE_MODES:
             raise ValueError(f"normalize must be one of {NORMALIZE_MODES}")
@@ -74,6 +79,10 @@ class ModelParams:
             raise ValueError(f"epsilon_mode must be one of {EPSILON_MODES}")
         if min(num_predicates, rank, max_len, embed_dim, hidden_dim) < 1:
             raise ValueError("all model dimensions must be positive")
+        if predicates is not None and len(predicates) != num_predicates:
+            raise ValueError(
+                f"{len(predicates)} predicate names for {num_predicates} predicates"
+            )
         self.num_predicates = num_predicates
         self.rank = rank
         self.max_len = max_len
@@ -82,6 +91,7 @@ class ModelParams:
         self.seed = seed
         self.normalize = normalize
         self.epsilon_mode = epsilon_mode
+        self.predicates = None if predicates is None else list(predicates)
 
         rng = np.random.default_rng(seed)
 
@@ -125,6 +135,7 @@ class ModelParams:
             "seed": self.seed,
             "normalize": self.normalize,
             "epsilon_mode": self.epsilon_mode,
+            "predicates": self.predicates,
             "gate_order": GATE_ORDER,
         }
 
@@ -331,9 +342,16 @@ def _norm_divisors(u_last, normalize):
 class _GroupForward:
     """Forward pass for a set of queries sharing one predicate (and attention).
 
-    Rows of U are queries; rows of the correction recurrence Eps are
-    (query, target) pairs, flattened. Everything needed for reverse mode is
-    kept: per-hop states, per-rank weighted operators, norms, predictions.
+    Rows of U are queries. The correction of (query b, target t) is the closed
+    form corr(b, t) = sum_l a_q(l) * base_l(b, t) * D_l(t): mass base_l enters
+    the direct edge (h_b, q, t) at hop l and D_l(t) = (W_{l+1} ... W_L)[t, t]
+    is the share of it that returns to t over the remaining hops. D_L = 1 and
+    D_{L-1} = sum_k a_{L,k} M_k[t, t] is a gather from the operator diagonals;
+    for L >= 3 the deeper D_l come from one row per distinct target, X_l =
+    e_t (W_{l+1} ... W_L)^T, so D_l(t) = X_l[t, t]. D depends on the group
+    and the target only, never on the query, so only the B query rows of U
+    cross the operators. Everything needed for reverse mode is kept: per-hop
+    states, per-rank weighted operators, the return rows, norms, predictions.
     """
 
     def __init__(self, ops, weights, query, heads, target_lists,
@@ -349,21 +367,20 @@ class _GroupForward:
         B = len(heads)
         t_qrow = np.concatenate(
             [np.full(len(ts), i, dtype=np.int64) for i, ts in enumerate(target_lists)]
-        ) if target_lists else np.zeros(0, dtype=np.int64)
-        t_ent = np.concatenate(
-            [np.asarray(ts, dtype=np.int64) for ts in target_lists]
-        ) if target_lists else np.zeros(0, dtype=np.int64)
+        )
+        t_ent = np.concatenate([np.asarray(ts, dtype=np.int64) for ts in target_lists])
 
         self.ops, self.weights, self.query = ops, weights, query
         self.heads, self.t_qrow, self.t_ent = heads, t_qrow, t_ent
+        self.t_uniq, self.t_slot = np.unique(t_ent, return_inverse=True)
         self.epsilon_mode, self.normalize = epsilon_mode, normalize
         self.q_op = query + 1
-        Bt = len(t_ent)
-        rows = np.arange(Bt)
 
         self.W = [[None] * (L + 1) for _ in range(R)]
+        self.Wt = [[None] * (L + 1) for _ in range(R)]
         self.U = [[None] * (L + 1) for _ in range(R)]
-        self.Eps = [[None] * (L + 1) for _ in range(R)]
+        self.X = [None] * R
+        self.D = [None] * R
         self.corr = []
         self.pred = []
         self.norms = []
@@ -377,14 +394,13 @@ class _GroupForward:
                 Wl = ops.combine(weights[r, l - 1])
                 self.W[r][l] = Wl
                 self.U[r][l] = self.U[r][l - 1] @ Wl
-            eps = np.zeros((Bt, E))
-            self.Eps[r][0] = eps
+                if l > 1:  # no product ever crosses hop 1 in reverse
+                    self.Wt[r][l] = ops.combine_t(weights[r, l - 1])
+            self._return_diagonals(r)
+            corr = np.zeros(len(t_ent))
             for l in range(1, L + 1):
                 a_q = weights[r, l - 1, self.q_op]
-                cur = self.Eps[r][l - 1] @ self.W[r][l]
-                cur[rows, t_ent] += a_q * self._injection_base(r, l)
-                self.Eps[r][l] = cur
-            corr = self.Eps[r][L][rows, t_ent]
+                corr += a_q * self._injection_base(r, l) * self.D[r][l - 1][self.t_slot]
             self.corr.append(corr)
             pred = self.U[r][L].copy()
             pred[t_qrow, t_ent] -= corr
@@ -394,6 +410,24 @@ class _GroupForward:
             self.divisors.append(d)
             s += pred / d[:, None]
         self.s = s
+
+    def _return_diagonals(self, r):
+        """D[r][l-1] = (W_{l+1} ... W_L)[t, t] per distinct target; X[r][l] its rows."""
+        L = self.weights.shape[1]
+        t = self.t_uniq
+        D = np.ones((L, len(t)))
+        X = [None] * (L + 1)
+        if L >= 2:
+            D[L - 2] = self.weights[r, L - 1] @ self.ops.diagonals()[:, t]
+        if L >= 3:
+            cols = np.arange(len(t))
+            X[L] = np.zeros((len(t), self.ops.num_entities))
+            X[L][cols, t] = 1.0
+            X[L - 1] = self.Wt[r][L][t].toarray()
+            for l in range(L - 2, 0, -1):
+                X[l] = X[l + 1] @ self.Wt[r][l + 1]
+                D[l - 1] = X[l][cols, t]
+        self.D[r], self.X[r] = D, X
 
     def _injection_base(self, r, l):
         """Mass entering the direct edge at hop l, per (query, target) row."""
@@ -418,7 +452,6 @@ class _GroupForward:
         """dL/d(attention weights) of shape (R, L, K) given dL/ds."""
         ops, weights = self.ops, self.weights
         R, L, K = weights.shape
-        rows = np.arange(len(self.t_ent))
         dA = np.zeros((R, L, K))
         for r in range(R):
             d = self.divisors[r]
@@ -434,44 +467,56 @@ class _GroupForward:
                 else:  # l1, states are non-negative
                     dU_l += dn[:, None]
             dCorr = -dPred[self.t_qrow, self.t_ent]
-            dEps_l = np.zeros_like(self.Eps[r][L])
-            dEps_l[rows, self.t_ent] = dCorr
+            # dL/dD_l per distinct target
+            dD = np.zeros((L, len(self.t_uniq)))
             for l in range(L, 0, -1):
                 a_q = weights[r, l - 1, self.q_op]
-                dA[r, l - 1] += _operator_grads(
-                    ops, self.U[r][l - 1], dU_l,
-                    self.Eps[r][l - 1] if l > 1 else None, dEps_l,
-                )
-                ge = dEps_l[rows, self.t_ent]
                 base = self._injection_base(r, l)
-                dA[r, l - 1, self.q_op] += float(np.dot(ge, base))
-                Wt = ops.combine_t(weights[r, l - 1])
-                dU_prev = dU_l @ Wt
-                dEps_prev = dEps_l @ Wt
+                D_l = self.D[r][l - 1][self.t_slot]
+                dA[r, l - 1] += _operator_grads(ops, self.U[r][l - 1], dU_l)
+                dA[r, l - 1, self.q_op] += float(np.dot(dCorr, base * D_l))
+                dD[l - 1] = np.bincount(
+                    self.t_slot, weights=dCorr * a_q * base, minlength=len(self.t_uniq)
+                )
+                if l == 1:
+                    break
+                dU_l = dU_l @ self.Wt[r][l]
+                dbase = dCorr * a_q * D_l
                 if self.epsilon_mode == CORRECTED:
-                    np.add.at(
-                        dU_prev, (self.t_qrow, self.heads[self.t_qrow]), a_q * ge
-                    )
-                elif l > 1:
-                    np.add.at(dU_prev, (self.t_qrow, self.t_ent), a_q * ge)
-                dU_l, dEps_l = dU_prev, dEps_prev
+                    np.add.at(dU_l, (self.t_qrow, self.heads[self.t_qrow]), dbase)
+                else:
+                    np.add.at(dU_l, (self.t_qrow, self.t_ent), dbase)
+            self._return_backward(r, dD, dA)
         return dA
 
+    def _return_backward(self, r, dD, dA):
+        """Add dL/dD_l, pushed back to the attention weights, to dA[r]."""
+        L = self.weights.shape[1]
+        t = self.t_uniq
+        if L >= 2:
+            dA[r, L - 1] += self.ops.diagonals()[:, t] @ dD[L - 2]
+        if L < 3:
+            return
+        # y_j = sum_{l <= min(j, L-2)} dD_l(t) e_t W_{l+1} ... W_j, one row per
+        # target, meets the return rows X_{j+1} at hop j+1
+        cols = np.arange(len(t))
+        y = np.zeros((len(t), self.ops.num_entities))
+        for j in range(1, L):
+            if j > 1:
+                y = y @ self.W[r][j]
+            if j <= L - 2:
+                y[cols, t] += dD[j - 1]
+            dA[r, j] += _operator_grads(self.ops, y, self.X[r][j + 1])
 
-def _operator_grads(ops, u_prev, du, eps_prev, deps):
-    """d(loss)/d(a_k) for one hop: <u_prev M_k, du> plus the correction stream.
 
-    Both streams propagate through the same weighted operator, so their rows
-    are stacked and pushed through each M_k once, via the stored transposed
-    CSR matrices (row states become columns) to hit scipy's fast kernel
-    without per-call transpose dispatch.
+def _operator_grads(ops, x, g):
+    """d(loss)/d(a_k) = <x M_k, g> for every operator k of one hop.
+
+    The rows are pushed through each M_k once, via the stored transposed CSR
+    matrices (row states become columns), to hit scipy's fast kernel without
+    per-call transpose dispatch.
     """
     K = ops.num_predicates + 1
-    if eps_prev is not None and len(eps_prev):
-        x = np.concatenate([u_prev, eps_prev], axis=0)
-        g = np.concatenate([du, deps], axis=0)
-    else:
-        x, g = u_prev, du
     out = np.empty(K)
     out[IDENTITY_OP] = np.vdot(x, g)
     xt = np.ascontiguousarray(x.T)
@@ -506,10 +551,10 @@ def score_query(
     """Score every entity for one (head, predicate, targets) query.
 
     Per rank, the head's one-hot state is pushed through the attention-weighted
-    operator sum for each hop while one correction stream per target tracks the
-    mass that reaches the target through its own direct edge; that mass is
-    subtracted from the target's coordinate only, so cross-target paths keep
-    their contributions. Ranks are summed.
+    operator sum for each hop; the mass that reaches each target through its
+    own direct edge (the closed form in `_GroupForward`) is subtracted from the
+    target's coordinate only, so cross-target paths keep their contributions.
+    Ranks are summed.
     """
     fwd = _GroupForward(
         ops,

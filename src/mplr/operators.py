@@ -76,6 +76,7 @@ class OperatorSet:
         self.matrices_t = [m.T.tocsr() for m in mats]
         self._combo = None
         self._combo_t = None
+        self._diagonals = None
 
     def __len__(self):
         return len(self.matrices)
@@ -93,8 +94,14 @@ class OperatorSet:
         return self.matrices[predicate + 1]
 
     def diagonals(self) -> np.ndarray:
-        """(num_ops, |E|) array of operator diagonals (self-loop indicators)."""
-        return np.stack([m.diagonal() for m in self.matrices])
+        """(num_ops, |E|) array of operator diagonals (self-loop indicators).
+
+        Built on first use and shared afterwards, so it is read-only.
+        """
+        if self._diagonals is None:
+            self._diagonals = np.stack([m.diagonal() for m in self.matrices])
+            self._diagonals.flags.writeable = False
+        return self._diagonals
 
     def _template(self, transpose):
         n = self.num_entities

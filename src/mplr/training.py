@@ -121,6 +121,7 @@ def train(
         seed=config.seed,
         normalize=config.normalize,
         epsilon_mode=config.epsilon_mode,
+        predicates=kg.predicates,
     )
     adam = AdamOptimizer(
         params.tensors,

@@ -271,8 +271,15 @@ def make_family_triples(num_clans=3, seed=0):
     return sorted(triples)
 
 
-def write_family_dataset(root, num_clans=3, seed=0, fractions=(0.84, 0.08, 0.08)):
+def write_family_dataset(root, num_clans=3, seed=0, fractions=(0.84, 0.08, 0.08),
+                         groups=1):
+    """Kinship splits on disk; with groups > 1 each relation r becomes the
+    copies r_g0 .. r_g{groups-1}, clan c using copy c % groups."""
     triples = make_family_triples(num_clans, seed)
+    if groups > 1:
+        triples = [
+            (h, f"{r}_g{int(h.split('_')[0][1:]) % groups}", t) for h, r, t in triples
+        ]
     rng = random.Random(seed + 1)
     rng.shuffle(triples)
     n = len(triples)

@@ -59,6 +59,21 @@ class TestIndicators:
         assert err == "error: unknown predicate 'nosuch'\n"
         assert not out.exists()
 
+    def test_predicate_subset_of_many_predicate_graph_within_default_budget(
+        self, tmp_path
+    ):
+        # 96 predicates: a whole-graph |P|^3 * |G| estimate would read ~7e9
+        many = write_family_dataset(tmp_path / "many", num_clans=128, groups=8)
+        subset = "wifeOf_g0,husbandOf_g0,fatherOf_g0,sonOf_g0"
+        out = tmp_path / "ind5"
+        assert run("indicators", "--dataset-dir", many, "--out", out,
+                   "--predicates", subset) == 0
+        assert (out / "saturation.tsv").exists()
+        refused = tmp_path / "ind6"
+        assert run("indicators", "--dataset-dir", many, "--out", refused,
+                   "--predicates", subset, "--budget", 1) == 2
+        assert not (refused / "saturation.tsv").exists()
+
     def test_sampling_respects_budget(self, kin_dir, tmp_path):
         out = tmp_path / "ind3"
         assert run("indicators", "--dataset-dir", kin_dir, "--out", out,
@@ -120,6 +135,34 @@ class TestPipeline:
                    "--checkpoint", out / "checkpoint.npz",
                    "--query", "bogus") == 1
         assert "unknown predicate" in capsys.readouterr().err
+
+    def test_checkpoint_refused_on_reordered_vocabulary(
+        self, kin_dir, tmp_path, capsys
+    ):
+        out = tmp_path / "run3"
+        assert run("train", "--dataset-dir", kin_dir, "--out", out, "--seed", 1,
+                   "--epochs", 1, "--patience", 1, "--rank", 1,
+                   "--embed-dim", 8, "--hidden-dim", 8) == 0
+        # the same graph with two predicate names exchanged: same count,
+        # different order
+        swapped = tmp_path / "swapped"
+        swapped.mkdir()
+        for name in ("train.txt", "valid.txt", "test.txt"):
+            text = (kin_dir / name).read_text()
+            text = text.replace("\twifeOf\t", "\tTMP\t")
+            text = text.replace("\thusbandOf\t", "\twifeOf\t")
+            (swapped / name).write_text(text.replace("\tTMP\t", "\thusbandOf\t"))
+        capsys.readouterr()
+        for command in ("eval", "rules"):
+            dest = tmp_path / command
+            assert run(command, "--dataset-dir", swapped, "--out", dest,
+                       "--checkpoint", out / "checkpoint.npz") == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error: checkpoint predicates differ from the dataset's")
+            assert err.count("\n") == 1
+            assert not dest.exists()
+        assert run("rules", "--dataset-dir", kin_dir, "--out", tmp_path / "ok",
+                   "--checkpoint", out / "checkpoint.npz") == 0
 
     def test_identical_config_and_seed_reproduce_reports(self, kin_dir, tmp_path):
         outs = []

@@ -306,6 +306,18 @@ class TestReport:
         with pytest.raises(CostBudgetError):
             saturation_report(kg, max_len=2, budget=1.0)
 
+    def test_cost_counts_scanned_predicates(self, family_data):
+        kg, _, _ = family_data
+        P = kg.num_predicates
+        assert estimate_cost(kg, 2) == P**2 * len(kg.triples)
+        assert estimate_cost(kg, 3, [0, 1]) == (P**2 + P**3) * (
+            kg.num_edges(0) + kg.num_edges(1)
+        )
+        budget = estimate_cost(kg, 2, [0])
+        assert saturation_report(kg, max_len=2, budget=budget, predicates=[0])
+        with pytest.raises(CostBudgetError):
+            saturation_report(kg, max_len=2, budget=budget, predicates=[0, 1])
+
     def test_renderers(self, family_data):
         kg, _, _ = family_data
         records = saturation_report(kg, max_len=2, top_n=2)

@@ -306,6 +306,7 @@ class TestCheckpoint:
         params = ModelParams(
             6, rank=2, max_len=2, embed_dim=10, hidden_dim=7, seed=5,
             normalize="l1", epsilon_mode="literal",
+            predicates=["p0", "p1", "p2", "p3", "p4", "p5"],
         )
         path = tmp_path / "model.npz"
         save_checkpoint(params, path)
