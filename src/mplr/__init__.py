@@ -20,13 +20,10 @@ from .kg import (
 from .operators import (
     IDENTITY_HOP,
     IDENTITY_OP,
-    Operator,
     OperatorSet,
     RulePattern,
     build_operators,
     count_paths,
-    enumerate_patterns,
-    propagate,
 )
 from .indicators import (
     BifurcationRecord,
@@ -46,11 +43,9 @@ from .model import (
     ModelParams,
     ScoreResult,
     attention_forward,
-    backward,
     extract_rules,
     load_checkpoint,
     logit_loss,
-    neural_lp_score,
     save_checkpoint,
     score_entities,
     score_query,

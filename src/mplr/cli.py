@@ -170,8 +170,24 @@ def cmd_stats(settings):
     return 0
 
 
+def _check_indicator_settings(settings, kg):
+    """Refuse settings that would run but write empty or meaningless reports."""
+    if settings["max_rule_len"] < 2:
+        raise CliError("--max-rule-len must be at least 2 (patterns have 2 or more hops)")
+    if settings["top_n"] < 1:
+        raise CliError("--top-n must be at least 1")
+    if settings["lambda_max"] < 1:
+        raise CliError("--lambda-max must be at least 1")
+    sample = settings["sample"]
+    if sample is not None and not 1 <= sample <= len(kg.triples):
+        raise CliError(
+            f"--sample must lie between 1 and the graph's {len(kg.triples)} triples"
+        )
+
+
 def cmd_indicators(settings):
     kg, _, _ = _load(settings)
+    _check_indicator_settings(settings, kg)
     wanted = None
     if settings["predicates"]:
         names = [name.strip() for name in settings["predicates"].split(",")]
@@ -181,7 +197,7 @@ def cmd_indicators(settings):
         wanted = [kg.predicate_index[name] for name in names]
     files = ["saturation.tsv", "saturation.txt", "bifurcation.tsv", "bifurcation.txt"]
     out = _prepare_out(settings, files)
-    if settings["sample"]:
+    if settings["sample"] is not None:
         kg = ind.sample_subgraph(kg, settings["seed"], settings["sample"])
     records = ind.saturation_report(
         kg,
@@ -228,6 +244,7 @@ def _train_config(settings):
 
 def cmd_train(settings):
     kg, splits, _ = _load(settings)
+    config = _train_config(settings).validate()
     out = _prepare_out(settings, ["checkpoint.npz", "train_log.txt"])
     log_lines = []
 
@@ -235,7 +252,7 @@ def cmd_train(settings):
         log_lines.append(line)
         sys.stdout.write(line + "\n")
 
-    params, _ = train(kg, splits, _train_config(settings), log_fn=log)
+    params, _ = train(kg, splits, config, log_fn=log)
     save_checkpoint(params, out / "checkpoint.npz")
     (out / "train_log.txt").write_text("\n".join(log_lines) + "\n")
     _write_manifest(out, settings, "train")

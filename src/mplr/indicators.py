@@ -114,7 +114,7 @@ def _saturation_scan(kg, ops, max_len, active, exclude):
     """Exact gamma and delta of every pattern of length 2..max_len per active predicate.
 
     Returns (hops, gamma, delta): `hops` is (num_patterns, max_len), padded
-    with -1, in enumerate_patterns order (shorter first, then lexicographic);
+    with -1, shorter patterns first, then lexicographic;
     gamma and delta are (num_patterns, len(active)).
 
     Level k extends every chain of length k-1 by all predicates at once, as

@@ -45,9 +45,10 @@ def sigmoid(x):
 
 
 def softmax(x):
-    z = x - np.max(x)
+    """Softmax over the last axis."""
+    z = x - np.max(x, axis=-1, keepdims=True)
     e = np.exp(z)
-    return e / e.sum()
+    return e / e.sum(axis=-1, keepdims=True)
 
 
 class ModelParams:
@@ -182,131 +183,129 @@ class AttentionTensor:
         return self.weights.shape[1]
 
 
-def _lstm_step(x, h_prev, c_prev, Wx, Wh, b, dh):
-    z = x @ Wx + h_prev @ Wh + b
-    i = sigmoid(z[:dh])
-    f = sigmoid(z[dh : 2 * dh])
-    g = np.tanh(z[2 * dh : 3 * dh])
-    o = sigmoid(z[3 * dh :])
-    c = f * c_prev + i * g
-    tc = np.tanh(c)
-    h = o * tc
-    return h, c, (i, f, g, o, tc, c_prev, h_prev)
-
-
 def _run_cell(params, r, direction, x, steps):
+    """Unroll one direction of cell r over the (G, embed) inputs x, fed at every step."""
     dh = params.hidden_dim
-    Wx = params.tensors[f"cell{r}_{direction}_Wx"]
-    Wh = params.tensors[f"cell{r}_{direction}_Wh"]
-    b = params.tensors[f"cell{r}_{direction}_b"]
-    h = np.zeros(dh)
-    c = np.zeros(dh)
+    key = f"cell{r}_{direction}_"
+    Wh = params.tensors[key + "Wh"]
+    zx = x @ params.tensors[key + "Wx"] + params.tensors[key + "b"]
+    h = np.zeros((len(x), dh))
+    c = np.zeros((len(x), dh))
     hs, caches = [], []
     for _ in range(steps):
-        h, c, cache = _lstm_step(x, h, c, Wx, Wh, b, dh)
+        z = zx + h @ Wh
+        i = sigmoid(z[:, :dh])
+        f = sigmoid(z[:, dh : 2 * dh])
+        g = np.tanh(z[:, 2 * dh : 3 * dh])
+        o = sigmoid(z[:, 3 * dh :])
+        c_prev, h_prev = c, h
+        c = f * c_prev + i * g
+        tc = np.tanh(c)
+        h = o * tc
         hs.append(h)
-        caches.append(cache)
+        caches.append((i, f, g, o, tc, c_prev, h_prev))
     return hs, caches
 
 
-def _attention_forward(params: ModelParams, query: int):
-    """Attention weights plus the cache needed for reverse mode.
+def _rank_unroll(params, r, x):
+    """Both directions of cell r over the (G, embed) inputs x.
 
-    Hop i (1-based) reads the forward state after i steps concatenated with
-    the backward state after L-i steps; "after 0 steps" is the zero initial
-    state, so the deepest hop sees only the forward direction.
+    Returns the per-hop attention inputs, shape (L, G, 2 * hidden), and each
+    direction's step caches. Hop i (1-based) reads the forward state after i
+    steps concatenated with the backward state after L-i steps; "after 0
+    steps" is the zero initial state, so the deepest hop sees only the
+    forward direction.
     """
     L = params.max_len
-    x = params.tensors["query_emb"][query]
+    fwd_h, fwd_caches = _run_cell(params, r, "fwd", x, L)
+    bwd_h, bwd_caches = _run_cell(params, r, "bwd", x, L)
+    zero = np.zeros_like(fwd_h[0])
+    att_in = np.stack([
+        np.concatenate([fwd_h[l], bwd_h[L - 2 - l] if l < L - 1 else zero], axis=1)
+        for l in range(L)
+    ])
+    return att_in, fwd_caches, bwd_caches
+
+
+def _attention_forward(params: ModelParams, queries):
+    """Attention weights of shape (G, R, L, K) for G distinct query predicates.
+
+    Each rank is one matrix LSTM unroll per direction over all G rows. Only
+    the weights are kept: `_attention_backward` unrolls again, one rank at a
+    time, so a batch never holds every rank's step caches at once.
+    """
+    x = params.tensors["query_emb"][np.asarray(queries, dtype=np.int64)]
     W, b = params.tensors["proj_W"], params.tensors["proj_b"]
-    weights = np.empty((params.rank, L, params.num_operators))
-    cache = {"x": x, "query": query, "ranks": []}
-    dh = params.hidden_dim
+    weights = np.empty((len(x), params.rank, params.max_len, params.num_operators))
     for r in range(params.rank):
-        fwd_h, fwd_caches = _run_cell(params, r, "fwd", x, L)
-        bwd_h, bwd_caches = _run_cell(params, r, "bwd", x, L)
-        att_in = []
-        for l in range(L):
-            j = L - 1 - l
-            back = bwd_h[j - 1] if j >= 1 else np.zeros(dh)
-            att_in.append(np.concatenate([fwd_h[l], back]))
-            weights[r, l] = softmax(att_in[l] @ W + b)
-        cache["ranks"].append(
-            {"fwd": fwd_caches, "bwd": bwd_caches, "att_in": att_in}
-        )
-    cache["weights"] = weights
-    return weights, cache
+        att_in, _, _ = _rank_unroll(params, r, x)
+        weights[:, r] = softmax(att_in @ W + b).transpose(1, 0, 2)
+    return weights
 
 
 def attention_forward(params: ModelParams, query: int) -> AttentionTensor:
-    weights, _ = _attention_forward(params, query)
-    return AttentionTensor(weights)
+    return AttentionTensor(_attention_forward(params, [query])[0])
 
 
-def _cell_backward(params, r, direction, x, caches, dh_steps, dc_final=None):
-    """BPTT through one direction; dh_steps[i] is the external grad on step i's h."""
+def _cell_backward(params, r, direction, x, caches, dh_steps, grads):
+    """BPTT through one direction over all G rows; dh_steps[i] is the external
+    grad on step i's h. Adds the cell's weight grads to `grads`, returns dL/dx.
+
+    The input x is the same at every step, so its weight and input grads come
+    from the summed gate grads: gWx = x^T sum_steps dZ.
+    """
     dh = params.hidden_dim
-    Wx = params.tensors[f"cell{r}_{direction}_Wx"]
-    Wh = params.tensors[f"cell{r}_{direction}_Wh"]
-    gWx = np.zeros_like(Wx)
-    gWh = np.zeros_like(Wh)
-    gb = np.zeros(4 * dh)
-    dx = np.zeros_like(x)
-    dh_carry = np.zeros(dh)
-    dc_carry = np.zeros(dh) if dc_final is None else dc_final
+    key = f"cell{r}_{direction}_"
+    Wh = params.tensors[key + "Wh"]
+    gWh = grads[key + "Wh"]
+    dz_sum = np.zeros((len(x), 4 * dh))
+    dh_carry = np.zeros((len(x), dh))
+    dc_carry = np.zeros((len(x), dh))
     for step in reversed(range(len(caches))):
         i, f, g, o, tc, c_prev, h_prev = caches[step]
         dh_total = dh_steps[step] + dh_carry
         do = dh_total * tc
         dc = dh_total * o * (1.0 - tc * tc) + dc_carry
-        di = dc * g
-        dg = dc * i
-        df = dc * c_prev
         dc_carry = dc * f
         dz = np.concatenate(
-            [di * i * (1 - i), df * f * (1 - f), dg * (1 - g * g), do * o * (1 - o)]
+            [dc * g * i * (1 - i), dc * c_prev * f * (1 - f), dc * i * (1 - g * g),
+             do * o * (1 - o)],
+            axis=1,
         )
-        gWx += np.outer(x, dz)
-        gWh += np.outer(h_prev, dz)
-        gb += dz
-        dx += dz @ Wx.T
+        gWh += h_prev.T @ dz
+        dz_sum += dz
         dh_carry = dz @ Wh.T
-    return gWx, gWh, gb, dx
+    grads[key + "Wx"] += x.T @ dz_sum
+    grads[key + "b"] += dz_sum.sum(axis=0)
+    return dz_sum @ params.tensors[key + "Wx"].T
 
 
-def _attention_backward(params, cache, dA, grads):
-    """Accumulate parameter grads given dL/d(attention weights) of shape (R, L, K)."""
-    L = params.max_len
-    dh = params.hidden_dim
+def _attention_backward(params, queries, weights, dA, grads):
+    """Accumulate parameter grads given the (G, R, L, K) attention weights of
+    `queries` and dL/d(weights).
+
+    One pass per rank and direction covers all G predicates; the projection's
+    grads are one matmul over every (hop, predicate) row.
+    """
+    L, dh = params.max_len, params.hidden_dim
     W = params.tensors["proj_W"]
-    x = cache["x"]
-    query = cache["query"]
+    queries = np.asarray(queries, dtype=np.int64)
+    x = params.tensors["query_emb"][queries]
+    dx = np.zeros_like(x)
     for r in range(params.rank):
-        rc = cache["ranks"][r]
-        dfwd = [np.zeros(dh) for _ in range(L)]
-        dbwd = [np.zeros(dh) for _ in range(L)]
-        for l in range(L):
-            a = cache["weights"][r, l]
-            dAl = dA[r, l]
-            dlogits = a * (dAl - np.dot(dAl, a))
-            grads["proj_W"] += np.outer(rc["att_in"][l], dlogits)
-            grads["proj_b"] += dlogits
-            dhid = W @ dlogits
-            dfwd[l] += dhid[:dh]
-            j = L - 1 - l
-            if j >= 1:
-                dbwd[j - 1] += dhid[dh:]
-        for direction, dsteps, step_caches in (
-            ("fwd", dfwd, rc["fwd"]),
-            ("bwd", dbwd, rc["bwd"]),
-        ):
-            gWx, gWh, gb, dx = _cell_backward(
-                params, r, direction, x, step_caches, dsteps
-            )
-            grads[f"cell{r}_{direction}_Wx"] += gWx
-            grads[f"cell{r}_{direction}_Wh"] += gWh
-            grads[f"cell{r}_{direction}_b"] += gb
-            grads["query_emb"][query] += dx
+        att_in, fwd_caches, bwd_caches = _rank_unroll(params, r, x)
+        a = weights[:, r].transpose(1, 0, 2)  # (L, G, K)
+        dAr = dA[:, r].transpose(1, 0, 2)
+        dlogits = a * (dAr - np.sum(dAr * a, axis=2, keepdims=True))
+        grads["proj_W"] += att_in.reshape(-1, 2 * dh).T @ dlogits.reshape(-1, W.shape[1])
+        grads["proj_b"] += dlogits.sum(axis=(0, 1))
+        dhid = dlogits @ W.T
+        dfwd = dhid[:, :, :dh]
+        dbwd = np.zeros_like(dfwd)
+        dbwd[: L - 1] = dhid[: L - 1, :, dh:][::-1]  # hop l reads step L-2-l
+        dx += _cell_backward(params, r, "fwd", x, fwd_caches, dfwd, grads)
+        dx += _cell_backward(params, r, "bwd", x, bwd_caches, dbwd, grads)
+    grads["query_emb"][queries] += dx
 
 
 # ---------------------------------------------------------------------------
@@ -346,7 +345,8 @@ class _GroupForward:
     form corr(b, t) = sum_l a_q(l) * base_l(b, t) * D_l(t): mass base_l enters
     the direct edge (h_b, q, t) at hop l and D_l(t) = (W_{l+1} ... W_L)[t, t]
     is the share of it that returns to t over the remaining hops. D_L = 1 and
-    D_{L-1} = sum_k a_{L,k} M_k[t, t] is a gather from the operator diagonals;
+    D_{L-1} = sum_k a_{L,k} M_k[t, t] sums over the loops (t, t, k) of the
+    operators' edge list, identity included;
     for L >= 3 the deeper D_l come from one row per distinct target, X_l =
     e_t (W_{l+1} ... W_L)^T, so D_l(t) = X_l[t, t]. D depends on the group
     and the target only, never on the query, so only the B query rows of U
@@ -373,6 +373,9 @@ class _GroupForward:
         self.ops, self.weights, self.query = ops, weights, query
         self.heads, self.t_qrow, self.t_ent = heads, t_qrow, t_ent
         self.t_uniq, self.t_slot = np.unique(t_ent, return_inverse=True)
+        owner, cols, op = ops.out_edges(self.t_uniq)
+        loop = cols == self.t_uniq[owner]
+        self.loop_slot, self.loop_op = owner[loop], op[loop]  # M_k[t, t] = 1
         self.epsilon_mode, self.normalize = epsilon_mode, normalize
         self.q_op = query + 1
 
@@ -418,7 +421,10 @@ class _GroupForward:
         D = np.ones((L, len(t)))
         X = [None] * (L + 1)
         if L >= 2:
-            D[L - 2] = self.weights[r, L - 1] @ self.ops.diagonals()[:, t]
+            D[L - 2] = np.bincount(
+                self.loop_slot, weights=self.weights[r, L - 1, self.loop_op],
+                minlength=len(t),
+            )
         if L >= 3:
             cols = np.arange(len(t))
             X[L] = np.zeros((len(t), self.ops.num_entities))
@@ -494,7 +500,10 @@ class _GroupForward:
         L = self.weights.shape[1]
         t = self.t_uniq
         if L >= 2:
-            dA[r, L - 1] += self.ops.diagonals()[:, t] @ dD[L - 2]
+            dA[r, L - 1] += np.bincount(
+                self.loop_op, weights=dD[L - 2][self.loop_slot],
+                minlength=dA.shape[2],
+            )
         if L < 3:
             return
         # y_j = sum_{l <= min(j, L-2)} dD_l(t) e_t W_{l+1} ... W_j, one row per
@@ -510,20 +519,17 @@ class _GroupForward:
 
 
 def _operator_grads(ops, x, g):
-    """d(loss)/d(a_k) = <x M_k, g> for every operator k of one hop.
+    """d(loss)/d(a_k) = <x M_k, g> for every operator k of one hop, identity included.
 
-    The rows are pushed through each M_k once, via the stored transposed CSR
-    matrices (row states become columns), to hit scipy's fast kernel without
-    per-call transpose dispatch.
+    One sampled product over the operators' row-ordered edge list: every
+    nonzero x[b, i] sends x[b, i] * g[b, j] along each edge (i, j, k) that
+    leaves i, and the terms are summed by operator. The cost is the number of
+    edges leaving the support of x, whatever the number of operators.
     """
-    K = ops.num_predicates + 1
-    out = np.empty(K)
-    out[IDENTITY_OP] = np.vdot(x, g)
-    xt = np.ascontiguousarray(x.T)
-    gt = np.ascontiguousarray(g.T)
-    for k in range(1, K):
-        out[k] = np.vdot(ops.matrices_t[k] @ xt, gt)
-    return out
+    b, i = np.nonzero(x)
+    owner, cols, op = ops.out_edges(i)
+    terms = x[b, i][owner] * g[b[owner], cols]
+    return np.bincount(op, weights=terms, minlength=ops.num_predicates + 1)
 
 
 @dataclass
@@ -622,31 +628,31 @@ def score_entities(
     return s
 
 
-def neural_lp_score(ops, attn, head, tail, *, normalize=None) -> float:
-    """Reference chain score with no direct-edge correction."""
-    return float(score_entities(ops, attn, [head], normalize=normalize)[0, tail])
-
-
 # ---------------------------------------------------------------------------
 # training-facing entry points
 
 def loss_and_gradients(ops: OperatorSet, params: ModelParams, queries):
     """Summed loss and parameter gradients over a batch of queries.
 
-    Queries are grouped by predicate (attention depends only on the predicate)
-    and each group runs as one vectorized forward/backward. The returned grads
-    are plain sums; callers rescale for mean reduction.
+    Queries are grouped by predicate (attention depends only on the
+    predicate). One matrix LSTM unroll gives the attention of all G predicates
+    in the batch; each group then runs one vectorized forward/backward through
+    the operators, and the stacked (G, R, L, K) attention grads go back
+    through the LSTM in one pass. The returned grads are plain sums; callers
+    rescale for mean reduction.
     """
     grads = params.zero_grads()
     total = 0.0
     by_pred: dict[int, list[MultiTargetQuery]] = {}
     for q in queries:
         by_pred.setdefault(q.query, []).append(q)
-    for pred, group in by_pred.items():
-        weights, att_cache = _attention_forward(params, pred)
+    preds = list(by_pred)
+    weights = _attention_forward(params, preds)
+    dA = np.empty_like(weights)
+    for row, (pred, group) in enumerate(by_pred.items()):
         fwd = _GroupForward(
             ops,
-            weights,
+            weights[row],
             pred,
             np.array([g.head for g in group]),
             [list(g.targets) for g in group],
@@ -656,15 +662,9 @@ def loss_and_gradients(ops: OperatorSet, params: ModelParams, queries):
         v = fwd.target_matrix()
         total += logit_loss(fwd.s, v)
         ds = logit_loss_grad(fwd.s, v)
-        dA = fwd.backward(ds)
-        _attention_backward(params, att_cache, dA, grads)
+        dA[row] = fwd.backward(ds)
+    _attention_backward(params, preds, weights, dA, grads)
     return total, grads
-
-
-def backward(ops: OperatorSet, params: ModelParams, query: MultiTargetQuery):
-    """Exact gradients of one query's loss w.r.t. every parameter tensor."""
-    loss, grads = loss_and_gradients(ops, params, [query])
-    return loss, grads
 
 
 # ---------------------------------------------------------------------------

@@ -5,12 +5,13 @@ triple (e_i, p, e_j) is in the graph, plus a reserved identity operator at
 operator index 0 (predicate p therefore sits at operator index p + 1). Left
 vector-matrix products over these operators simulate rule application: the j-th
 entry of v_h^T M_p1 ... M_pl counts the distinct paths h -> ... -> j whose i-th
-edge carries predicate p_i. State vectors are plain dense float arrays.
+edge carries predicate p_i. State vectors are plain dense float arrays. The
+nonzeros of all operators also form one row-ordered edge list (row, col,
+operator), from which the reasoner reads operator gradients and loops.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,14 +47,6 @@ class RulePattern:
         )
 
 
-@dataclass(frozen=True)
-class Operator:
-    """One adjacency operator; `predicate` is the operator-axis index (0 = identity)."""
-
-    predicate: int
-    matrix: sparse.csr_array
-
-
 class OperatorSet:
     """Identity plus one adjacency operator per predicate, with combination helpers."""
 
@@ -73,19 +66,13 @@ class OperatorSet:
                 m = sparse.csr_array((n, n), dtype=np.float64)
             mats.append(m)
         self.matrices = mats
-        self.matrices_t = [m.T.tocsr() for m in mats]
+        self._edges = None
+        self._indptr = None
         self._combo = None
         self._combo_t = None
-        self._diagonals = None
 
     def __len__(self):
         return len(self.matrices)
-
-    def __getitem__(self, op_index: int) -> Operator:
-        return Operator(op_index, self.matrices[op_index])
-
-    def __iter__(self):
-        return (self[k] for k in range(len(self)))
 
     def matrix(self, op_index: int) -> sparse.csr_array:
         return self.matrices[op_index]
@@ -93,28 +80,43 @@ class OperatorSet:
     def predicate_matrix(self, predicate: int) -> sparse.csr_array:
         return self.matrices[predicate + 1]
 
-    def diagonals(self) -> np.ndarray:
-        """(num_ops, |E|) array of operator diagonals (self-loop indicators).
+    def _edge_list(self):
+        """(rows, cols, ops) of every operator's nonzeros, identity included,
+        ordered by row; built on first use."""
+        if self._edges is None:
+            coos = [m.tocoo() for m in self.matrices]
+            rows = np.concatenate([c.row for c in coos]).astype(np.int64)
+            cols = np.concatenate([c.col for c in coos]).astype(np.int64)
+            ops = np.repeat(np.arange(len(coos)), [c.nnz for c in coos])
+            order = np.argsort(rows, kind="stable")
+            self._edges = (rows[order], cols[order], ops[order])
+            self._indptr = np.searchsorted(
+                self._edges[0], np.arange(self.num_entities + 1)
+            )
+        return self._edges
 
-        Built on first use and shared afterwards, so it is read-only.
+    def out_edges(self, entities):
+        """Every edge leaving `entities`, over all operators (identity included).
+
+        Returns (owner, cols, ops): edge n runs from entities[owner[n]] to
+        cols[n] in operator ops[n]. The edge list is row-ordered, so the cost
+        is the number of edges returned, not the size of the graph.
         """
-        if self._diagonals is None:
-            self._diagonals = np.stack([m.diagonal() for m in self.matrices])
-            self._diagonals.flags.writeable = False
-        return self._diagonals
+        _, cols, ops = self._edge_list()
+        entities = np.asarray(entities, dtype=np.int64)
+        starts = self._indptr[entities]
+        counts = self._indptr[entities + 1] - starts
+        owner = np.repeat(np.arange(len(entities)), counts)
+        # output position of each entity's first edge, shifted to its edge-list start
+        shift = starts - (np.cumsum(counts) - counts)
+        edge = np.arange(counts.sum()) + np.repeat(shift, counts)
+        return owner, cols[edge], ops[edge]
 
     def _template(self, transpose):
         n = self.num_entities
-        rows, cols, ops = [], [], []
-        for k, m in enumerate(self.matrices):
-            coo = m.tocoo()
-            r, c = (coo.col, coo.row) if transpose else (coo.row, coo.col)
-            rows.append(r.astype(np.int64))
-            cols.append(c.astype(np.int64))
-            ops.append(np.full(coo.nnz, k, dtype=np.int64))
-        rows = np.concatenate(rows)
-        cols = np.concatenate(cols)
-        ops = np.concatenate(ops)
+        rows, cols, ops = self._edge_list()
+        if transpose:
+            rows, cols = cols, rows
         key = rows * n + cols
         uniq, inv = np.unique(key, return_inverse=True)
         indices = (uniq % n).astype(np.int32)
@@ -152,12 +154,6 @@ def build_operators(kg: KnowledgeGraph) -> OperatorSet:
     return OperatorSet(kg)
 
 
-def propagate(state: np.ndarray, op: Operator) -> np.ndarray:
-    """Left vector-matrix product state^T M; entry j = sum_i state[i] * M[i, j]."""
-    state = np.asarray(state, dtype=np.float64)
-    return state @ op.matrix
-
-
 def count_paths(ops, h: int, pattern: RulePattern, t: int, excluded_edge=None) -> int:
     """Number of distinct entity sequences h -> ... -> t realizing `pattern`.
 
@@ -184,11 +180,3 @@ def count_paths(ops, h: int, pattern: RulePattern, t: int, excluded_edge=None) -
         u = nxt
     return int(round(u[t]))
 
-
-def enumerate_patterns(num_predicates: int, min_len: int, max_len: int):
-    """All predicate tuples of length min_len..max_len, shorter first, lexicographic."""
-    if not 1 <= min_len <= max_len:
-        raise ValueError(f"invalid length range [{min_len}, {max_len}]")
-    for length in range(min_len, max_len + 1):
-        for hops in itertools.product(range(num_predicates), repeat=length):
-            yield RulePattern(hops)

@@ -20,6 +20,8 @@ from .operators import OperatorSet, build_operators
 from .indicators import BifurcationRecord, FORWARD
 from .model import (
     CORRECTED,
+    EPSILON_MODES,
+    NORMALIZE_MODES,
     ModelParams,
     attention_forward,
     loss_and_gradients,
@@ -59,6 +61,10 @@ class TrainConfig:
                 raise ValueError(f"{name} must be positive")
         if self.learning_rate <= 0:
             raise ValueError("learning_rate must be positive")
+        if self.normalize not in NORMALIZE_MODES:
+            raise ValueError(f"normalize must be one of {NORMALIZE_MODES}")
+        if self.epsilon_mode not in EPSILON_MODES:
+            raise ValueError(f"epsilon_mode must be one of {EPSILON_MODES}")
         return self
 
 

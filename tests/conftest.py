@@ -4,12 +4,15 @@ oracles, and a synthetic multi-family kinship dataset generator."""
 import itertools
 import os
 import random
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from mplr.kg import KnowledgeGraph, load_dataset
+from mplr.model import loss_and_gradients, score_entities
+from mplr.operators import RulePattern
 
 # ---------------------------------------------------------------------------
 # six-entity toy graph reproducing the worked adjacency/product matrices
@@ -190,6 +193,56 @@ def recurrence_scores(kg, weights, query, epsilon_mode="corrected", normalize=No
         s += pred / d
         corr_total += corr / d
     return s, dict(zip(query.targets, corr_total))
+
+
+def operator_grads_reference(ops, x, g):
+    """<x M_k, g> for every operator k (identity first): one sparse product
+    per operator, over the transposed CSR matrices."""
+    K = len(ops)
+    out = np.empty(K)
+    out[0] = np.vdot(x, g)
+    xt = np.ascontiguousarray(x.T)
+    gt = np.ascontiguousarray(g.T)
+    for k in range(1, K):
+        out[k] = np.vdot(ops.matrix(k).T.tocsr() @ xt, gt)
+    return out
+
+
+def neural_lp_score(ops, attn, head, tail, *, normalize=None):
+    """Chain score of one (head, tail) pair with no direct-edge correction."""
+    return float(score_entities(ops, attn, [head], normalize=normalize)[0, tail])
+
+
+def backward(ops, params, query):
+    """Loss and parameter gradients of one query, run as a batch of one."""
+    return loss_and_gradients(ops, params, [query])
+
+
+@dataclass(frozen=True)
+class Operator:
+    """One adjacency operator; `predicate` is the operator-axis index (0 = identity)."""
+
+    predicate: int
+    matrix: object
+
+
+def operators_of(ops):
+    """Every operator of an OperatorSet, identity first."""
+    return [Operator(k, ops.matrix(k)) for k in range(len(ops))]
+
+
+def propagate(state, op):
+    """Left vector-matrix product state^T M; entry j = sum_i state[i] * M[i, j]."""
+    return np.asarray(state, dtype=np.float64) @ op.matrix
+
+
+def enumerate_patterns(num_predicates, min_len, max_len):
+    """All predicate tuples of length min_len..max_len, shorter first, lexicographic."""
+    if not 1 <= min_len <= max_len:
+        raise ValueError(f"invalid length range [{min_len}, {max_len}]")
+    for length in range(min_len, max_len + 1):
+        for hops in itertools.product(range(num_predicates), repeat=length):
+            yield RulePattern(hops)
 
 
 def naive_bernoulli_loss(s, v):

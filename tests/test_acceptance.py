@@ -26,7 +26,6 @@ from mplr.model import (
     ModelParams,
     extract_rules,
     logit_loss,
-    neural_lp_score,
     score_query,
 )
 from mplr.training import TrainConfig, evaluate, hit_upper_bound, train
@@ -35,6 +34,7 @@ from conftest import (
     build_toy_kg,
     dfs_count_paths,
     naive_bernoulli_loss,
+    neural_lp_score,
     oracle_scores,
     random_kg,
     require_benchmark,

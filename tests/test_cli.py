@@ -74,6 +74,25 @@ class TestIndicators:
                    "--predicates", subset, "--budget", 1) == 2
         assert not (refused / "saturation.tsv").exists()
 
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            ("--max-rule-len", 1, "--max-rule-len must be at least 2"),
+            ("--lambda-max", 0, "--lambda-max must be at least 1"),
+            ("--sample", 0, "--sample must lie between 1 and"),
+            ("--top-n", 0, "--top-n must be at least 1"),
+        ],
+    )
+    def test_bad_setting_exits_one_before_making_out(
+        self, kin_dir, tmp_path, capsys, flag, value, message
+    ):
+        out = tmp_path / "bad"
+        assert run("indicators", "--dataset-dir", kin_dir, "--out", out,
+                   flag, value) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {message}") and err.count("\n") == 1
+        assert not out.exists()
+
     def test_sampling_respects_budget(self, kin_dir, tmp_path):
         out = tmp_path / "ind3"
         assert run("indicators", "--dataset-dir", kin_dir, "--out", out,
@@ -120,6 +139,16 @@ class TestPipeline:
                    "--query", "wifeOf", "--top-n", 3) == 0
         rules = (out / "rules" / "rules.tsv").read_text()
         assert "wifeOf" in rules
+
+    @pytest.mark.parametrize("flag", ["--epochs", "--rank"])
+    def test_bad_train_config_exits_one_before_making_out(
+        self, kin_dir, tmp_path, capsys, flag
+    ):
+        out = tmp_path / "bad"
+        assert run("train", "--dataset-dir", kin_dir, "--out", out, flag, 0) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not out.exists()
 
     def test_eval_without_checkpoint_exits_one(self, kin_dir, tmp_path, capsys):
         assert run("eval", "--dataset-dir", kin_dir,

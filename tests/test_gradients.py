@@ -5,7 +5,9 @@ import pytest
 
 from mplr.kg import KnowledgeGraph, MultiTargetQuery
 from mplr.operators import build_operators
-from mplr.model import ModelParams, backward, loss_and_gradients
+from mplr.model import ModelParams, _operator_grads, loss_and_gradients
+
+from conftest import backward, operator_grads_reference, random_kg
 
 
 def four_entity_kg():
@@ -139,4 +141,92 @@ def test_batch_gradients_are_order_independent_sums():
     for key in grads_ab:
         np.testing.assert_allclose(
             grads_ab[key], grads_a[key] + grads_b[key], atol=1e-10
+        )
+
+
+# ---------------------------------------------------------------------------
+# operator-gradient kernel against the per-operator reference
+
+def kernel_kg():
+    """Random graph with self-loops (one shared by two predicates) and an
+    operator with no edges."""
+    base = random_kg(4, num_entities=9, num_predicates=3, edge_prob=0.3)
+    loops = [(2, 0, 2), (2, 1, 2), (5, 2, 5)]
+    triples = sorted(set(base.triples) | set(loops))
+    return KnowledgeGraph(base.entities, base.predicates + ["none"], triples)
+
+
+def kernel_inputs(kind, rng, B=4, E=9):
+    g = rng.standard_normal((B, E))
+    if kind == "one-hot":
+        x = np.zeros((B, E))
+        x[np.arange(B), rng.integers(0, E, size=B)] = 1.0
+    elif kind == "sparse":
+        x = rng.random((B, E)) * (rng.random((B, E)) < 0.25)
+    elif kind == "dense":
+        x = rng.standard_normal((B, E))
+    else:  # zero rows among dense ones
+        x = rng.standard_normal((B, E))
+        x[[0, 2]] = 0.0
+    return x, g
+
+
+KERNEL_INPUTS = ("one-hot", "sparse", "dense", "zero-rows")
+
+
+@pytest.mark.parametrize("kind", KERNEL_INPUTS)
+def test_operator_grads_match_per_operator_products(kind):
+    kg = kernel_kg()
+    ops = build_operators(kg)
+    assert ops.predicate_matrix(3).nnz == 0
+    assert ops.predicate_matrix(0)[2, 2] == ops.predicate_matrix(1)[2, 2] == 1
+    rng = np.random.default_rng(KERNEL_INPUTS.index(kind))
+    for _ in range(5):
+        x, g = kernel_inputs(kind, rng)
+        got = _operator_grads(ops, x, g)
+        want = operator_grads_reference(ops, x, g)
+        np.testing.assert_allclose(got, want, rtol=1e-12)
+        assert got[4] == 0.0  # the operator with no edges
+
+
+def test_operator_grads_of_all_zero_state():
+    ops = build_operators(kernel_kg())
+    got = _operator_grads(ops, np.zeros((3, 9)), np.ones((3, 9)))
+    assert got.shape == (5,) and not got.any()
+
+
+# ---------------------------------------------------------------------------
+# one matrix LSTM for every predicate of a batch
+
+THREE_PREDICATE_BATCH = [
+    MultiTargetQuery(0, 2, (2, 3)),
+    MultiTargetQuery(2, 2, (0,)),
+    MultiTargetQuery(0, 0, (1,)),
+    MultiTargetQuery(1, 1, (2,)),
+    MultiTargetQuery(3, 1, (2,)),
+]
+
+
+@pytest.mark.parametrize("epsilon_mode", ["corrected", "literal"])
+def test_batch_of_three_predicates_matches_finite_differences(epsilon_mode):
+    kg = four_entity_kg()
+    ops = build_operators(kg)
+    params = ModelParams(
+        kg.num_predicates, rank=2, max_len=3, embed_dim=5, hidden_dim=4,
+        seed=13, normalize="l2", epsilon_mode=epsilon_mode,
+    )
+    check_all_tensors(params, ops, THREE_PREDICATE_BATCH, coords_per_tensor=4)
+
+
+def test_batch_of_three_predicates_is_sum_of_single_queries():
+    kg = four_entity_kg()
+    ops = build_operators(kg)
+    params = ModelParams(kg.num_predicates, rank=2, max_len=3,
+                         embed_dim=5, hidden_dim=4, seed=13)
+    loss, grads = loss_and_gradients(ops, params, THREE_PREDICATE_BATCH)
+    singles = [backward(ops, params, q) for q in THREE_PREDICATE_BATCH]
+    assert loss == pytest.approx(sum(l for l, _ in singles), abs=1e-10)
+    for key in grads:
+        np.testing.assert_allclose(
+            grads[key], sum(g[key] for _, g in singles), atol=1e-10
         )

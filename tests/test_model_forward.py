@@ -6,11 +6,11 @@ from mplr.operators import build_operators
 from mplr.model import (
     AttentionTensor,
     ModelParams,
+    _attention_forward,
     attention_forward,
     load_checkpoint,
     logit_loss,
     logit_loss_grad,
-    neural_lp_score,
     save_checkpoint,
     score_entities,
     score_query,
@@ -18,6 +18,7 @@ from mplr.model import (
 
 from conftest import (
     naive_bernoulli_loss,
+    neural_lp_score,
     oracle_scores,
     random_kg,
     recurrence_scores,
@@ -56,6 +57,16 @@ class TestAttention:
         a = attention_forward(ModelParams(4, rank=2, max_len=2, seed=9), 2)
         b = attention_forward(ModelParams(4, rank=2, max_len=2, seed=9), 2)
         assert np.array_equal(a.weights, b.weights)
+
+    def test_batched_rows_match_single_predicate_attention(self):
+        params = ModelParams(7, rank=3, max_len=3, embed_dim=8, hidden_dim=6, seed=4)
+        preds = [5, 0, 3, 6]
+        weights = _attention_forward(params, preds)
+        assert weights.shape == (4, 3, 3, 8)
+        for row, q in zip(weights, preds):
+            np.testing.assert_allclose(
+                row, attention_forward(params, q).weights, rtol=1e-12, atol=1e-15
+            )
 
     def test_different_queries_differ(self):
         params = ModelParams(4, rank=1, max_len=2, embed_dim=8, hidden_dim=8, seed=1)

@@ -3,6 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
+from mplr.indicators import _saturation_scan
 from mplr.operators import (
     IDENTITY_HOP,
     IDENTITY_OP,
@@ -10,11 +11,15 @@ from mplr.operators import (
     RulePattern,
     build_operators,
     count_paths,
-    enumerate_patterns,
-    propagate,
 )
 
-from conftest import dfs_count_paths, random_kg
+from conftest import (
+    dfs_count_paths,
+    enumerate_patterns,
+    operators_of,
+    propagate,
+    random_kg,
+)
 
 
 @pytest.fixture
@@ -33,7 +38,7 @@ def toy_expected_daughter_matrix(kg):
 class TestBuildOperators:
     def test_identity_at_index_zero(self, toy_kg, toy_ops):
         assert len(toy_ops) == toy_kg.num_predicates + 1
-        ident = toy_ops[IDENTITY_OP]
+        ident = operators_of(toy_ops)[IDENTITY_OP]
         assert ident.predicate == IDENTITY_OP
         assert np.array_equal(ident.matrix.toarray(), np.eye(6))
 
@@ -62,6 +67,27 @@ class TestBuildOperators:
         assert total == len(kg.triples)
 
 
+class TestEdgeList:
+    def test_out_edges_match_matrices(self):
+        for seed in range(4):
+            kg = random_kg(seed, num_entities=7, num_predicates=3, edge_prob=0.3)
+            ops = build_operators(kg)
+            entities = np.array([3, 0, 3, 6, 5])
+            owner, cols, op = ops.out_edges(entities)
+            got = sorted(zip(owner.tolist(), cols.tolist(), op.tolist()))
+            want = sorted(
+                (n, int(j), k)
+                for n, e in enumerate(entities)
+                for k in range(len(ops))
+                for j in np.flatnonzero(ops.matrix(k).toarray()[e])
+            )
+            assert got == want
+
+    def test_no_entities_no_edges(self, toy_ops):
+        owner, cols, op = toy_ops.out_edges(np.zeros(0, dtype=np.int64))
+        assert len(owner) == len(cols) == len(op) == 0
+
+
 class TestPropagate:
     def test_product_row_matches_worked_example(self, toy_kg, toy_ops):
         e = toy_kg.entity_index
@@ -69,7 +95,8 @@ class TestPropagate:
         d_idx = toy_kg.predicate_index["daughterOf"]
         v = np.zeros(6)
         v[e["z1"]] = 1.0
-        s = propagate(propagate(v, toy_ops[s_idx + 1]), toy_ops[d_idx + 1])
+        ops = operators_of(toy_ops)
+        s = propagate(propagate(v, ops[s_idx + 1]), ops[d_idx + 1])
         expected = np.zeros(6)
         expected[e["x1"]] = 1.0
         expected[e["x2"]] = 1.0
@@ -77,10 +104,10 @@ class TestPropagate:
 
     def test_identity_preserves_state(self, toy_ops):
         v = np.arange(6, dtype=float)
-        assert np.array_equal(propagate(v, toy_ops[IDENTITY_OP]), v)
+        assert np.array_equal(propagate(v, operators_of(toy_ops)[IDENTITY_OP]), v)
 
     def test_zero_state_stays_zero(self, toy_ops):
-        for op in toy_ops:
+        for op in operators_of(toy_ops):
             assert not propagate(np.zeros(6), op).any()
 
     def test_chain_associativity(self):
@@ -99,7 +126,7 @@ class TestPropagate:
         kg = random_kg(3, num_entities=7, num_predicates=3)
         ops = build_operators(kg)
         v = np.random.default_rng(0).random(7)
-        for op in ops:
+        for op in operators_of(ops):
             assert (propagate(v, op) >= 0).all()
 
 
@@ -213,6 +240,12 @@ class TestEnumeratePatterns:
     def test_order_shorter_first_then_lexicographic(self):
         pats = [p.hops for p in enumerate_patterns(2, 1, 2)]
         assert pats == [(0,), (1,), (0, 0), (0, 1), (1, 0), (1, 1)]
+
+    def test_saturation_scan_follows_the_order(self):
+        kg = random_kg(1, num_entities=6, num_predicates=3, edge_prob=0.3)
+        hops, _, _ = _saturation_scan(kg, build_operators(kg), 3, [0], True)
+        rows = [tuple(int(p) for p in row if p >= 0) for row in hops]
+        assert rows == [p.hops for p in enumerate_patterns(3, 2, 3)]
 
     def test_invalid_range(self):
         with pytest.raises(ValueError):
