@@ -31,9 +31,6 @@ from .indicators import (
     EmptySubgraphError,
     SaturationRecord,
     bifurcation,
-    comprehensive_saturation,
-    macro_saturation,
-    micro_saturation,
     sample_subgraph,
     saturation_report,
 )
@@ -41,14 +38,12 @@ from .model import (
     AttentionTensor,
     ExtractedRule,
     ModelParams,
-    ScoreResult,
     attention_forward,
     extract_rules,
     load_checkpoint,
     logit_loss,
     save_checkpoint,
     score_entities,
-    score_query,
 )
 from .training import (
     AdamOptimizer,

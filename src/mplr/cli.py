@@ -156,7 +156,13 @@ def _write_manifest(out: Path, settings, command):
 
 
 def _ks(settings):
-    return tuple(int(k) for k in str(settings["ks"]).split(",") if str(k).strip())
+    try:
+        ks = tuple(int(k) for k in str(settings["ks"]).split(",") if k.strip())
+    except ValueError:
+        ks = ()
+    if not ks or min(ks) < 1:
+        raise CliError("--ks must be a comma-separated list of positive integers")
+    return ks
 
 
 def cmd_stats(settings):
@@ -279,8 +285,9 @@ def _load_model(settings, kg):
 def cmd_eval(settings):
     kg, splits, _ = _load(settings)
     params = _load_model(settings, kg)
+    ks = _ks(settings)
     out = _prepare_out(settings, ["eval_report.tsv", "eval_report.txt"])
-    report = evaluate(kg, params, splits.test, ks=_ks(settings))
+    report = evaluate(kg, params, splits.test, ks=ks)
     (out / "eval_report.tsv").write_text(report.as_tsv())
     (out / "eval_report.txt").write_text(report.as_text())
     _write_manifest(out, settings, "eval")
@@ -290,13 +297,15 @@ def cmd_eval(settings):
 def cmd_rules(settings):
     kg, _, _ = _load(settings)
     params = _load_model(settings, kg)
-    out = _prepare_out(settings, ["rules.tsv", "rules.txt"])
+    if settings["top_n"] < 1:
+        raise CliError("--top-n must be at least 1")
     if settings["query"]:
         if settings["query"] not in kg.predicate_index:
             raise CliError(f"unknown predicate {settings['query']!r}")
         queries = [kg.predicate_index[settings["query"]]]
     else:
         queries = list(range(kg.num_predicates))
+    out = _prepare_out(settings, ["rules.tsv", "rules.txt"])
     rules = []
     for q in queries:
         rules.extend(extract_rules(params, q, settings["top_n"]))

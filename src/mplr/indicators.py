@@ -27,7 +27,7 @@ import numpy as np
 from scipy import sparse
 
 from .kg import KnowledgeGraph, fw_degree, bw_degree
-from .operators import OperatorSet, RulePattern
+from .operators import OperatorSet, RulePattern, pattern_table, top_patterns
 # the per-triplet reference count; bench/tracing.py hooks it under this name
 from .operators import count_paths  # noqa: F401
 
@@ -113,9 +113,8 @@ def _split_blocks(mat, num_blocks, width):
 def _saturation_scan(kg, ops, max_len, active, exclude):
     """Exact gamma and delta of every pattern of length 2..max_len per active predicate.
 
-    Returns (hops, gamma, delta): `hops` is (num_patterns, max_len), padded
-    with -1, shorter patterns first, then lexicographic;
-    gamma and delta are (num_patterns, len(active)).
+    Returns (hops, gamma, delta): `hops` is `pattern_table(|P|, 2, max_len)`
+    and gamma and delta are (num_patterns, len(active)), row for row.
 
     Level k extends every chain of length k-1 by all predicates at once, as
     one product with the side-by-side operators [M_0 ... M_{P-1}]. Chains keep
@@ -215,13 +214,6 @@ def _saturation_scan(kg, ops, max_len, active, exclude):
         if k >= 2:
             offset += num_preds**k
 
-    hops = np.full((offset, max_len), -1, dtype=np.int64)
-    start = 0
-    for k in range(2, max_len + 1):
-        size = num_preds**k
-        hops[start:start + size, :k] = np.indices((num_preds,) * k).reshape(k, -1).T
-        start += size
-
     pid = np.concatenate(pattern_ids) if pattern_ids else np.zeros(0, dtype=np.int64)
     trip = np.concatenate(triplet_ids) if triplet_ids else np.zeros(0, dtype=np.int64)
     cnt = np.concatenate(counts) if counts else np.zeros(0)
@@ -234,63 +226,7 @@ def _saturation_scan(kg, ops, max_len, active, exclude):
     delta = np.bincount(key, weights=shares, minlength=offset * width).reshape(
         offset, width
     ) / nq
-    return hops, gamma, delta
-
-
-def _pattern_saturation(kg, pattern, predicate, max_len, exclude, ops):
-    """(gamma, delta) of one pattern, read off the scan of `predicate`."""
-    if len(pattern) > max_len:
-        raise ValueError(f"pattern length {len(pattern)} exceeds max_len {max_len}")
-    if len(pattern) < 2 or not all(0 <= p < kg.num_predicates for p in pattern.hops):
-        raise ValueError(f"not a saturation pattern: {pattern.hops}")
-    if kg.num_edges(predicate) == 0:
-        raise EmptySubgraphError(f"empty subgraph for predicate {predicate}")
-    _, gamma, delta = _saturation_scan(
-        kg, ops or OperatorSet(kg), max_len, [predicate], exclude
-    )
-    row = sum(kg.num_predicates**m for m in range(2, len(pattern))) + _chain_index(
-        pattern.hops, kg.num_predicates
-    )
-    return float(gamma[row, 0]), float(delta[row, 0])
-
-
-def macro_saturation(
-    kg: KnowledgeGraph,
-    pattern: RulePattern,
-    predicate: int,
-    *,
-    exclude_direct_edge: bool = True,
-    ops: OperatorSet | None = None,
-) -> float:
-    """Fraction of (h, predicate, t) triplets connected by at least one pattern path."""
-    return _pattern_saturation(
-        kg, pattern, predicate, len(pattern), exclude_direct_edge, ops
-    )[0]
-
-
-def micro_saturation(
-    kg: KnowledgeGraph,
-    pattern: RulePattern,
-    predicate: int,
-    max_len: int,
-    *,
-    exclude_direct_edge: bool = True,
-    ops: OperatorSet | None = None,
-) -> float:
-    """Mean per-triplet share of pattern paths among all paths of length <= max_len.
-
-    Triplets with no connecting path at all contribute share 0 (the average
-    still divides by the full subgraph edge count).
-    """
-    return _pattern_saturation(
-        kg, pattern, predicate, max_len, exclude_direct_edge, ops
-    )[1]
-
-
-def comprehensive_saturation(gamma: float, delta: float) -> float:
-    if not (0.0 <= gamma <= 1.0 and 0.0 <= delta <= 1.0):
-        raise ValueError("saturations must lie in [0, 1]")
-    return gamma * delta
+    return pattern_table(num_preds, 2, max_len), gamma, delta
 
 
 def bifurcation(
@@ -334,7 +270,6 @@ def saturation_report(
     exclude_direct_edge: bool = True,
     budget: float | None = DEFAULT_COST_BUDGET,
     predicates=None,
-    ops: OperatorSet | None = None,
 ) -> list[SaturationRecord]:
     """Top rule patterns per predicate, ranked by comprehensive saturation.
 
@@ -349,7 +284,6 @@ def saturation_report(
             f"saturation scan cost {cost:.2e} exceeds budget "
             f"{budget:.2e}; sample the graph (sample_subgraph) or raise the budget"
         )
-    ops = ops or OperatorSet(kg)
     wanted = list(range(kg.num_predicates)) if predicates is None else list(predicates)
     active = []
     for q in wanted:
@@ -362,15 +296,13 @@ def saturation_report(
 
     scanned = list(dict.fromkeys(active))
     hops, gamma, delta = _saturation_scan(
-        kg, ops, max_len, scanned, exclude_direct_edge
+        kg, OperatorSet(kg), max_len, scanned, exclude_direct_edge
     )
     eta = gamma * delta
-    # ties go to the lexicographically smaller hop tuple (a prefix sorts first)
-    tie_keys = tuple(hops[:, j] for j in reversed(range(max_len)))
     out: list[SaturationRecord] = []
     for q in active:
         s = scanned.index(q)
-        for i in np.lexsort(tie_keys + (-gamma[:, s], -eta[:, s]))[:top_n]:
+        for i in top_patterns(hops, (eta[:, s], gamma[:, s]), top_n):
             pattern = RulePattern(tuple(int(p) for p in hops[i] if p >= 0))
             out.append(
                 SaturationRecord(pattern, q, gamma[i, s], delta[i, s], eta[i, s])

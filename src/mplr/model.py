@@ -20,12 +20,12 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .kg import MultiTargetQuery
-from .operators import OperatorSet, RulePattern, IDENTITY_OP
+from .operators import OperatorSet, RulePattern, pattern_table, top_patterns
 
 GATE_ORDER = "ifgo"  # slices of the fused 4*hidden gate tensors
 
@@ -384,7 +384,6 @@ class _GroupForward:
         self.U = [[None] * (L + 1) for _ in range(R)]
         self.X = [None] * R
         self.D = [None] * R
-        self.corr = []
         self.pred = []
         self.norms = []
         self.divisors = []
@@ -404,7 +403,6 @@ class _GroupForward:
             for l in range(1, L + 1):
                 a_q = weights[r, l - 1, self.q_op]
                 corr += a_q * self._injection_base(r, l) * self.D[r][l - 1][self.t_slot]
-            self.corr.append(corr)
             pred = self.U[r][L].copy()
             pred[t_qrow, t_ent] -= corr
             self.pred.append(pred)
@@ -448,11 +446,6 @@ class _GroupForward:
         v = np.zeros((len(self.heads), E))
         v[self.t_qrow, self.t_ent] = 1.0
         return v
-
-    def uncorrected(self):
-        return sum(
-            self.U[r][-1] / self.divisors[r][:, None] for r in range(len(self.U))
-        )
 
     def backward(self, ds):
         """dL/d(attention weights) of shape (R, L, K) given dL/ds."""
@@ -530,59 +523,6 @@ def _operator_grads(ops, x, g):
     owner, cols, op = ops.out_edges(i)
     terms = x[b, i][owner] * g[b[owner], cols]
     return np.bincount(op, weights=terms, minlength=ops.num_predicates + 1)
-
-
-@dataclass
-class ScoreResult:
-    """Joint prediction for one multi-target query.
-
-    `prediction[t] = uncorrected[t] - per_target_corrections[t]` for every
-    target; non-target coordinates carry the plain propagated score.
-    """
-
-    prediction: np.ndarray
-    per_target_corrections: dict[int, float]
-    loss: float
-    uncorrected: np.ndarray = field(repr=False, default=None)
-
-
-def score_query(
-    ops: OperatorSet,
-    attn: AttentionTensor,
-    query: MultiTargetQuery,
-    *,
-    epsilon_mode: str = CORRECTED,
-    normalize: str | None = None,
-) -> ScoreResult:
-    """Score every entity for one (head, predicate, targets) query.
-
-    Per rank, the head's one-hot state is pushed through the attention-weighted
-    operator sum for each hop; the mass that reaches each target through its
-    own direct edge (the closed form in `_GroupForward`) is subtracted from the
-    target's coordinate only, so cross-target paths keep their contributions.
-    Ranks are summed.
-    """
-    fwd = _GroupForward(
-        ops,
-        attn.weights,
-        query.query,
-        np.array([query.head]),
-        [list(query.targets)],
-        epsilon_mode=epsilon_mode,
-        normalize=normalize,
-    )
-    s = fwd.s[0]
-    corr_total = np.zeros(len(query.targets))
-    for r in range(attn.rank):
-        corr_total += fwd.corr[r] / fwd.divisors[r][0]
-    corrections = {t: float(c) for t, c in zip(query.targets, corr_total)}
-    v = fwd.target_matrix()[0]
-    return ScoreResult(
-        prediction=s,
-        per_target_corrections=corrections,
-        loss=logit_loss(s, v),
-        uncorrected=fwd.uncorrected()[0],
-    )
 
 
 def score_entities(
@@ -670,6 +610,10 @@ def loss_and_gradients(ops: OperatorSet, params: ModelParams, queries):
 # ---------------------------------------------------------------------------
 # rule extraction
 
+# most rules one extraction builds: sum_{m=1..L} |P|^m
+RULE_ENUMERATION_BUDGET = 2_000_000
+
+
 @dataclass(frozen=True)
 class ExtractedRule:
     hops: RulePattern
@@ -678,57 +622,69 @@ class ExtractedRule:
 
 
 def extract_rules(
-    params: ModelParams,
-    query: int,
-    top_n: int = 10,
-    *,
-    enumeration_budget: int = 2_000_000,
+    params: ModelParams, query: int, top_n: int = 10
 ) -> list[ExtractedRule]:
     """Rules implied by the trained attention for `query`, ranked by confidence."""
-    return rules_from_attention(
-        attention_forward(params, query), query, top_n,
-        enumeration_budget=enumeration_budget,
-    )
+    return rules_from_attention(attention_forward(params, query), query, top_n)
 
 
 def rules_from_attention(
-    attn: AttentionTensor,
-    query: int,
-    top_n: int = 10,
-    *,
-    enumeration_budget: int = 2_000_000,
+    attn: AttentionTensor, query: int, top_n: int = 10
 ) -> list[ExtractedRule]:
-    """Rules implied by an attention tensor.
+    """Rules implied by an attention tensor, ranked by confidence.
 
-    Every hop sequence over the |P|+1 operators gets confidence
-    sum_r prod_l a[r][l][hop]; sequences collapse by dropping identity hops and
-    confidences of sequences collapsing to the same rule add up. The empty
-    (all-identity) rule is dropped.
+    A hop sequence over the |P|+1 operators has confidence
+    sum_r prod_l a[r, l, k_l]; dropping its identity hops collapses it to a
+    rule, whose confidence is the sum over its sequences. So the m-hop rule
+    (p_1, ..., p_m) has the closed form
+
+        sum_{S subset of the L hops, |S| = m} sum_r
+            prod_{j in S} a[r, j, p(j)] * prod_{j not in S} a[r, j, 0],
+
+    where p(j) is the predicate that S puts at hop j, in order. Each length m
+    is computed for all |P|^m rules at once: per subset and rank, an outer
+    product of the predicate weights on S, times the identity weight on the
+    other hops, multiplied in hop order. The subsets run in reversed
+    `itertools.combinations` order: a sequence with its identity hops earlier
+    sorts first, so this is the lexicographic order of the sequences, and the
+    sums add up bit for bit as a walk over all (|P|+1)^L sequences would.
+    Rules of confidence 0 are dropped (attention weights are non-negative,
+    so those are the rules no sequence reaches); ties go to the
+    lexicographically smaller hop tuple.
     """
     weights = attn.weights
     R, L, K = weights.shape
-    if K**L > enumeration_budget:
+    P = K - 1
+    count = sum(P**m for m in range(1, L + 1))
+    if count > RULE_ENUMERATION_BUDGET:
         raise ValueError(
-            f"{K}^{L} hop sequences exceed the enumeration budget "
-            f"({enumeration_budget}); a beam-search extraction mode is required "
-            "for rule lengths this large"
+            f"{count} rules of 1..{L} hops over {P} predicates exceed the "
+            f"enumeration budget ({RULE_ENUMERATION_BUDGET}); a beam-search "
+            "extraction mode is required for rule lengths this large"
         )
-    conf = np.zeros(K**L)
-    for r in range(R):
-        v = np.ones(1)
-        for l in range(L):
-            v = (v[:, None] * weights[r, l][None, :]).ravel()
-        conf += v
-    merged: dict[tuple[int, ...], float] = {}
-    for idx, seq in enumerate(itertools.product(range(K), repeat=L)):
-        hops = tuple(k - 1 for k in seq if k != IDENTITY_OP)
-        if not hops or conf[idx] == 0.0:
-            continue
-        merged[hops] = merged.get(hops, 0.0) + conf[idx]
-    ranked = sorted(merged.items(), key=lambda kv: (-kv[1], kv[0]))
+    conf = []
+    for m in range(1, L + 1):
+        total = np.zeros((P,) * m)
+        for S in reversed(list(itertools.combinations(range(L), m))):
+            seq = np.zeros((P,) * m)  # the sequences S stands for, summed over ranks
+            for r in range(R):
+                v = np.ones(())
+                for j in range(L):
+                    if j in S:
+                        v = v[..., None] * weights[r, j, 1:]
+                    else:
+                        v = v * weights[r, j, 0]
+                seq += v
+            total += seq
+        conf.append(total.ravel())
+    conf = np.concatenate(conf)
+    table = pattern_table(P, 1, L)
+    kept = np.flatnonzero(conf)
+    best = kept[top_patterns(table[kept], (conf[kept],), top_n)]
     return [
-        ExtractedRule(RulePattern(hops), float(c), query)
-        for hops, c in ranked[:top_n]
+        ExtractedRule(RulePattern(tuple(int(p) for p in table[i] if p >= 0)),
+                      float(conf[i]), query)
+        for i in best
     ]
 
 

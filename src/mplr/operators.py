@@ -47,6 +47,33 @@ class RulePattern:
         )
 
 
+def pattern_table(num_predicates: int, min_len: int, max_len: int) -> np.ndarray:
+    """Every hop tuple of length min_len..max_len, one row each, padded with -1.
+
+    Shorter tuples come first, then lexicographic order, so the tuples of
+    length m are the C-order ravel of a (num_predicates,) * m array.
+    """
+    blocks = []
+    for m in range(min_len, max_len + 1):
+        block = np.full((num_predicates**m, max_len), -1, dtype=np.int64)
+        block[:, :m] = np.indices((num_predicates,) * m).reshape(m, -1).T
+        blocks.append(block)
+    return np.concatenate(blocks)
+
+
+def top_patterns(table: np.ndarray, scores, top_n: int) -> np.ndarray:
+    """Rows of a pattern table ranked by `scores`, best first, cut at top_n.
+
+    `scores` holds one value per row for each rank key, most significant key
+    first; every key ranks higher values first. Ties go to the
+    lexicographically smaller hop tuple, and the -1 padding puts a prefix
+    before its extensions.
+    """
+    keys = tuple(table[:, j] for j in reversed(range(table.shape[1])))
+    keys += tuple(-np.asarray(s) for s in reversed(scores))
+    return np.lexsort(keys)[:top_n]
+
+
 class OperatorSet:
     """Identity plus one adjacency operator per predicate, with combination helpers."""
 

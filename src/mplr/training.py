@@ -48,9 +48,6 @@ class TrainConfig:
     seed: int = 0
     normalize: str | None = "l2"
     epsilon_mode: str = CORRECTED
-    beta1: float = 0.9
-    beta2: float = 0.999
-    adam_eps: float = 1e-8
     hit_ks: tuple[int, ...] = (1, 3, 10)
 
     def validate(self):
@@ -129,13 +126,7 @@ def train(
         epsilon_mode=config.epsilon_mode,
         predicates=kg.predicates,
     )
-    adam = AdamOptimizer(
-        params.tensors,
-        lr=config.learning_rate,
-        beta1=config.beta1,
-        beta2=config.beta2,
-        eps=config.adam_eps,
-    )
+    adam = AdamOptimizer(params.tensors, lr=config.learning_rate)
     rng = np.random.default_rng(config.seed)
     stats: list[EpochStats] = []
     best_params = params.copy()

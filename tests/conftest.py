@@ -10,9 +10,16 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from mplr.indicators import EmptySubgraphError, _chain_index, _saturation_scan
 from mplr.kg import KnowledgeGraph, load_dataset
-from mplr.model import loss_and_gradients, score_entities
-from mplr.operators import RulePattern
+from mplr.model import (
+    ExtractedRule,
+    _GroupForward,
+    logit_loss,
+    loss_and_gradients,
+    score_entities,
+)
+from mplr.operators import OperatorSet, RulePattern
 
 # ---------------------------------------------------------------------------
 # six-entity toy graph reproducing the worked adjacency/product matrices
@@ -243,6 +250,121 @@ def enumerate_patterns(num_predicates, min_len, max_len):
     for length in range(min_len, max_len + 1):
         for hops in itertools.product(range(num_predicates), repeat=length):
             yield RulePattern(hops)
+
+
+@dataclass
+class ScoreResult:
+    """Joint prediction for one multi-target query.
+
+    `prediction[t] = uncorrected[t] - per_target_corrections[t]` for every
+    target; non-target coordinates carry the plain propagated score.
+    """
+
+    prediction: np.ndarray
+    per_target_corrections: dict
+    loss: float
+    uncorrected: np.ndarray
+
+
+def score_query(ops, attn, query, *, epsilon_mode="corrected", normalize=None):
+    """Score every entity for one (head, predicate, targets) query.
+
+    Runs the reasoner's forward pass on a group of one query. The per-target
+    corrections repeat its closed form sum_l a_q(l) * base_l * D_l(t), rank by
+    rank, from the pieces the forward pass keeps.
+    """
+    fwd = _GroupForward(
+        ops,
+        attn.weights,
+        query.query,
+        np.array([query.head]),
+        [list(query.targets)],
+        epsilon_mode=epsilon_mode,
+        normalize=normalize,
+    )
+    R, L, _ = attn.weights.shape
+    corr_total = np.zeros(len(query.targets))
+    uncorrected = np.zeros(ops.num_entities)
+    for r in range(R):
+        corr = np.zeros(len(query.targets))
+        for l in range(1, L + 1):
+            a_q = attn.weights[r, l - 1, fwd.q_op]
+            corr += a_q * fwd._injection_base(r, l) * fwd.D[r][l - 1][fwd.t_slot]
+        corr_total += corr / fwd.divisors[r][0]
+        uncorrected += fwd.U[r][L][0] / fwd.divisors[r][0]
+    s = fwd.s[0]
+    return ScoreResult(
+        prediction=s,
+        per_target_corrections={t: float(c) for t, c in zip(query.targets, corr_total)},
+        loss=logit_loss(s, fwd.target_matrix()[0]),
+        uncorrected=uncorrected,
+    )
+
+
+def rules_reference(attn, query, top_n=10):
+    """Rule extraction by walking all (|P|+1)^L hop sequences.
+
+    Each sequence gets confidence sum_r prod_l a[r][l][hop]; sequences
+    collapse by dropping identity hops, and the confidences of sequences
+    collapsing to the same rule add up in sequence order. The empty
+    (all-identity) rule is dropped.
+    """
+    weights = attn.weights
+    R, L, K = weights.shape
+    conf = np.zeros(K**L)
+    for r in range(R):
+        v = np.ones(1)
+        for l in range(L):
+            v = (v[:, None] * weights[r, l][None, :]).ravel()
+        conf += v
+    merged = {}
+    for idx, seq in enumerate(itertools.product(range(K), repeat=L)):
+        hops = tuple(k - 1 for k in seq if k != 0)
+        if not hops or conf[idx] == 0.0:
+            continue
+        merged[hops] = merged.get(hops, 0.0) + conf[idx]
+    ranked = sorted(merged.items(), key=lambda kv: (-kv[1], kv[0]))
+    return [
+        ExtractedRule(RulePattern(hops), float(c), query)
+        for hops, c in ranked[:top_n]
+    ]
+
+
+def pattern_saturation(kg, pattern, predicate, max_len, exclude):
+    """(gamma, delta) of one pattern, read off the scan of `predicate`."""
+    if len(pattern) > max_len:
+        raise ValueError(f"pattern length {len(pattern)} exceeds max_len {max_len}")
+    if len(pattern) < 2 or not all(0 <= p < kg.num_predicates for p in pattern.hops):
+        raise ValueError(f"not a saturation pattern: {pattern.hops}")
+    if kg.num_edges(predicate) == 0:
+        raise EmptySubgraphError(f"empty subgraph for predicate {predicate}")
+    _, gamma, delta = _saturation_scan(kg, OperatorSet(kg), max_len, [predicate], exclude)
+    row = sum(kg.num_predicates**m for m in range(2, len(pattern))) + _chain_index(
+        pattern.hops, kg.num_predicates
+    )
+    return float(gamma[row, 0]), float(delta[row, 0])
+
+
+def macro_saturation(kg, pattern, predicate, *, exclude_direct_edge=True):
+    """Fraction of (h, predicate, t) triplets connected by at least one pattern path."""
+    return pattern_saturation(
+        kg, pattern, predicate, len(pattern), exclude_direct_edge
+    )[0]
+
+
+def micro_saturation(kg, pattern, predicate, max_len, *, exclude_direct_edge=True):
+    """Mean per-triplet share of pattern paths among all paths of length <= max_len.
+
+    Triplets with no connecting path at all contribute share 0 (the average
+    still divides by the full subgraph edge count).
+    """
+    return pattern_saturation(kg, pattern, predicate, max_len, exclude_direct_edge)[1]
+
+
+def comprehensive_saturation(gamma, delta):
+    if not (0.0 <= gamma <= 1.0 and 0.0 <= delta <= 1.0):
+        raise ValueError("saturations must lie in [0, 1]")
+    return gamma * delta
 
 
 def naive_bernoulli_loss(s, v):

@@ -26,7 +26,6 @@ from mplr.model import (
     ModelParams,
     extract_rules,
     logit_loss,
-    score_query,
 )
 from mplr.training import TrainConfig, evaluate, hit_upper_bound, train
 
@@ -38,6 +37,7 @@ from conftest import (
     oracle_scores,
     random_kg,
     require_benchmark,
+    score_query,
     write_family_dataset,
 )
 from test_gradients import check_all_tensors, four_entity_kg

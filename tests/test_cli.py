@@ -17,6 +17,15 @@ def run(*argv):
     return main([str(a) for a in argv])
 
 
+@pytest.fixture(scope="module")
+def tiny_checkpoint(kin_dir, tmp_path_factory):
+    out = tmp_path_factory.mktemp("tiny")
+    assert run("train", "--dataset-dir", kin_dir, "--out", out, "--seed", 1,
+               "--epochs", 1, "--patience", 1, "--rank", 1,
+               "--embed-dim", 8, "--hidden-dim", 8) == 0
+    return out / "checkpoint.npz"
+
+
 class TestStats:
     def test_prints_summary(self, kin_dir, capsys):
         assert run("stats", "--dataset-dir", kin_dir) == 0
@@ -148,6 +157,25 @@ class TestPipeline:
         assert run("train", "--dataset-dir", kin_dir, "--out", out, flag, 0) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "command, flag, value, message",
+        [
+            ("eval", "--ks", "0", "--ks must be a comma-separated list of positive"),
+            ("eval", "--ks", "x", "--ks must be a comma-separated list of positive"),
+            ("rules", "--top-n", 0, "--top-n must be at least 1"),
+            ("rules", "--query", "nosuch", "unknown predicate 'nosuch'"),
+        ],
+    )
+    def test_bad_eval_or_rules_setting_exits_one_before_making_out(
+        self, kin_dir, tiny_checkpoint, tmp_path, capsys, command, flag, value, message
+    ):
+        out = tmp_path / "bad"
+        assert run(command, "--dataset-dir", kin_dir, "--out", out,
+                   "--checkpoint", tiny_checkpoint, flag, value) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {message}") and err.count("\n") == 1
         assert not out.exists()
 
     def test_eval_without_checkpoint_exits_one(self, kin_dir, tmp_path, capsys):

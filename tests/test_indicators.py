@@ -12,10 +12,7 @@ from mplr.indicators import (
     CostBudgetError,
     EmptySubgraphError,
     bifurcation,
-    comprehensive_saturation,
     estimate_cost,
-    macro_saturation,
-    micro_saturation,
     sample_subgraph,
     saturation_report,
     saturation_table,
@@ -23,7 +20,13 @@ from mplr.indicators import (
     bifurcation_tsv,
 )
 
-from conftest import dfs_count_paths, random_kg
+from conftest import (
+    comprehensive_saturation,
+    dfs_count_paths,
+    macro_saturation,
+    micro_saturation,
+    random_kg,
+)
 
 
 def chain_kg():

@@ -13,7 +13,6 @@ from mplr.model import (
     logit_loss_grad,
     save_checkpoint,
     score_entities,
-    score_query,
 )
 
 from conftest import (
@@ -22,6 +21,7 @@ from conftest import (
     oracle_scores,
     random_kg,
     recurrence_scores,
+    score_query,
 )
 
 

@@ -11,6 +11,8 @@ from mplr.operators import (
     RulePattern,
     build_operators,
     count_paths,
+    pattern_table,
+    top_patterns,
 )
 
 from conftest import (
@@ -246,6 +248,23 @@ class TestEnumeratePatterns:
         hops, _, _ = _saturation_scan(kg, build_operators(kg), 3, [0], True)
         rows = [tuple(int(p) for p in row if p >= 0) for row in hops]
         assert rows == [p.hops for p in enumerate_patterns(3, 2, 3)]
+        # the shared table the scan and rule extraction both index
+        for min_len in (1, 2):
+            table = pattern_table(3, min_len, 3)
+            assert table.shape == (sum(3**m for m in range(min_len, 4)), 3)
+            rows = [tuple(int(p) for p in row if p >= 0) for row in table]
+            assert rows == [p.hops for p in enumerate_patterns(3, min_len, 3)]
+            # the -1 padding sits after the hops only
+            assert all((row[len(hops):] == -1).all() for row, hops in zip(table, rows))
+
+    def test_top_patterns_breaks_ties_by_hop_tuple(self):
+        table = pattern_table(2, 1, 2)  # (0,) (1,) (0, 0) (0, 1) (1, 0) (1, 1)
+        first = np.array([1.0, 2.0, 2.0, 1.0, 2.0, 1.0])
+        second = np.array([0.0, 1.0, 1.0, 0.0, 3.0, 0.0])
+        # (0, 0) before (1,) on a full tie; (0,) before its extension (0, 1)
+        assert list(top_patterns(table, (first, second), 6)) == [4, 2, 1, 0, 3, 5]
+        assert list(top_patterns(table, (first, second), 2)) == [4, 2]
+        assert list(top_patterns(table, (second,), 3)) == [4, 2, 1]
 
     def test_invalid_range(self):
         with pytest.raises(ValueError):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import mplr.model
 from mplr.model import (
     AttentionTensor,
     ModelParams,
@@ -9,6 +10,8 @@ from mplr.model import (
     rules_table,
     rules_tsv,
 )
+
+from conftest import rules_reference
 
 
 def attn(per_hop_rows, rank=1):
@@ -47,15 +50,52 @@ class TestRulesFromAttention:
         rules = rules_from_attention(AttentionTensor(w), query=0, top_n=5)
         assert rules[0].confidence == pytest.approx(2.0)
 
-    def test_budget_error_mentions_beam(self):
+    def test_budget_error_mentions_beam(self, monkeypatch):
+        monkeypatch.setattr(mplr.model, "RULE_ENUMERATION_BUDGET", 100)
         a = AttentionTensor(np.full((1, 8, 4), 0.25))
         with pytest.raises(ValueError, match="beam"):
-            rules_from_attention(a, query=0, top_n=5, enumeration_budget=100)
+            rules_from_attention(a, query=0, top_n=5)
 
     def test_deterministic_tie_order(self):
         a = attn([[0, 0.5, 0.5], [1.0, 0, 0]])
         rules = rules_from_attention(a, query=0, top_n=5)
         assert [r.hops.hops for r in rules] == [(0,), (1,)]
+
+
+def reference_cases():
+    """(rank, hops, weights) tensors with exact zeros, a zero identity column
+    and ties, over 3 predicates."""
+    rng = np.random.default_rng(7)
+    for R in (1, 2, 3):
+        for L in (1, 2, 3, 4):
+            dense = rng.random((R, L, 4))
+            sparse = np.where(rng.random((R, L, 4)) < 0.4, 0.0, dense)
+            no_identity = dense.copy()
+            no_identity[:, :, 0] = 0.0
+            # a few distinct values, so products and sums tie
+            ties = rng.choice([0.0, 0.25, 0.5], size=(R, L, 4))
+            for kind, w in (("dense", dense), ("zeros", sparse),
+                            ("no-identity", no_identity), ("ties", ties)):
+                yield pytest.param(w, id=f"R{R}-L{L}-{kind}")
+
+
+class TestMatchesSequenceWalk:
+    @pytest.mark.parametrize("weights", list(reference_cases()))
+    @pytest.mark.parametrize("top_n", [1, 5, 400])
+    def test_identical_to_reference(self, weights, top_n):
+        a = AttentionTensor(weights)
+        got = rules_from_attention(a, query=2, top_n=top_n)
+        want = rules_reference(a, query=2, top_n=top_n)
+        # no tolerance: same rules, same order, same confidences bit for bit
+        assert [(r.hops.hops, r.confidence, r.predicate) for r in got] == [
+            (r.hops.hops, r.confidence, r.predicate) for r in want
+        ]
+
+    def test_softmax_attention_of_a_model(self):
+        params = ModelParams(5, rank=3, max_len=3, embed_dim=6, hidden_dim=6, seed=9)
+        for q in range(5):
+            a = mplr.model.attention_forward(params, q)
+            assert rules_from_attention(a, q, 50) == rules_reference(a, q, 50)
 
 
 class TestExtractRules:
