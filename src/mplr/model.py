@@ -11,6 +11,13 @@ the graph. That mass has a closed form: what enters the direct edge at hop l
 (the mode-dependent base) times the return entry (W_{l+1} ... W_L)[t, t],
 which depends on the predicate and the target but not on the query.
 
+Every operator, the identity included, has a weight at every hop, so the
+entities a query reaches in l hops do not depend on the attention. States
+live only on that support, as (row, entity) keys, and one edge-list kernel
+propagates them forward and back, in training and in evaluation. An entity
+off the support scores 0: it adds log 2 to the loss and counts in closed
+form when ranking. Evaluation scores the test queries in fixed chunks.
+
 All gradients are exact reverse-mode, hand-derived, and validated against
 central finite differences in the test suite. Everything is deterministic
 given the seed.
@@ -23,8 +30,8 @@ import json
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import expit
 
-from .kg import MultiTargetQuery
 from .operators import OperatorSet, RulePattern, pattern_table, top_patterns
 
 GATE_ORDER = "ifgo"  # slices of the fused 4*hidden gate tensors
@@ -33,15 +40,6 @@ CORRECTED = "corrected"
 LITERAL = "literal"
 EPSILON_MODES = (CORRECTED, LITERAL)
 NORMALIZE_MODES = (None, "l1", "l2")
-
-
-def sigmoid(x):
-    out = np.empty_like(x, dtype=np.float64)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
 
 
 def softmax(x):
@@ -174,14 +172,6 @@ class AttentionTensor:
         if self.weights.ndim != 3:
             raise ValueError("attention tensor must be rank x hops x operators")
 
-    @property
-    def rank(self):
-        return self.weights.shape[0]
-
-    @property
-    def max_len(self):
-        return self.weights.shape[1]
-
 
 def _run_cell(params, r, direction, x, steps):
     """Unroll one direction of cell r over the (G, embed) inputs x, fed at every step."""
@@ -194,10 +184,10 @@ def _run_cell(params, r, direction, x, steps):
     hs, caches = [], []
     for _ in range(steps):
         z = zx + h @ Wh
-        i = sigmoid(z[:, :dh])
-        f = sigmoid(z[:, dh : 2 * dh])
+        i = expit(z[:, :dh])
+        f = expit(z[:, dh : 2 * dh])
         g = np.tanh(z[:, 2 * dh : 3 * dh])
-        o = sigmoid(z[:, 3 * dh :])
+        o = expit(z[:, 3 * dh :])
         c_prev, h_prev = c, h
         c = f * c_prev + i * g
         tc = np.tanh(c)
@@ -323,206 +313,236 @@ def logit_loss(s, v):
 
 
 def logit_loss_grad(s, v):
-    return sigmoid(np.asarray(s, dtype=np.float64)) - v
+    return expit(np.asarray(s, dtype=np.float64)) - v
 
 
-def _norm_divisors(u_last, normalize):
+def _norm_divisors(u, row, num_rows, normalize):
+    """Per-row norms of the stored values u (row[i] owns u[i]) and their divisors."""
     if normalize is None:
-        return None, np.ones(u_last.shape[0])
+        return None, np.ones(num_rows)
     if normalize == "l2":
-        n = np.sqrt(np.einsum("be,be->b", u_last, u_last))
+        n = np.sqrt(np.bincount(row, weights=u * u, minlength=num_rows))
     elif normalize == "l1":
-        n = np.abs(u_last).sum(axis=1)
+        n = np.bincount(row, weights=np.abs(u), minlength=num_rows)
     else:
         raise ValueError(f"unknown normalize mode {normalize!r}")
     return n, np.where(n > 0, n, 1.0)
 
 
-class _GroupForward:
-    """Forward pass for a set of queries sharing one predicate (and attention).
+def _lookup(keys, wanted):
+    """Positions of `wanted` in the sorted `keys`, and whether each is there."""
+    pos = np.minimum(np.searchsorted(keys, wanted), len(keys) - 1)
+    return pos, keys[pos] == wanted
 
-    Rows of U are queries. The correction of (query b, target t) is the closed
-    form corr(b, t) = sum_l a_q(l) * base_l(b, t) * D_l(t): mass base_l enters
-    the direct edge (h_b, q, t) at hop l and D_l(t) = (W_{l+1} ... W_L)[t, t]
-    is the share of it that returns to t over the remaining hops. D_L = 1 and
-    D_{L-1} = sum_k a_{L,k} M_k[t, t] sums over the loops (t, t, k) of the
-    operators' edge list, identity included;
-    for L >= 3 the deeper D_l come from one row per distinct target, X_l =
-    e_t (W_{l+1} ... W_L)^T, so D_l(t) = X_l[t, t]. D depends on the group
-    and the target only, never on the query, so only the B query rows of U
-    cross the operators. Everything needed for reverse mode is kept: per-hop
-    states, per-rank weighted operators, the return rows, norms, predictions.
+
+class _Propagation:
+    """Rows pushed through hops first..L of the attention-weighted operators.
+
+    Row b starts as e_{starts[b]} and is weighted by weights[groups[b]], a
+    (R, L, K) slice of the (G, R, L, K) attention. Every operator, the identity
+    included, has a weight at every hop, so the entities a row reaches do not
+    depend on the rank or on the attention values. The support of each level
+    is built once, as sorted keys row * |E| + entity, together with the edges
+    that enter it: source position at the level before, destination position,
+    a (group, operator) slot and the per-rank edge weights. A value is
+    bincount(dst, u[src] * w); nothing is pruned, so exact zeros stay stored.
+    `extra_keys` are added to the last level; `excluded` = (operator, tail)
+    per row drops the edge (start, operator, tail) wherever it occurs
+    (operator -1: none).
     """
 
-    def __init__(self, ops, weights, query, heads, target_lists,
-                 epsilon_mode=CORRECTED, normalize=None):
-        R, L, K = weights.shape
-        if K != ops.num_predicates + 1:
-            raise ValueError(
-                f"attention over {K} operators does not match graph with "
-                f"{ops.num_predicates} predicates"
-            )
+    def __init__(self, ops, weights, groups, starts, *, first=1, extra_keys=None,
+                 excluded=None):
+        G, R, L, K = weights.shape
+        if K != len(ops):
+            raise ValueError(f"attention over {K} operators does not match graph "
+                             f"with {ops.num_predicates} predicates")
         E = ops.num_entities
+        starts = np.asarray(starts, dtype=np.int64)
+        groups = np.asarray(groups, dtype=np.int64)
+        self.num_rows, self.num_slots, self.first = len(starts), G * K, first
+        keys = np.arange(len(starts)) * E + starts
+        self.keys = [keys]
+        self.edges = []  # per hop: (src, dst, slot, (R, n) weights)
+        for hop in range(first, L + 1):
+            src, ent, op = ops.out_edges(keys % E)
+            row = keys[src] // E
+            if excluded is not None:
+                x_op, x_tail = excluded
+                keep = ~((op == x_op[row]) & (ent == x_tail[row])
+                         & (keys[src] == row * E + starts[row]))
+                src, ent, op, row = src[keep], ent[keep], op[keep], row[keep]
+            new = row * E + ent
+            if hop == L and extra_keys is not None:
+                new = np.concatenate([new, extra_keys])
+            keys, inv = np.unique(new, return_inverse=True)
+            g = groups[row]
+            self.keys.append(keys)
+            self.edges.append(
+                (src, inv[: len(src)], g * K + op,
+                 np.ascontiguousarray(weights[g, :, hop - 1, op].T))
+            )
+
+    def forward(self, r):
+        """Values of rank r at every level, starting from 1 at each row's start."""
+        U = [np.ones(self.num_rows)]
+        for (src, dst, _, w), keys in zip(self.edges, self.keys[1:]):
+            U.append(np.bincount(dst, weights=U[-1][src] * w[r], minlength=len(keys)))
+        return U
+
+    def backward(self, r, U, dU, dA, inject=None):
+        """Reverse mode of rank r from dU, the gradient at the last level.
+
+        Adds each hop's operator gradients, bincount(slot, U[src] * dU[dst]),
+        to dA[:, r] of shape (G, L, K). inject[i] = (positions, values) is
+        added to the gradient of level i on the way down.
+        """
+        G = dA.shape[0]
+        for i in reversed(range(len(self.edges))):
+            src, dst, slot, w = self.edges[i]
+            g = dU[dst]
+            dA[:, r, self.first + i - 1] += np.bincount(
+                slot, weights=U[i][src] * g, minlength=self.num_slots
+            ).reshape(G, -1)
+            if i == 0:
+                break
+            dU = np.bincount(src, weights=w[r] * g, minlength=len(self.keys[i]))
+            if inject is not None and inject[i] is not None:
+                np.add.at(dU, *inject[i])
+
+
+class _BatchForward:
+    """Forward pass of a batch of multi-target queries over their support.
+
+    Row b is the query (heads[b], preds[groups[b]], target_lists[b]) with
+    attention weights[groups[b]]. The correction of (row b, target t) is the
+    closed form corr(b, t) = sum_l a_q(l) * base_l(b, t) * D_l(t): mass base_l
+    enters the direct edge (h_b, q, t) at hop l and D_l(t) = (W_{l+1} ...
+    W_L)[t, t] is the share of it that returns to t over the remaining hops.
+    D_L = 1; D_l for l < L is a chain on the same kernel from e_t over hops
+    l+1..L, one row per distinct (predicate, target), read at t. Targets are
+    stored at the last level even where the graph does not reach them, so
+    their prediction is -corr there. An entity outside the support and the
+    targets scores 0, so the loss is the sum over the stored entries plus
+    log 2 for each of the others. Everything reverse mode needs is kept.
+    """
+
+    def __init__(self, ops, weights, preds, groups, heads, target_lists,
+                 epsilon_mode=CORRECTED, normalize=None):
+        G, R, L, K = weights.shape
+        E = ops.num_entities
+        groups = np.asarray(groups, dtype=np.int64)
         heads = np.asarray(heads, dtype=np.int64)
         B = len(heads)
-        t_qrow = np.concatenate(
-            [np.full(len(ts), i, dtype=np.int64) for i, ts in enumerate(target_lists)]
-        )
+        t_row = np.repeat(np.arange(B), [len(ts) for ts in target_lists])
         t_ent = np.concatenate([np.asarray(ts, dtype=np.int64) for ts in target_lists])
+        t_key = t_row * E + t_ent
+        self.weights, self.normalize, self.num_cells = weights, normalize, B * E
+        self.q_op = np.asarray(preds, dtype=np.int64) + 1
+        self.t_grp = groups[t_row]
+        self.prop = _Propagation(ops, weights, groups, heads, extra_keys=t_key)
+        self.keys = self.prop.keys[L]
+        self.row = self.keys // E
+        self.t_pos = np.searchsorted(self.keys, t_key)
+        self.v = np.zeros(len(self.keys))
+        self.v[self.t_pos] = 1.0
+        # base_l reads (b, h_b) at level l-1, or (b, t) in the literal mode
+        # after hop 1 (at hop 1 both are 1)
+        self.base_at = [
+            _lookup(self.prop.keys[l - 1],
+                    t_key if epsilon_mode == LITERAL and l > 1 else t_row * E + heads[t_row])
+            for l in range(1, L + 1)
+        ]
+        c_key, self.c_slot = np.unique(self.t_grp * E + t_ent, return_inverse=True)
+        c_ent = c_key % E
+        self.chains = [
+            _Propagation(ops, weights, c_key // E, c_ent, first=l + 1)
+            for l in range(1, L)
+        ]
+        self.c_read = [
+            np.searchsorted(ch.keys[-1], np.arange(len(c_key)) * E + c_ent)
+            for ch in self.chains
+        ]
+        # a_q(l) per target: (n_targets, R, L)
+        self.a_q = weights[np.arange(G), :, :, self.q_op][self.t_grp]
 
-        self.ops, self.weights, self.query = ops, weights, query
-        self.heads, self.t_qrow, self.t_ent = heads, t_qrow, t_ent
-        self.t_uniq, self.t_slot = np.unique(t_ent, return_inverse=True)
-        owner, cols, op = ops.out_edges(self.t_uniq)
-        loop = cols == self.t_uniq[owner]
-        self.loop_slot, self.loop_op = owner[loop], op[loop]  # M_k[t, t] = 1
-        self.epsilon_mode, self.normalize = epsilon_mode, normalize
-        self.q_op = query + 1
-
-        self.W = [[None] * (L + 1) for _ in range(R)]
-        self.Wt = [[None] * (L + 1) for _ in range(R)]
-        self.U = [[None] * (L + 1) for _ in range(R)]
-        self.X = [None] * R
-        self.D = [None] * R
-        self.pred = []
-        self.norms = []
-        self.divisors = []
-        s = np.zeros((B, E))
+        per_rank = []
+        s = np.zeros(len(self.keys))
         for r in range(R):
-            u = np.zeros((B, E))
-            u[np.arange(B), heads] = 1.0
-            self.U[r][0] = u
-            for l in range(1, L + 1):
-                Wl = ops.combine(weights[r, l - 1])
-                self.W[r][l] = Wl
-                self.U[r][l] = self.U[r][l - 1] @ Wl
-                if l > 1:  # no product ever crosses hop 1 in reverse
-                    self.Wt[r][l] = ops.combine_t(weights[r, l - 1])
-            self._return_diagonals(r)
-            corr = np.zeros(len(t_ent))
-            for l in range(1, L + 1):
-                a_q = weights[r, l - 1, self.q_op]
-                corr += a_q * self._injection_base(r, l) * self.D[r][l - 1][self.t_slot]
-            pred = self.U[r][L].copy()
-            pred[t_qrow, t_ent] -= corr
-            self.pred.append(pred)
-            n, d = _norm_divisors(self.U[r][L], normalize)
-            self.norms.append(n)
-            self.divisors.append(d)
-            s += pred / d[:, None]
+            U = self.prop.forward(r)
+            chain_U = [ch.forward(r) for ch in self.chains]
+            D = [cu[-1][read][self.c_slot] for cu, read in zip(chain_U, self.c_read)]
+            D.append(np.ones(len(t_key)))
+            base = [np.where(found, u[pos], 0.0)
+                    for u, (pos, found) in zip(U, self.base_at)]
+            corr = sum(self.a_q[:, r, l] * base[l] * D[l] for l in range(L))
+            pred = U[L].copy()
+            pred[self.t_pos] -= corr
+            n, d = _norm_divisors(U[L], self.row, B, normalize)
+            s += pred / d[self.row]
+            per_rank.append((U, chain_U, D, base, corr, pred, n, d))
+        (self.U, self.chain_U, self.D, self.base, self.corr, self.pred, self.norms,
+         self.divisors) = zip(*per_rank)
         self.s = s
 
-    def _return_diagonals(self, r):
-        """D[r][l-1] = (W_{l+1} ... W_L)[t, t] per distinct target; X[r][l] its rows."""
-        L = self.weights.shape[1]
-        t = self.t_uniq
-        D = np.ones((L, len(t)))
-        X = [None] * (L + 1)
-        if L >= 2:
-            D[L - 2] = np.bincount(
-                self.loop_slot, weights=self.weights[r, L - 1, self.loop_op],
-                minlength=len(t),
-            )
-        if L >= 3:
-            cols = np.arange(len(t))
-            X[L] = np.zeros((len(t), self.ops.num_entities))
-            X[L][cols, t] = 1.0
-            X[L - 1] = self.Wt[r][L][t].toarray()
-            for l in range(L - 2, 0, -1):
-                X[l] = X[l + 1] @ self.Wt[r][l + 1]
-                D[l - 1] = X[l][cols, t]
-        self.D[r], self.X[r] = D, X
-
-    def _injection_base(self, r, l):
-        """Mass entering the direct edge at hop l, per (query, target) row."""
-        if self.epsilon_mode == CORRECTED:
-            return self.U[r][l - 1][self.t_qrow, self.heads[self.t_qrow]]
-        if l == 1:
-            return np.ones(len(self.t_ent))
-        return self.U[r][l - 1][self.t_qrow, self.t_ent]
-
-    def target_matrix(self):
-        E = self.ops.num_entities
-        v = np.zeros((len(self.heads), E))
-        v[self.t_qrow, self.t_ent] = 1.0
-        return v
+    def loss(self):
+        stored = logit_loss(self.s, self.v)
+        return stored + (self.num_cells - len(self.s)) * np.log(2.0)
 
     def backward(self, ds):
-        """dL/d(attention weights) of shape (R, L, K) given dL/ds."""
-        ops, weights = self.ops, self.weights
-        R, L, K = weights.shape
-        dA = np.zeros((R, L, K))
+        """dL/d(attention weights), shape (G, R, L, K), given dL/ds on the support."""
+        G, R, L, K = self.weights.shape
+        row = self.row
+        dA = np.zeros((G, R, L, K))
         for r in range(R):
             d = self.divisors[r]
-            dPred = ds / d[:, None]
-            dU_l = dPred.copy()
+            dPred = ds / d[row]
+            dU = dPred.copy()
             if self.normalize is not None:
-                n = self.norms[r]
-                live = n > 0
-                dn = -np.einsum("be,be->b", ds, self.pred[r]) / (d * d)
-                dn = np.where(live, dn, 0.0)
+                dn = -np.bincount(row, weights=ds * self.pred[r], minlength=len(d)) / (d * d)
+                dn = np.where(self.norms[r] > 0, dn, 0.0)
                 if self.normalize == "l2":
-                    dU_l += (dn / d)[:, None] * self.U[r][L]
+                    dU += (dn / d)[row] * self.U[r][L]
                 else:  # l1, states are non-negative
-                    dU_l += dn[:, None]
-            dCorr = -dPred[self.t_qrow, self.t_ent]
-            # dL/dD_l per distinct target
-            dD = np.zeros((L, len(self.t_uniq)))
-            for l in range(L, 0, -1):
-                a_q = weights[r, l - 1, self.q_op]
-                base = self._injection_base(r, l)
-                D_l = self.D[r][l - 1][self.t_slot]
-                dA[r, l - 1] += _operator_grads(ops, self.U[r][l - 1], dU_l)
-                dA[r, l - 1, self.q_op] += float(np.dot(dCorr, base * D_l))
-                dD[l - 1] = np.bincount(
-                    self.t_slot, weights=dCorr * a_q * base, minlength=len(self.t_uniq)
+                    dU += dn[row]
+            dCorr = -dPred[self.t_pos]
+            inject = [None] * L
+            for l in range(L):
+                base, D, a_q = self.base[r][l], self.D[r][l], self.a_q[:, r, l]
+                dA[np.arange(G), r, l, self.q_op] += np.bincount(
+                    self.t_grp, weights=dCorr * base * D, minlength=G
                 )
-                if l == 1:
-                    break
-                dU_l = dU_l @ self.Wt[r][l]
-                dbase = dCorr * a_q * D_l
-                if self.epsilon_mode == CORRECTED:
-                    np.add.at(dU_l, (self.t_qrow, self.heads[self.t_qrow]), dbase)
-                else:
-                    np.add.at(dU_l, (self.t_qrow, self.t_ent), dbase)
-            self._return_backward(r, dD, dA)
+                if l > 0:
+                    pos, found = self.base_at[l]
+                    inject[l] = (pos[found], (dCorr * a_q * D)[found])
+                if l < L - 1:
+                    chain, read = self.chains[l], self.c_read[l]
+                    dY = np.zeros(len(chain.keys[-1]))
+                    dY[read] = np.bincount(
+                        self.c_slot, weights=dCorr * a_q * base, minlength=len(read)
+                    )
+                    chain.backward(r, self.chain_U[r][l], dY, dA)
+            self.prop.backward(r, self.U[r], dU, dA, inject)
         return dA
 
-    def _return_backward(self, r, dD, dA):
-        """Add dL/dD_l, pushed back to the attention weights, to dA[r]."""
-        L = self.weights.shape[1]
-        t = self.t_uniq
-        if L >= 2:
-            dA[r, L - 1] += np.bincount(
-                self.loop_op, weights=dD[L - 2][self.loop_slot],
-                minlength=dA.shape[2],
-            )
-        if L < 3:
-            return
-        # y_j = sum_{l <= min(j, L-2)} dD_l(t) e_t W_{l+1} ... W_j, one row per
-        # target, meets the return rows X_{j+1} at hop j+1
-        cols = np.arange(len(t))
-        y = np.zeros((len(t), self.ops.num_entities))
-        for j in range(1, L):
-            if j > 1:
-                y = y @ self.W[r][j]
-            if j <= L - 2:
-                y[cols, t] += dD[j - 1]
-            dA[r, j] += _operator_grads(self.ops, y, self.X[r][j + 1])
 
+def support_scores(ops, weights, groups, heads, *, excluded=None, normalize=None):
+    """Correction-free scores of each row on its support: (keys, scores).
 
-def _operator_grads(ops, x, g):
-    """d(loss)/d(a_k) = <x M_k, g> for every operator k of one hop, identity included.
-
-    One sampled product over the operators' row-ordered edge list: every
-    nonzero x[b, i] sends x[b, i] * g[b, j] along each edge (i, j, k) that
-    leaves i, and the terms are summed by operator. The cost is the number of
-    edges leaving the support of x, whatever the number of operators.
+    Row b starts at heads[b] with attention weights[groups[b]]; keys are
+    row * |E| + entity, and every entity not in them scores 0. `excluded` is
+    an (operator, tail) pair per row: the edge (heads[b], operator, tails[b])
+    is removed from every hop (operator -1: nothing removed).
     """
-    b, i = np.nonzero(x)
-    owner, cols, op = ops.out_edges(i)
-    terms = x[b, i][owner] * g[b[owner], cols]
-    return np.bincount(op, weights=terms, minlength=ops.num_predicates + 1)
+    prop = _Propagation(ops, weights, groups, heads, excluded=excluded)
+    keys = prop.keys[-1]
+    row = keys // ops.num_entities
+    s = np.zeros(len(keys))
+    for r in range(weights.shape[1]):
+        u = prop.forward(r)[-1]
+        _, d = _norm_divisors(u, row, prop.num_rows, normalize)
+        s += u / d[row]
+    return keys, s
 
 
 def score_entities(
@@ -539,33 +559,17 @@ def score_entities(
     b the labeled edge (heads[b], predicate, tails[b]) is removed from every
     propagation hop when present[b] is true - the filtered-evaluation protocol.
     """
-    heads = np.asarray(heads, dtype=np.int64)
-    B = len(heads)
-    E = ops.num_entities
-    R, L, K = attn.weights.shape
-    excl = None
+    B, E = len(heads), ops.num_entities
+    excluded = None
     if excluded_edges is not None:
         pred, tails, present = excluded_edges
-        excl = (
-            pred + 1,
-            np.asarray(tails, dtype=np.int64),
-            np.asarray(present, dtype=np.float64),
-        )
-    s = np.zeros((B, E))
-    rows = np.arange(B)
-    for r in range(R):
-        u = np.zeros((B, E))
-        u[rows, heads] = 1.0
-        for l in range(L):
-            w = attn.weights[r, l]
-            nxt = u @ ops.combine(w)
-            if excl is not None:
-                op, tails, present = excl
-                nxt[rows, tails] -= w[op] * present * u[rows, heads]
-            u = nxt
-        _, d = _norm_divisors(u, normalize)
-        s += u / d[:, None]
-    return s
+        excluded = (np.where(np.asarray(present) != 0, pred + 1, -1),
+                    np.asarray(tails, dtype=np.int64))
+    keys, s = support_scores(ops, attn.weights[None], np.zeros(B, dtype=np.int64),
+                             heads, excluded=excluded, normalize=normalize)
+    out = np.zeros(B * E)
+    out[keys] = s
+    return out.reshape(B, E)
 
 
 # ---------------------------------------------------------------------------
@@ -574,37 +578,25 @@ def score_entities(
 def loss_and_gradients(ops: OperatorSet, params: ModelParams, queries):
     """Summed loss and parameter gradients over a batch of queries.
 
-    Queries are grouped by predicate (attention depends only on the
-    predicate). One matrix LSTM unroll gives the attention of all G predicates
-    in the batch; each group then runs one vectorized forward/backward through
-    the operators, and the stacked (G, R, L, K) attention grads go back
-    through the LSTM in one pass. The returned grads are plain sums; callers
-    rescale for mean reduction.
+    One matrix LSTM unroll gives the attention of the batch's G distinct
+    predicates; one support-restricted forward/backward covers every query,
+    and the (G, R, L, K) attention grads go back through the LSTM in one
+    pass. The returned grads are plain sums; callers rescale for mean
+    reduction.
     """
-    grads = params.zero_grads()
-    total = 0.0
-    by_pred: dict[int, list[MultiTargetQuery]] = {}
-    for q in queries:
-        by_pred.setdefault(q.query, []).append(q)
-    preds = list(by_pred)
+    index: dict[int, int] = {}
+    groups = [index.setdefault(q.query, len(index)) for q in queries]
+    preds = list(index)
     weights = _attention_forward(params, preds)
-    dA = np.empty_like(weights)
-    for row, (pred, group) in enumerate(by_pred.items()):
-        fwd = _GroupForward(
-            ops,
-            weights[row],
-            pred,
-            np.array([g.head for g in group]),
-            [list(g.targets) for g in group],
-            epsilon_mode=params.epsilon_mode,
-            normalize=params.normalize,
-        )
-        v = fwd.target_matrix()
-        total += logit_loss(fwd.s, v)
-        ds = logit_loss_grad(fwd.s, v)
-        dA[row] = fwd.backward(ds)
+    fwd = _BatchForward(
+        ops, weights, preds, groups,
+        [q.head for q in queries], [q.targets for q in queries],
+        epsilon_mode=params.epsilon_mode, normalize=params.normalize,
+    )
+    grads = params.zero_grads()
+    dA = fwd.backward(logit_loss_grad(fwd.s, fwd.v))
     _attention_backward(params, preds, weights, dA, grads)
-    return total, grads
+    return fwd.loss(), grads
 
 
 # ---------------------------------------------------------------------------

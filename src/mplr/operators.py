@@ -67,11 +67,17 @@ def top_patterns(table: np.ndarray, scores, top_n: int) -> np.ndarray:
     `scores` holds one value per row for each rank key, most significant key
     first; every key ranks higher values first. Ties go to the
     lexicographically smaller hop tuple, and the -1 padding puts a prefix
-    before its extensions.
+    before its extensions. Only the rows that reach the top_n-th value of
+    the primary key, ties included, are sorted.
     """
-    keys = tuple(table[:, j] for j in reversed(range(table.shape[1])))
-    keys += tuple(-np.asarray(s) for s in reversed(scores))
-    return np.lexsort(keys)[:top_n]
+    keep = np.arange(len(table))
+    first = -np.asarray(scores[0])
+    if top_n < len(keep):
+        cut = np.partition(first, top_n - 1)[top_n - 1]
+        keep = keep if np.isnan(cut) else np.flatnonzero(first <= cut)
+    keys = tuple(table[keep, j] for j in reversed(range(table.shape[1])))
+    keys += tuple(-np.asarray(s)[keep] for s in reversed(scores))
+    return keep[np.lexsort(keys)[:top_n]]
 
 
 class OperatorSet:
@@ -95,8 +101,6 @@ class OperatorSet:
         self.matrices = mats
         self._edges = None
         self._indptr = None
-        self._combo = None
-        self._combo_t = None
 
     def __len__(self):
         return len(self.matrices)
@@ -139,41 +143,18 @@ class OperatorSet:
         edge = np.arange(counts.sum()) + np.repeat(shift, counts)
         return owner, cols[edge], ops[edge]
 
-    def _template(self, transpose):
-        n = self.num_entities
-        rows, cols, ops = self._edge_list()
-        if transpose:
-            rows, cols = cols, rows
-        key = rows * n + cols
-        uniq, inv = np.unique(key, return_inverse=True)
-        indices = (uniq % n).astype(np.int32)
-        indptr = np.searchsorted(uniq // n, np.arange(n + 1)).astype(np.int64)
-        return {"ops": ops, "inv": inv, "indices": indices, "indptr": indptr,
-                "nnz": len(uniq)}
-
     def combine(self, weights: np.ndarray) -> sparse.csr_array:
         """Weighted sum over all operators, sum_k weights[k] * M_k, as one CSR."""
-        if self._combo is None:
-            self._combo = self._template(transpose=False)
-        return self._combine_from(self._combo, weights)
-
-    def combine_t(self, weights: np.ndarray) -> sparse.csr_array:
-        """Transpose of combine(weights) (for reverse-mode propagation)."""
-        if self._combo_t is None:
-            self._combo_t = self._template(transpose=True)
-        return self._combine_from(self._combo_t, weights)
-
-    def _combine_from(self, tpl, weights):
         weights = np.asarray(weights, dtype=np.float64)
         if weights.shape != (len(self.matrices),):
             raise ValueError(
                 f"expected {len(self.matrices)} operator weights, got {weights.shape}"
             )
-        data = np.bincount(tpl["inv"], weights=weights[tpl["ops"]], minlength=tpl["nnz"])
-        n = self.num_entities
-        return sparse.csr_array(
-            (data, tpl["indices"], tpl["indptr"]), shape=(n, n), copy=False
-        )
+        return sum(w * m for w, m in zip(weights, self.matrices)).tocsr()
+
+    def combine_t(self, weights: np.ndarray) -> sparse.csr_array:
+        """Transpose of combine(weights)."""
+        return self.combine(weights).T.tocsr()
 
 
 def build_operators(kg: KnowledgeGraph) -> OperatorSet:

@@ -23,12 +23,16 @@ from .model import (
     EPSILON_MODES,
     NORMALIZE_MODES,
     ModelParams,
-    attention_forward,
+    _attention_forward,
+    _lookup,
     loss_and_gradients,
-    score_entities,
+    support_scores,
 )
+# not called here; bench/tracing.py hooks them under these names
+from .model import attention_forward, score_entities  # noqa: F401
 
 TIE_RULE = "mean-rank-among-ties"
+EVAL_CHUNK = 128  # test queries scored at once, which bounds evaluation memory
 
 
 class TrainingDivergedError(RuntimeError):
@@ -129,7 +133,8 @@ def train(
     adam = AdamOptimizer(params.tensors, lr=config.learning_rate)
     rng = np.random.default_rng(config.seed)
     stats: list[EpochStats] = []
-    best_params = params.copy()
+    # without a validation split the final parameters are returned
+    best_params = params.copy() if splits.valid else params
     best_mrr = -np.inf
     best_loss = np.inf
     bad_epochs = 0
@@ -174,8 +179,6 @@ def train(
                 bad_epochs += 1
                 if bad_epochs >= config.patience:
                     break
-    if not splits.valid:
-        best_params = params
     return best_params, stats
 
 
@@ -242,7 +245,7 @@ def rank_among(scores: np.ndarray, answer: int, exclude: int | None = None) -> f
     """Rank of `answer` in `scores` (descending), mean rank among exact ties.
 
     `exclude` drops one candidate (the query head) from the ranking; the
-    answer itself is never dropped.
+    answer itself is never dropped. The single-row reference of `_ranks`.
     """
     s = np.asarray(scores, dtype=np.float64)
     target = s[answer]
@@ -254,6 +257,28 @@ def rank_among(scores: np.ndarray, answer: int, exclude: int | None = None) -> f
     return greater + (ties + 1) / 2.0
 
 
+def _ranks(keys, scores, num_entities, heads, answers):
+    """`rank_among` of every row of support scores, the head excluded.
+
+    Row b owns the keys b * |E| + entity; every entity outside them scores 0,
+    so those count as ties when the answer scores 0 and as greater when it
+    scores below 0. The head is always on the support.
+    """
+    E, B = num_entities, len(heads)
+    rows = np.arange(B)
+    row = keys // E
+    pos, found = _lookup(keys, rows * E + answers)
+    target = np.where(found, scores[pos], 0.0)
+    above = scores > target[row]
+    tied = scores == target[row]
+    head = np.searchsorted(keys, rows * E + heads)
+    drop = heads != answers
+    off = E - np.bincount(row, minlength=B)
+    greater = np.bincount(row, above, B) - drop * above[head] + off * (target < 0)
+    ties = np.bincount(row, tied, B) - drop * tied[head] + off * (target == 0)
+    return greater + (ties + 1) / 2.0
+
+
 def evaluate(
     kg: KnowledgeGraph,
     params: ModelParams,
@@ -262,51 +287,50 @@ def evaluate(
     *,
     ops: OperatorSet | None = None,
 ) -> EvalReport:
-    """Filtered link-prediction metrics over (h, q, ?) queries, one per triple."""
+    """Filtered link-prediction metrics over (h, q, ?) queries, one per triple.
+
+    One attention call covers every predicate; the queries are scored in
+    chunks of EVAL_CHUNK on their supports, with the queried edge dropped
+    from propagation, and ranked in closed form.
+    """
     if not triples:
         raise ValueError("empty evaluation split")
     ops = ops or build_operators(kg)
-    by_pred: dict[int, list[tuple[int, int]]] = {}
-    for h, q, t in triples:
-        by_pred.setdefault(q, []).append((h, t))
-    rr_all, hits_all = [], {k: [] for k in ks}
-    per_pred: dict[str, PredicateEval] = {}
-    for q, pairs in by_pred.items():
-        attn = attention_forward(params, q)
-        heads = np.array([h for h, _ in pairs])
-        tails = np.array([t for _, t in pairs])
-        present = np.array(
-            [1.0 if kg.has_triple(h, q, t) else 0.0 for h, t in pairs]
-        )
-        scores = score_entities(
-            ops,
-            attn,
-            heads,
-            excluded_edges=(q, tails, present),
+    index: dict[int, int] = {}
+    group = np.array([index.setdefault(q, len(index)) for _, q, _ in triples])
+    order = np.argsort(group, kind="stable")  # per predicate, in split order
+    group = group[order]
+    h, q, t = np.asarray(triples, dtype=np.int64)[order].T
+    weights = _attention_forward(params, list(index))
+    ranks = np.empty(len(order))
+    for start in range(0, len(order), EVAL_CHUNK):
+        c = slice(start, start + EVAL_CHUNK)
+        keys, scores = support_scores(
+            ops, weights, group[c], h[c], excluded=(q[c] + 1, t[c]),
             normalize=params.normalize,
         )
         # a NaN answer score ties with nothing and would rank 0.5
-        if not np.isfinite(scores).all():
-            raise ValueError(f"non-finite scores for predicate {kg.predicates[q]!r}")
-        rr_q, hits_q = [], {k: [] for k in ks}
-        for i in range(len(pairs)):
-            rank = rank_among(scores[i], int(tails[i]), exclude=int(heads[i]))
-            rr_q.append(1.0 / rank)
-            for k in ks:
-                hits_q[k].append(1.0 if rank <= k else 0.0)
-        rr_all.extend(rr_q)
-        for k in ks:
-            hits_all[k].extend(hits_q[k])
-        per_pred[kg.predicates[q]] = PredicateEval(
-            mrr=float(np.mean(rr_q)),
-            hit_at={k: float(np.mean(hits_q[k])) for k in ks},
-            num_queries=len(pairs),
+        bad = ~np.isfinite(scores)
+        if bad.any():
+            pred = q[c][keys[bad][0] // ops.num_entities]
+            raise ValueError(f"non-finite scores for predicate {kg.predicates[pred]!r}")
+        ranks[c] = _ranks(keys, scores, ops.num_entities, h[c], t[c])
+    rr = 1.0 / ranks
+    hits = {k: np.where(ranks <= k, 1.0, 0.0) for k in ks}
+    bounds = np.searchsorted(group, np.arange(len(index) + 1))
+    per_pred: dict[str, PredicateEval] = {}
+    for g, pred in enumerate(index):
+        part = slice(bounds[g], bounds[g + 1])
+        per_pred[kg.predicates[pred]] = PredicateEval(
+            mrr=float(np.mean(rr[part])),
+            hit_at={k: float(np.mean(hits[k][part])) for k in ks},
+            num_queries=part.stop - part.start,
         )
     return EvalReport(
-        mrr=float(np.mean(rr_all)),
-        hit_at={k: float(np.mean(hits_all[k])) for k in ks},
+        mrr=float(np.mean(rr)),
+        hit_at={k: float(np.mean(hits[k])) for k in ks},
         per_predicate=per_pred,
-        num_queries=len(rr_all),
+        num_queries=len(rr),
     )
 
 

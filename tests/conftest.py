@@ -14,7 +14,7 @@ from mplr.indicators import EmptySubgraphError, _chain_index, _saturation_scan
 from mplr.kg import KnowledgeGraph, load_dataset
 from mplr.model import (
     ExtractedRule,
-    _GroupForward,
+    _BatchForward,
     logit_loss,
     loss_and_gradients,
     score_entities,
@@ -269,34 +269,34 @@ class ScoreResult:
 def score_query(ops, attn, query, *, epsilon_mode="corrected", normalize=None):
     """Score every entity for one (head, predicate, targets) query.
 
-    Runs the reasoner's forward pass on a group of one query. The per-target
-    corrections repeat its closed form sum_l a_q(l) * base_l * D_l(t), rank by
-    rank, from the pieces the forward pass keeps.
+    Runs the reasoner's forward pass on a batch of one query and scatters its
+    support values to dense rows. The per-target corrections are the closed
+    form sum_l a_q(l) * base_l * D_l(t) the forward pass keeps, rank by rank.
     """
-    fwd = _GroupForward(
+    fwd = _BatchForward(
         ops,
-        attn.weights,
-        query.query,
-        np.array([query.head]),
+        attn.weights[None],
+        [query.query],
+        [0],
+        [query.head],
         [list(query.targets)],
         epsilon_mode=epsilon_mode,
         normalize=normalize,
     )
-    R, L, _ = attn.weights.shape
-    corr_total = np.zeros(len(query.targets))
+    ent = fwd.keys % ops.num_entities
+    s = np.zeros(ops.num_entities)
+    s[ent] = fwd.s
     uncorrected = np.zeros(ops.num_entities)
-    for r in range(R):
-        corr = np.zeros(len(query.targets))
-        for l in range(1, L + 1):
-            a_q = attn.weights[r, l - 1, fwd.q_op]
-            corr += a_q * fwd._injection_base(r, l) * fwd.D[r][l - 1][fwd.t_slot]
-        corr_total += corr / fwd.divisors[r][0]
-        uncorrected += fwd.U[r][L][0] / fwd.divisors[r][0]
-    s = fwd.s[0]
+    corr_total = np.zeros(len(query.targets))
+    for U, corr, d in zip(fwd.U, fwd.corr, fwd.divisors):
+        uncorrected[ent] += U[-1] / d[0]
+        corr_total += corr / d[0]
+    v = np.zeros(ops.num_entities)
+    v[list(query.targets)] = 1.0
     return ScoreResult(
         prediction=s,
         per_target_corrections={t: float(c) for t, c in zip(query.targets, corr_total)},
-        loss=logit_loss(s, fwd.target_matrix()[0]),
+        loss=logit_loss(s, v),
         uncorrected=uncorrected,
     )
 

@@ -5,7 +5,7 @@ import pytest
 
 from mplr.kg import KnowledgeGraph, MultiTargetQuery
 from mplr.operators import build_operators
-from mplr.model import ModelParams, _operator_grads, loss_and_gradients
+from mplr.model import ModelParams, _Propagation, loss_and_gradients
 
 from conftest import backward, operator_grads_reference, random_kg
 
@@ -98,6 +98,23 @@ def test_longer_recurrence_and_higher_rank():
             check_all_tensors(params, ops, queries, coords_per_tensor=4)
 
 
+@pytest.mark.parametrize("epsilon_mode", ["corrected", "literal"])
+@pytest.mark.parametrize("normalize", [None, "l1"])
+def test_target_the_graph_does_not_link_matches_finite_differences(
+    epsilon_mode, normalize
+):
+    # (d, p1, b) and (d, p1, c) are not edges, and b is three hops from d:
+    # off the support at L = 2
+    kg = four_entity_kg()
+    ops = build_operators(kg)
+    params = ModelParams(
+        kg.num_predicates, rank=2, max_len=2, embed_dim=6, hidden_dim=5,
+        seed=17, normalize=normalize, epsilon_mode=epsilon_mode,
+    )
+    queries = [MultiTargetQuery(3, 0, (1, 2)), MultiTargetQuery(0, 2, (2, 3))]
+    check_all_tensors(params, ops, queries)
+
+
 def test_unused_query_embedding_has_zero_gradient():
     kg = four_entity_kg()
     ops = build_operators(kg)
@@ -174,6 +191,19 @@ def kernel_inputs(kind, rng, B=4, E=9):
 KERNEL_INPUTS = ("one-hot", "sparse", "dense", "zero-rows")
 
 
+def kernel_operator_grads(ops, x, g):
+    """<x M_k, g> per operator k from the kernel's reverse mode: every nonzero
+    x[b, i] is a row that starts at i with value x[b, i] and crosses one hop,
+    and the gradient at the row's level-1 entries is read from g[b]."""
+    E, K = ops.num_entities, len(ops)
+    b, i = np.nonzero(x)
+    prop = _Propagation(ops, np.ones((1, 1, 1, K)), np.zeros(len(i), dtype=int), i)
+    keys = prop.keys[1]
+    dA = np.zeros((1, 1, 1, K))
+    prop.backward(0, [x[b, i], None], g[b[keys // E], keys % E], dA)
+    return dA[0, 0, 0]
+
+
 @pytest.mark.parametrize("kind", KERNEL_INPUTS)
 def test_operator_grads_match_per_operator_products(kind):
     kg = kernel_kg()
@@ -183,7 +213,7 @@ def test_operator_grads_match_per_operator_products(kind):
     rng = np.random.default_rng(KERNEL_INPUTS.index(kind))
     for _ in range(5):
         x, g = kernel_inputs(kind, rng)
-        got = _operator_grads(ops, x, g)
+        got = kernel_operator_grads(ops, x, g)
         want = operator_grads_reference(ops, x, g)
         np.testing.assert_allclose(got, want, rtol=1e-12)
         assert got[4] == 0.0  # the operator with no edges
@@ -191,7 +221,7 @@ def test_operator_grads_match_per_operator_products(kind):
 
 def test_operator_grads_of_all_zero_state():
     ops = build_operators(kernel_kg())
-    got = _operator_grads(ops, np.zeros((3, 9)), np.ones((3, 9)))
+    got = kernel_operator_grads(ops, np.zeros((3, 9)), np.ones((3, 9)))
     assert got.shape == (5,) and not got.any()
 
 

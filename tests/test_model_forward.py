@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -6,6 +8,7 @@ from mplr.operators import build_operators
 from mplr.model import (
     AttentionTensor,
     ModelParams,
+    _BatchForward,
     _attention_forward,
     attention_forward,
     load_checkpoint,
@@ -170,6 +173,67 @@ class TestScoreQuery:
                     assert res.per_target_corrections[t] == pytest.approx(
                         c, rel=1e-12, abs=1e-12
                     )
+
+    @pytest.mark.parametrize("max_len", [2, 3])
+    @pytest.mark.parametrize("epsilon_mode", ["corrected", "literal"])
+    def test_target_the_graph_does_not_link(self, epsilon_mode, max_len):
+        # a train target absent from the reasoning graph (built without the
+        # train split): stored even where no path reaches it, scoring -corr
+        kg = random_kg(3, num_entities=9, num_predicates=3, edge_prob=0.15)
+        ops = build_operators(kg)
+        query = None
+        for h, q in itertools.product(range(9), range(3)):
+            reach = {h}
+            for _ in range(max_len):
+                reach |= {x for v in reach for p in range(3) for x in kg.successors(p, v)}
+            linked = kg.successors(q, h)
+            unlinked = [t for t in sorted(reach) if t not in linked and t != h]
+            off = [t for t in range(9) if t not in reach]
+            if linked and unlinked and off:
+                query = MultiTargetQuery(h, q, (linked[0], unlinked[0], off[0]))
+                break
+        assert query is not None
+        rng = np.random.default_rng(max_len)
+        w = rng.dirichlet(np.ones(4), size=(2, max_len))
+        for normalize in (None, "l1", "l2"):
+            res = score_query(ops, AttentionTensor(w), query,
+                              epsilon_mode=epsilon_mode, normalize=normalize)
+            pred, corr = recurrence_scores(kg, w, query, epsilon_mode, normalize)
+            np.testing.assert_allclose(res.prediction, pred, rtol=1e-12, atol=1e-12)
+            for t, c in corr.items():
+                assert res.per_target_corrections[t] == pytest.approx(
+                    c, rel=1e-12, abs=1e-12
+                )
+            off = query.targets[2]
+            assert res.uncorrected[off] == 0.0
+            assert res.prediction[off] == -res.per_target_corrections[off] != 0.0
+
+    @pytest.mark.parametrize("normalize", [None, "l1", "l2"])
+    def test_loss_equals_dense_loss_of_scattered_scores(self, normalize):
+        kg = random_kg(5, num_entities=12, num_predicates=3, edge_prob=0.08)
+        ops = build_operators(kg)
+        grouped = group_queries(kg.triples)
+        queries = [q for p in (2, 0, 1) for q in grouped if q.query == p][::3]
+        preds = [2, 0, 1]
+        assert {q.query for q in queries} == set(preds)
+        assert any(len(q.targets) > 1 for q in queries)
+        rng = np.random.default_rng(1)
+        w = rng.dirichlet(np.ones(4), size=(len(preds), 2, 2))
+        fwd = _BatchForward(
+            ops, w, preds, [preds.index(q.query) for q in queries],
+            [q.head for q in queries], [q.targets for q in queries],
+            normalize=normalize,
+        )
+        E = kg.num_entities
+        s = np.zeros(len(queries) * E)
+        s[fwd.keys] = fwd.s
+        v = np.zeros((len(queries), E))
+        for b, q in enumerate(queries):
+            v[b, list(q.targets)] = 1.0
+        assert len(fwd.s) < s.size
+        assert fwd.loss() == pytest.approx(
+            logit_loss(s.reshape(len(queries), E), v), rel=1e-12
+        )
 
     def test_subtract_equals_delete_without_reuse(self, toy):
         # deleting the direct edge and scoring plainly must agree with the

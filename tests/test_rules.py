@@ -91,6 +91,17 @@ class TestMatchesSequenceWalk:
             (r.hops.hops, r.confidence, r.predicate) for r in want
         ]
 
+    @pytest.mark.parametrize("top_n", [2, 5, 7])
+    def test_cut_inside_a_block_of_ties(self, top_n):
+        # uniform weights: the 3 one-hop rules tie, and so do the 9 two-hop rules
+        a = AttentionTensor(np.full((2, 2, 4), 0.25))
+        confs = [r.confidence for r in rules_reference(a, query=2, top_n=400)]
+        assert confs[top_n - 1] == confs[top_n]
+        got = rules_from_attention(a, query=2, top_n=top_n)
+        assert [(r.hops.hops, r.confidence) for r in got] == [
+            (r.hops.hops, r.confidence) for r in rules_reference(a, 2, top_n)
+        ]
+
     def test_softmax_attention_of_a_model(self):
         params = ModelParams(5, rank=3, max_len=3, embed_dim=6, hidden_dim=6, seed=9)
         for q in range(5):

@@ -4,7 +4,15 @@ import pytest
 import mplr.training as training
 from mplr.kg import KnowledgeGraph, DatasetSplits
 from mplr.indicators import BifurcationRecord, FORWARD, BACKWARD
-from mplr.model import extract_rules
+from mplr.model import (
+    AttentionTensor,
+    ModelParams,
+    _attention_forward,
+    extract_rules,
+    score_entities,
+    support_scores,
+)
+from mplr.operators import build_operators
 from mplr.training import (
     AdamOptimizer,
     TrainConfig,
@@ -14,6 +22,8 @@ from mplr.training import (
     rank_among,
     train,
 )
+
+from conftest import random_kg
 
 
 class TestAdam:
@@ -149,6 +159,79 @@ class TestRanking:
         assert rank_among(scores, 2) == 3.0
 
 
+def support_kg():
+    """Random graph over e0..e7 with self-loops (one shared by two
+    predicates), plus e8, whose only in-edge is (e0, p1, e8), and the
+    isolated e9."""
+    base = random_kg(6, num_entities=8, num_predicates=3, edge_prob=0.2)
+    extra = {(2, 0, 2), (2, 1, 2), (5, 2, 5), (0, 1, 8)}
+    entities = [f"e{i}" for i in range(10)]
+    return KnowledgeGraph(entities, base.predicates, sorted(set(base.triples) | extra))
+
+
+# answer reachable only through the excluded edge, answer == head, a head
+# with no out-edges, an answer off the support
+SUPPORT_CASES = [(0, 1, 8), (2, 0, 2), (9, 2, 3), (1, 0, 9)]
+
+
+def reference_ranks(kg, ops, weights, groups, triples, normalize):
+    """rank_among over the dense score_entities row of each query."""
+    return [
+        rank_among(
+            score_entities(
+                ops, AttentionTensor(weights[g]), [h],
+                excluded_edges=(q, [t], [kg.has_triple(h, q, t)]), normalize=normalize,
+            )[0],
+            t, exclude=h,
+        )
+        for g, (h, q, t) in zip(groups, triples)
+    ]
+
+
+class TestSupportRanks:
+    @pytest.mark.parametrize("normalize", [None, "l1", "l2"])
+    @pytest.mark.parametrize("kind", ["softmax", "ties"])
+    def test_equal_rank_among_on_dense_scores(self, kind, normalize):
+        kg = support_kg()
+        ops = build_operators(kg)
+        assert [tr for tr in kg.triples if tr[2] == 8] == [(0, 1, 8)]
+        assert not any(tr[0] == 9 or tr[2] == 9 for tr in kg.triples)
+        rng = np.random.default_rng(0)
+        if kind == "ties":
+            w = rng.choice([0.0, 0.25, 0.5], size=(3, 2, 2, 4))
+        else:
+            w = rng.dirichlet(np.ones(4), size=(3, 2, 2))
+        triples = SUPPORT_CASES + kg.triples
+        h, q, t = np.array(triples).T
+        keys, s = support_scores(ops, w, q, h, excluded=(q + 1, t), normalize=normalize)
+        E = kg.num_entities
+        assert 0 * E + 8 not in keys and 3 * E + 9 not in keys  # off the support
+        assert (keys[keys // E == 2] % E).tolist() == [9]  # only the head
+        got = training._ranks(keys, s, E, h, t)
+        want = reference_ranks(kg, ops, w, q, triples, normalize)
+        assert got.tolist() == want
+        assert any(r != int(r) for r in want)  # some answers tie
+
+    def test_evaluate_matches_rank_among(self):
+        kg = support_kg()
+        ops = build_operators(kg)
+        params = ModelParams(3, rank=2, max_len=2, embed_dim=6, hidden_dim=5, seed=1)
+        triples = SUPPORT_CASES + kg.triples
+        report = evaluate(kg, params, triples, ks=(1, 3), ops=ops)
+        preds = list(dict.fromkeys(q for _, q, _ in triples))
+        weights = _attention_forward(params, preds)
+        ordered = sorted(triples, key=lambda tr: preds.index(tr[1]))
+        groups = [preds.index(q) for _, q, _ in ordered]
+        ranks = np.array(reference_ranks(kg, ops, weights, groups, ordered, "l2"))
+        assert report.mrr == float(np.mean(1.0 / ranks))
+        assert report.hit_at[3] == float(np.mean(ranks <= 3))
+        for p in preds:
+            part = [g == preds.index(p) for g in groups]
+            assert report.per_predicate[kg.predicates[p]].mrr == float(
+                np.mean(1.0 / ranks[part])
+            )
+
+
 @pytest.fixture(scope="module")
 def trained():
     kg, splits = rule_chain_dataset(num_instances=6, num_valid=2)
@@ -203,14 +286,14 @@ class TestEvaluate:
 
     def test_non_finite_scores_rejected(self, trained, monkeypatch):
         kg, splits, params = trained
-        real = training.score_entities
+        real = training.support_scores
 
         def poisoned(*args, **kwargs):
-            scores = real(*args, **kwargs)
-            scores[0, 0] = np.nan
-            return scores
+            keys, scores = real(*args, **kwargs)
+            scores[0] = np.nan
+            return keys, scores
 
-        monkeypatch.setattr(training, "score_entities", poisoned)
+        monkeypatch.setattr(training, "support_scores", poisoned)
         with pytest.raises(ValueError, match="non-finite scores for predicate 'q'"):
             evaluate(kg, params, splits.valid)
 
