@@ -200,7 +200,7 @@ def cmd_indicators(settings):
         unknown = [name for name in names if name not in kg.predicate_index]
         if unknown:
             raise CliError(f"unknown predicate {unknown[0]!r}")
-        wanted = [kg.predicate_index[name] for name in names]
+        wanted = list(dict.fromkeys(kg.predicate_index[name] for name in names))
     files = ["saturation.tsv", "saturation.txt", "bifurcation.tsv", "bifurcation.txt"]
     out = _prepare_out(settings, files)
     if settings["sample"] is not None:

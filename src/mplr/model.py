@@ -365,13 +365,10 @@ class _Propagation:
         self.keys = [keys]
         self.edges = []  # per hop: (src, dst, slot, (R, n) weights)
         for hop in range(first, L + 1):
-            src, ent, op = ops.out_edges(keys % E)
-            row = keys[src] // E
-            if excluded is not None:
-                x_op, x_tail = excluded
-                keep = ~((op == x_op[row]) & (ent == x_tail[row])
-                         & (keys[src] == row * E + starts[row]))
-                src, ent, op, row = src[keep], ent[keep], op[keep], row[keep]
+            row = keys // E
+            drop = None if excluded is None else (starts[row], *(x[row] for x in excluded))
+            src, ent, op = ops.out_edges(keys % E, drop)
+            row = row[src]
             new = row * E + ent
             if hop == L and extra_keys is not None:
                 new = np.concatenate([new, extra_keys])

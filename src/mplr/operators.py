@@ -7,7 +7,8 @@ vector-matrix products over these operators simulate rule application: the j-th
 entry of v_h^T M_p1 ... M_pl counts the distinct paths h -> ... -> j whose i-th
 edge carries predicate p_i. State vectors are plain dense float arrays. The
 nonzeros of all operators also form one row-ordered edge list (row, col,
-operator), from which the reasoner reads operator gradients and loops.
+operator), over which the reasoner and the saturation scan propagate, with an
+optional excluded edge per entity.
 """
 
 from __future__ import annotations
@@ -126,12 +127,15 @@ class OperatorSet:
             )
         return self._edges
 
-    def out_edges(self, entities):
+    def out_edges(self, entities, excluded=None):
         """Every edge leaving `entities`, over all operators (identity included).
 
         Returns (owner, cols, ops): edge n runs from entities[owner[n]] to
-        cols[n] in operator ops[n]. The edge list is row-ordered, so the cost
-        is the number of edges returned, not the size of the graph.
+        cols[n] in operator ops[n]. `excluded` = (heads, ops, tails), one entry
+        per entity, drops the edge (heads[i], ops[i], tails[i]) from the edges
+        of entities[i] (operator -1: nothing dropped). The edge list is
+        row-ordered, so the cost is the number of edges returned, not the size
+        of the graph.
         """
         _, cols, ops = self._edge_list()
         entities = np.asarray(entities, dtype=np.int64)
@@ -141,7 +145,12 @@ class OperatorSet:
         # output position of each entity's first edge, shifted to its edge-list start
         shift = starts - (np.cumsum(counts) - counts)
         edge = np.arange(counts.sum()) + np.repeat(shift, counts)
-        return owner, cols[edge], ops[edge]
+        cols, ops = cols[edge], ops[edge]
+        if excluded is not None:
+            x_head, x_op, x_tail = (np.asarray(x)[owner] for x in excluded)
+            keep = ~((entities[owner] == x_head) & (ops == x_op) & (cols == x_tail))
+            owner, cols, ops = owner[keep], cols[keep], ops[keep]
+        return owner, cols, ops
 
     def combine(self, weights: np.ndarray) -> sparse.csr_array:
         """Weighted sum over all operators, sum_k weights[k] * M_k, as one CSR."""

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mplr.indicators import EmptySubgraphError, _chain_index, _saturation_scan
+from mplr.indicators import EmptySubgraphError, _saturation_scan
 from mplr.kg import KnowledgeGraph, load_dataset
 from mplr.model import (
     ExtractedRule,
@@ -328,6 +328,14 @@ def rules_reference(attn, query, top_n=10):
         ExtractedRule(RulePattern(hops), float(c), query)
         for hops, c in ranked[:top_n]
     ]
+
+
+def _chain_index(chain, base):
+    """Position of `chain` among the chains of its length, lexicographically."""
+    index = 0
+    for p in chain:
+        index = index * base + p
+    return index
 
 
 def pattern_saturation(kg, pattern, predicate, max_len, exclude):

@@ -49,6 +49,15 @@ class TestIndicators:
         tsv = (out / "saturation.tsv").read_text()
         assert tsv.startswith("pattern\tpredicate")
 
+    def test_repeated_predicate_writes_the_single_name_reports(self, kin_dir, tmp_path):
+        for out, names in (("once", "wifeOf"), ("twice", "wifeOf,wifeOf")):
+            assert run("indicators", "--dataset-dir", kin_dir, "--out", tmp_path / out,
+                       "--predicates", names) == 0
+        for name in ("saturation.tsv", "saturation.txt",
+                     "bifurcation.tsv", "bifurcation.txt"):
+            assert (tmp_path / "twice" / name).read_bytes() == (
+                tmp_path / "once" / name).read_bytes()
+
     def test_budget_violation_exits_two_without_partial_files(
         self, kin_dir, tmp_path, capsys
     ):

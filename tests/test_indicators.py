@@ -1,11 +1,13 @@
 import itertools
 import logging
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from mplr.kg import KnowledgeGraph
-from mplr.operators import RulePattern, build_operators
+import mplr.indicators
+from mplr.kg import KnowledgeGraph, bw_degree, fw_degree
+from mplr.operators import OperatorSet, RulePattern, build_operators
 from mplr.indicators import (
     BACKWARD,
     FORWARD,
@@ -18,12 +20,14 @@ from mplr.indicators import (
     saturation_table,
     saturation_tsv,
     bifurcation_tsv,
+    _saturation_scan,
 )
 
 from conftest import (
     comprehensive_saturation,
     dfs_count_paths,
     macro_saturation,
+    make_family_triples,
     micro_saturation,
     random_kg,
 )
@@ -181,6 +185,22 @@ class TestSaturation:
         )
         assert total_micro == pytest.approx(explained, abs=1e-9)
 
+    @pytest.mark.parametrize("exclude", [True, False])
+    @pytest.mark.parametrize("max_len", [2, 3, 4])
+    def test_scan_does_not_depend_on_chunk_size(self, monkeypatch, max_len, exclude):
+        kg = random_kg(2, num_entities=7, num_predicates=3, edge_prob=0.3)
+        assert any(h == t for h, _, t in kg.triples)  # self-loops
+        assert len({(h, t) for h, _, t in kg.triples}) < len(kg.triples)  # parallel
+        active = list(range(kg.num_predicates))
+        assert all(kg.num_edges(q) > 0 for q in active)
+        ops = OperatorSet(kg)
+        expected = _saturation_scan(kg, ops, max_len, active, exclude)
+        for chunk in (1, 2, 5):
+            monkeypatch.setattr(mplr.indicators, "SCAN_CHUNK", chunk)
+            got = _saturation_scan(kg, ops, max_len, active, exclude)
+            for want, have in zip(expected, got):
+                assert np.array_equal(want, have)
+
 
 class TestComprehensive:
     def test_table_values(self):
@@ -230,6 +250,21 @@ class TestBifurcation:
                 rec = bifurcation(kg, q, FORWARD, lambda_max=6)
                 vals = [rec.proportions[lam] for lam in range(1, 7)]
                 assert all(a >= b for a, b in zip(vals, vals[1:]))
+
+    def test_matches_degree_counts(self):
+        for seed in range(5):
+            kg = random_kg(seed, num_entities=10, num_predicates=3, edge_prob=0.3)
+            for q in range(kg.num_predicates):
+                if kg.num_edges(q) == 0:
+                    continue
+                for direction, ends, degree in ((FORWARD, kg.heads(q), fw_degree),
+                                                (BACKWARD, kg.tails(q), bw_degree)):
+                    degs = [degree(kg, q, v) for v in ends]
+                    rec = bifurcation(kg, q, direction, lambda_max=6)
+                    assert rec.proportions == {
+                        lam: sum(d >= lam for d in degs) / len(degs)
+                        for lam in range(1, 7)
+                    }
 
     def test_unknown_direction(self, toy_kg):
         with pytest.raises(ValueError):
@@ -296,6 +331,29 @@ class TestReport:
             )
             assert alone == [r for r in full if r.predicate == q]
 
+    def test_repeated_predicate_reported_once(self, family_data):
+        kg, _, _ = family_data
+        once = saturation_report(kg, max_len=2, top_n=2, predicates=[2])
+        assert saturation_report(kg, max_len=2, top_n=2, predicates=[2, 2]) == once
+
+    def test_family_scan_memory_is_bounded(self):
+        triples = make_family_triples(num_clans=250)
+        entities = list(dict.fromkeys(e for h, _, t in triples for e in (h, t)))
+        predicates = list(dict.fromkeys(r for _, r, _ in triples))
+        e_id = {e: i for i, e in enumerate(entities)}
+        p_id = {p: i for i, p in enumerate(predicates)}
+        kg = KnowledgeGraph(
+            entities, predicates, [(e_id[h], p_id[r], e_id[t]) for h, r, t in triples]
+        )
+        assert len(kg.triples) == 15886
+        tracemalloc.start()
+        try:
+            assert saturation_report(kg, max_len=2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 10e6
+
     def test_empty_predicate_warned_and_skipped(self, caplog):
         kg = KnowledgeGraph(["a", "b"], ["r", "unused"], [(0, 0, 1)])
         with caplog.at_level(logging.WARNING):
@@ -327,6 +385,8 @@ class TestReport:
         tsv = saturation_tsv(records, kg)
         assert tsv.startswith("pattern\tpredicate")
         assert len(tsv.strip().splitlines()) == len(records) + 1
+        for r, line in zip(records, tsv.splitlines()[1:], strict=True):
+            assert [float(x) for x in line.split("\t")[2:]] == [r.gamma, r.delta, r.eta]
         table = saturation_table(records, kg)
         assert "gamma=" in table
         recs = [bifurcation(kg, 0, FORWARD, 3)]
