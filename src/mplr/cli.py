@@ -62,6 +62,8 @@ _INT_KEYS = {
 }
 _FLOAT_KEYS = {"budget", "learning_rate"}
 _BOOL_KEYS = {"overwrite"}
+DIRECT_EDGES = ("exclude", "include")
+DIRECTIONS = (ind.FORWARD, ind.BACKWARD, "both")
 
 
 class CliError(Exception):
@@ -184,6 +186,9 @@ def _check_indicator_settings(settings, kg):
         raise CliError("--top-n must be at least 1")
     if settings["lambda_max"] < 1:
         raise CliError("--lambda-max must be at least 1")
+    for key, choices in (("direct_edge", DIRECT_EDGES), ("direction", DIRECTIONS)):
+        if settings[key] not in choices:
+            raise CliError(f"{key} must be {'/'.join(choices)}, not {settings[key]!r}")
     sample = settings["sample"]
     if sample is not None and not 1 <= sample <= len(kg.triples):
         raise CliError(
@@ -340,10 +345,10 @@ def _build_parser():
             p.add_argument("--top-n", dest="top_n", type=int)
             p.add_argument("--lambda-max", dest="lambda_max", type=int)
             p.add_argument("--direct-edge", dest="direct_edge",
-                           choices=["exclude", "include"])
+                           choices=DIRECT_EDGES)
             p.add_argument("--sample", type=int)
             p.add_argument("--budget", type=float)
-            p.add_argument("--direction", choices=["forward", "backward", "both"])
+            p.add_argument("--direction", choices=DIRECTIONS)
             p.add_argument("--predicates")
         if name == "train":
             p.add_argument("--max-rule-len", dest="max_rule_len", type=int)

@@ -1,22 +1,21 @@
-"""Sparse operator algebra: per-predicate 0/1 adjacency matrices and chain products.
+"""Relational operators stored as one row-ordered edge list.
 
-Every predicate p gets a |E| x |E| CSR matrix M_p with entry (i, j) = 1 iff the
-triple (e_i, p, e_j) is in the graph, plus a reserved identity operator at
-operator index 0 (predicate p therefore sits at operator index p + 1). Left
-vector-matrix products over these operators simulate rule application: the j-th
-entry of v_h^T M_p1 ... M_pl counts the distinct paths h -> ... -> j whose i-th
-edge carries predicate p_i. State vectors are plain dense float arrays. The
-nonzeros of all operators also form one row-ordered edge list (row, col,
-operator), over which the reasoner and the saturation scan propagate, with an
-optional excluded edge per entity.
+Predicate p is the |E| x |E| 0/1 adjacency operator M_p at operator index
+p + 1, (i, j) = 1 iff (e_i, p, e_j) is in the graph; index 0 is the identity.
+The j-th entry of v_h^T M_p1 ... M_pl counts the paths h -> ... -> j whose
+i-th edge carries p_i, which is how a rule body is applied. Only nonzeros are
+stored: one edge list (row, col, operator), built from the triples with numpy.
+The reasoner and the saturation scan propagate over it, with an optional
+excluded edge per entity. CSR views, built on call, serve reference code and
+are the only use of scipy.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
 
 from .kg import KnowledgeGraph
 
@@ -82,50 +81,40 @@ def top_patterns(table: np.ndarray, scores, top_n: int) -> np.ndarray:
 
 
 class OperatorSet:
-    """Identity plus one adjacency operator per predicate, with combination helpers."""
+    """Identity plus one adjacency operator per predicate, as one edge list.
+
+    `edges` = (rows, cols, ops): every operator's nonzeros, identity loops
+    included, by row, operator, then column. Row e is indptr[e]:indptr[e + 1].
+    """
 
     def __init__(self, kg: KnowledgeGraph):
-        n = kg.num_entities
-        self.num_entities = n
-        self.num_predicates = kg.num_predicates
-        mats = [sparse.eye_array(n, dtype=np.float64, format="csr")]
-        for p in range(kg.num_predicates):
-            edges = kg.per_predicate[p]
-            if edges:
-                rows = np.fromiter((h for h, _ in edges), dtype=np.int64)
-                cols = np.fromiter((t for _, t in edges), dtype=np.int64)
-                data = np.ones(len(edges), dtype=np.float64)
-                m = sparse.csr_array((data, (rows, cols)), shape=(n, n))
-            else:
-                m = sparse.csr_array((n, n), dtype=np.float64)
-            mats.append(m)
-        self.matrices = mats
-        self._edges = None
-        self._indptr = None
+        n, K = kg.num_entities, kg.num_predicates + 1
+        self.num_entities, self.num_predicates = n, kg.num_predicates
+        flat = itertools.chain.from_iterable(kg.triples)
+        h, p, t = np.fromiter(flat, np.int64, 3 * len(kg.triples)).reshape(-1, 3).T
+        loops = np.arange(n, dtype=np.int64)
+        # one key per edge, (row * K + operator) * |E| + col; triples are distinct
+        keys = np.sort(np.concatenate([loops * K * n + loops, (h * K + p + 1) * n + t]))
+        row_op, cols = np.divmod(keys, n)
+        rows, ops = np.divmod(row_op, K)
+        self.edges = (rows, cols, ops)
+        self.indptr = np.searchsorted(rows, np.arange(n + 1))
 
     def __len__(self):
-        return len(self.matrices)
+        return self.num_predicates + 1
 
-    def matrix(self, op_index: int) -> sparse.csr_array:
-        return self.matrices[op_index]
+    def _csr(self, data, keep=slice(None)):
+        """The edges selected by `keep`, valued `data`, as one |E| x |E| CSR."""
+        from scipy import sparse
 
-    def predicate_matrix(self, predicate: int) -> sparse.csr_array:
-        return self.matrices[predicate + 1]
+        rows, cols, _ = self.edges
+        n = self.num_entities
+        return sparse.csr_array((data, (rows[keep], cols[keep])), shape=(n, n))
 
-    def _edge_list(self):
-        """(rows, cols, ops) of every operator's nonzeros, identity included,
-        ordered by row; built on first use."""
-        if self._edges is None:
-            coos = [m.tocoo() for m in self.matrices]
-            rows = np.concatenate([c.row for c in coos]).astype(np.int64)
-            cols = np.concatenate([c.col for c in coos]).astype(np.int64)
-            ops = np.repeat(np.arange(len(coos)), [c.nnz for c in coos])
-            order = np.argsort(rows, kind="stable")
-            self._edges = (rows[order], cols[order], ops[order])
-            self._indptr = np.searchsorted(
-                self._edges[0], np.arange(self.num_entities + 1)
-            )
-        return self._edges
+    def predicate_matrix(self, predicate: int):
+        """M_p as a 0/1 CSR view, built on call."""
+        keep = self.edges[2] == predicate + 1
+        return self._csr(np.ones(np.count_nonzero(keep)), keep)
 
     def out_edges(self, entities, excluded=None):
         """Every edge leaving `entities`, over all operators (identity included).
@@ -137,10 +126,10 @@ class OperatorSet:
         row-ordered, so the cost is the number of edges returned, not the size
         of the graph.
         """
-        _, cols, ops = self._edge_list()
+        _, cols, ops = self.edges
         entities = np.asarray(entities, dtype=np.int64)
-        starts = self._indptr[entities]
-        counts = self._indptr[entities + 1] - starts
+        starts = self.indptr[entities]
+        counts = self.indptr[entities + 1] - starts
         owner = np.repeat(np.arange(len(entities)), counts)
         # output position of each entity's first edge, shifted to its edge-list start
         shift = starts - (np.cumsum(counts) - counts)
@@ -152,16 +141,17 @@ class OperatorSet:
             owner, cols, ops = owner[keep], cols[keep], ops[keep]
         return owner, cols, ops
 
-    def combine(self, weights: np.ndarray) -> sparse.csr_array:
-        """Weighted sum over all operators, sum_k weights[k] * M_k, as one CSR."""
+    def combine(self, weights: np.ndarray):
+        """Weighted sum over all operators, sum_k weights[k] * M_k, as one CSR
+        view built on call."""
         weights = np.asarray(weights, dtype=np.float64)
-        if weights.shape != (len(self.matrices),):
+        if weights.shape != (len(self),):
             raise ValueError(
-                f"expected {len(self.matrices)} operator weights, got {weights.shape}"
+                f"expected {len(self)} operator weights, got {weights.shape}"
             )
-        return sum(w * m for w, m in zip(weights, self.matrices)).tocsr()
+        return self._csr(weights[self.edges[2]])
 
-    def combine_t(self, weights: np.ndarray) -> sparse.csr_array:
+    def combine_t(self, weights: np.ndarray):
         """Transpose of combine(weights)."""
         return self.combine(weights).T.tocsr()
 
@@ -174,26 +164,23 @@ def build_operators(kg: KnowledgeGraph) -> OperatorSet:
 def count_paths(ops, h: int, pattern: RulePattern, t: int, excluded_edge=None) -> int:
     """Number of distinct entity sequences h -> ... -> t realizing `pattern`.
 
-    `excluded_edge` is an (h, q, t) triple whose exact labeled edge paths may
-    not traverse (used for the direct-edge convention and filtered evaluation);
-    an edge absent from the graph excludes nothing. Accepts a KnowledgeGraph or
-    a prebuilt OperatorSet.
+    The per-triplet reference: a dense walk over the edge list, one bincount
+    per hop. `excluded_edge` is an (h, q, t) triple whose exact labeled edge
+    paths may not traverse (used for the direct-edge convention and filtered
+    evaluation); an edge absent from the graph excludes nothing. Accepts a
+    KnowledgeGraph or a prebuilt OperatorSet.
     """
     if isinstance(ops, KnowledgeGraph):
         ops = OperatorSet(ops)
-    excl = None
+    rows, cols, op = ops.edges
+    live = np.ones(len(op), dtype=bool)
     if excluded_edge is not None:
         eh, eq, et = excluded_edge
-        if ops.predicate_matrix(eq)[eh, et] != 0:
-            excl = (eh, eq, et)
+        live = ~((rows == eh) & (op == eq + 1) & (cols == et))
     u = np.zeros(ops.num_entities)
     u[h] = 1.0
     for hop in pattern.hops:
-        if hop == IDENTITY_HOP:
-            continue
-        nxt = u @ ops.predicate_matrix(hop)
-        if excl is not None and hop == excl[1]:
-            nxt[excl[2]] -= u[excl[0]]
-        u = nxt
+        if hop != IDENTITY_HOP:
+            keep = (op == hop + 1) & live
+            u = np.bincount(cols[keep], weights=u[rows[keep]], minlength=len(u))
     return int(round(u[t]))
-

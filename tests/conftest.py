@@ -9,6 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy import sparse
 
 from mplr.indicators import EmptySubgraphError, _saturation_scan
 from mplr.kg import KnowledgeGraph, load_dataset
@@ -19,7 +20,7 @@ from mplr.model import (
     loss_and_gradients,
     score_entities,
 )
-from mplr.operators import OperatorSet, RulePattern
+from mplr.operators import IDENTITY_OP, OperatorSet, RulePattern
 
 # ---------------------------------------------------------------------------
 # six-entity toy graph reproducing the worked adjacency/product matrices
@@ -202,6 +203,36 @@ def recurrence_scores(kg, weights, query, epsilon_mode="corrected", normalize=No
     return s, dict(zip(query.targets, corr_total))
 
 
+def operator_matrix(ops, k):
+    """Operator k of an OperatorSet (0 = identity) as a CSR matrix."""
+    if k == IDENTITY_OP:
+        return sparse.eye_array(ops.num_entities, dtype=np.float64, format="csr")
+    return ops.predicate_matrix(k - 1)
+
+
+def edge_list_reference(kg):
+    """(rows, cols, ops) of every operator's nonzeros, identity first, built
+    the long way: one CSR matrix per operator, converted to COO, concatenated
+    and stable-sorted by row."""
+    n = kg.num_entities
+    mats = [sparse.eye_array(n, dtype=np.float64, format="csr")]
+    for p in range(kg.num_predicates):
+        edges = kg.per_predicate[p]
+        if edges:
+            rows = np.fromiter((h for h, _ in edges), dtype=np.int64)
+            cols = np.fromiter((t for _, t in edges), dtype=np.int64)
+            data = np.ones(len(edges), dtype=np.float64)
+            mats.append(sparse.csr_array((data, (rows, cols)), shape=(n, n)))
+        else:
+            mats.append(sparse.csr_array((n, n), dtype=np.float64))
+    coos = [m.tocoo() for m in mats]
+    rows = np.concatenate([c.row for c in coos]).astype(np.int64)
+    cols = np.concatenate([c.col for c in coos]).astype(np.int64)
+    ops = np.repeat(np.arange(len(coos)), [c.nnz for c in coos])
+    order = np.argsort(rows, kind="stable")
+    return rows[order], cols[order], ops[order]
+
+
 def operator_grads_reference(ops, x, g):
     """<x M_k, g> for every operator k (identity first): one sparse product
     per operator, over the transposed CSR matrices."""
@@ -211,7 +242,7 @@ def operator_grads_reference(ops, x, g):
     xt = np.ascontiguousarray(x.T)
     gt = np.ascontiguousarray(g.T)
     for k in range(1, K):
-        out[k] = np.vdot(ops.matrix(k).T.tocsr() @ xt, gt)
+        out[k] = np.vdot(operator_matrix(ops, k).T.tocsr() @ xt, gt)
     return out
 
 
@@ -235,7 +266,7 @@ class Operator:
 
 def operators_of(ops):
     """Every operator of an OperatorSet, identity first."""
-    return [Operator(k, ops.matrix(k)) for k in range(len(ops))]
+    return [Operator(k, operator_matrix(ops, k)) for k in range(len(ops))]
 
 
 def propagate(state, op):

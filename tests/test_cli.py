@@ -1,4 +1,8 @@
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -111,6 +115,22 @@ class TestIndicators:
         assert err.startswith(f"error: {message}") and err.count("\n") == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "key, value", [("direct_edge", "inclde"), ("direction", "sideways")]
+    )
+    def test_bad_config_choice_exits_one_before_making_out(
+        self, kin_dir, tmp_path, capsys, key, value
+    ):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(f"{key} = {value}\n")
+        out = tmp_path / "bad"
+        assert run("--config", cfg, "indicators", "--dataset-dir", kin_dir,
+                   "--out", out) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {key} must be ") and err.count("\n") == 1
+        assert err.endswith(f"not {value!r}\n")
+        assert not out.exists()
+
     def test_sampling_respects_budget(self, kin_dir, tmp_path):
         out = tmp_path / "ind3"
         assert run("indicators", "--dataset-dir", kin_dir, "--out", out,
@@ -186,6 +206,22 @@ class TestPipeline:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {message}") and err.count("\n") == 1
         assert not out.exists()
+
+    @pytest.mark.parametrize("dropped", ["__meta__", "proj_W"])
+    def test_incomplete_checkpoint_exits_one(
+        self, kin_dir, tiny_checkpoint, tmp_path, capsys, dropped
+    ):
+        with np.load(tiny_checkpoint) as data:
+            kept = {k: data[k] for k in data.files if k != dropped}
+        bad = tmp_path / "bad.npz"
+        np.savez(bad, **kept)
+        for command in ("eval", "rules"):
+            out = tmp_path / command
+            assert run(command, "--dataset-dir", kin_dir, "--out", out,
+                       "--checkpoint", bad) == 1
+            err = capsys.readouterr().err
+            assert err == f"error: not an mplr checkpoint: missing {dropped!r}\n"
+            assert not out.exists()
 
     def test_eval_without_checkpoint_exits_one(self, kin_dir, tmp_path, capsys):
         assert run("eval", "--dataset-dir", kin_dir,
@@ -276,3 +312,34 @@ class TestConfigFile:
 
     def test_usage_error_exits_one(self, capsys):
         assert run("frobnicate") == 1
+
+
+# every command through main in a fresh interpreter, then the scipy modules it holds
+NO_SCIPY_SCRIPT = """
+import sys
+from mplr.cli import main
+
+data, out = sys.argv[1:]
+ckpt = ["--checkpoint", out + "/train/checkpoint.npz"]
+for argv in (
+    ["train", "--epochs", "1", "--rank", "1", "--embed-dim", "8", "--hidden-dim", "8"],
+    ["eval", *ckpt],
+    ["rules", *ckpt],
+    ["indicators"],
+    ["stats"],
+):
+    assert main([*argv, "--dataset-dir", data, "--out", out + "/" + argv[0]]) == 0
+print(sorted(m for m in sys.modules if m.partition(".")[0] == "scipy"))
+"""
+
+
+def test_commands_import_no_scipy(kin_dir, tmp_path):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", NO_SCIPY_SCRIPT, str(kin_dir), str(tmp_path)],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"

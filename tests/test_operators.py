@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from mplr.indicators import _saturation_scan
+from mplr.kg import KnowledgeGraph
 from mplr.operators import (
     IDENTITY_HOP,
     IDENTITY_OP,
@@ -17,7 +18,9 @@ from mplr.operators import (
 
 from conftest import (
     dfs_count_paths,
+    edge_list_reference,
     enumerate_patterns,
+    operator_matrix,
     operators_of,
     propagate,
     random_kg,
@@ -81,9 +84,48 @@ class TestEdgeList:
                 (n, int(j), k)
                 for n, e in enumerate(entities)
                 for k in range(len(ops))
-                for j in np.flatnonzero(ops.matrix(k).toarray()[e])
+                for j in np.flatnonzero(operator_matrix(ops, k).toarray()[e])
             )
             assert got == want
+
+    @staticmethod
+    def assert_matches_reference(kg):
+        ops = build_operators(kg)
+        want = edge_list_reference(kg)
+        for got, ref in zip(ops.edges, want):
+            assert got.dtype == ref.dtype
+            assert np.array_equal(got, ref)
+        assert np.array_equal(
+            ops.indptr, np.searchsorted(want[0], np.arange(kg.num_entities + 1))
+        )
+
+    def test_edges_match_csr_reference_on_random_graphs(self):
+        for seed in range(40):
+            rng = np.random.default_rng(seed)
+            n, P = int(rng.integers(1, 10)), int(rng.integers(1, 5))
+            triples = {
+                (int(h), int(p), int(h if seed % 3 == 0 else t))  # self-loops
+                for h, t in rng.integers(n, size=(int(rng.integers(0, 3 * n)), 2))
+                # one (h, t) pair under several predicates; the last stays empty
+                for p in rng.choice(P, size=int(rng.integers(1, P + 1)), replace=False)
+                if p < P - 1 or seed % 2
+            }
+            triples = sorted(triples)
+            rng.shuffle(triples)
+            # entity n has no edge
+            kg = KnowledgeGraph([f"e{i}" for i in range(n + 1)],
+                                [f"p{i}" for i in range(P)], triples)
+            self.assert_matches_reference(kg)
+
+    def test_edges_match_csr_reference_on_edge_cases(self, family_data):
+        shared = KnowledgeGraph(
+            ["a", "b", "c", "isolated"], ["r", "s", "t", "empty"],
+            [(2, 1, 0), (0, 0, 1), (0, 0, 0), (0, 2, 1), (1, 2, 2), (0, 1, 1)],
+        )
+        no_triples = KnowledgeGraph(["a", "b"], ["r"], [])
+        no_entities = KnowledgeGraph([], ["r"], [])
+        for kg in (shared, no_triples, no_entities, family_data[0]):
+            self.assert_matches_reference(kg)
 
     def test_no_entities_no_edges(self, toy_ops):
         owner, cols, op = toy_ops.out_edges(np.zeros(0, dtype=np.int64))
@@ -139,7 +181,9 @@ class TestCombine:
             ops = build_operators(kg)
             rng = np.random.default_rng(seed + 100)
             w = rng.random(len(ops))
-            dense = sum(w[k] * ops.matrices[k].toarray() for k in range(len(ops)))
+            dense = sum(
+                w[k] * operator_matrix(ops, k).toarray() for k in range(len(ops))
+            )
             np.testing.assert_allclose(ops.combine(w).toarray(), dense, atol=1e-12)
             np.testing.assert_allclose(
                 ops.combine_t(w).toarray(), dense.T, atol=1e-12
