@@ -11,8 +11,6 @@ from .kg import (
     KnowledgeGraph,
     MultiTargetQuery,
     TripleParseError,
-    bw_degree,
-    fw_degree,
     group_queries,
     load_dataset,
     write_triples,

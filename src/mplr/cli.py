@@ -62,6 +62,8 @@ _INT_KEYS = {
 }
 _FLOAT_KEYS = {"budget", "learning_rate"}
 _BOOL_KEYS = {"overwrite"}
+_BOOL_WORDS = {"1": True, "true": True, "yes": True, "on": True,
+               "0": False, "false": False, "no": False, "off": False}
 DIRECT_EDGES = ("exclude", "include")
 DIRECTIONS = (ind.FORWARD, ind.BACKWARD, "both")
 
@@ -94,16 +96,25 @@ def _parse_config_file(path):
 
 
 def _coerce(key, value):
-    if value is None or not isinstance(value, str):
+    """A flag or config value as its key's type; a bad value is a CliError naming the key."""
+    if not isinstance(value, str):
         return value
-    if value.lower() in ("none", ""):
+    word = value.lower()
+    # only options that can be unset take none; `budget = inf` lifts the guard
+    if word in ("none", "") and (DEFAULTS[key] is None or key == "normalize"):
         return None
-    if key in _INT_KEYS:
-        return int(value)
-    if key in _FLOAT_KEYS:
-        return float(value)
+    try:
+        if key in _INT_KEYS:
+            return int(value)
+        if key in _FLOAT_KEYS:
+            return float(value)
+    except ValueError:
+        kind = "an integer" if key in _INT_KEYS else "a number"
+        raise CliError(f"{key} must be {kind}, not {value!r}") from None
     if key in _BOOL_KEYS:
-        return value.lower() in ("1", "true", "yes", "on")
+        if word not in _BOOL_WORDS:
+            raise CliError(f"{key} must be true or false, not {value!r}")
+        return _BOOL_WORDS[word]
     return value
 
 
@@ -118,7 +129,7 @@ def _resolve(args):
     return {k: _coerce(k, v) for k, v in settings.items()}
 
 
-def _load(settings, *, graph_source=None):
+def _load(settings):
     dataset_dir = settings["dataset_dir"]
     if not dataset_dir:
         raise CliError("--dataset-dir is required")
@@ -127,9 +138,7 @@ def _load(settings, *, graph_source=None):
     missing = [str(p) for p in paths if not p.is_file()]
     if missing:
         raise CliError(f"missing dataset files: {', '.join(missing)}")
-    source = graph_source or tuple(
-        s.strip() for s in settings["graph_source"].split(",") if s.strip()
-    )
+    source = tuple(s.strip() for s in settings["graph_source"].split(",") if s.strip())
     return load_dataset(*paths, graph_source=source)
 
 def _prepare_out(settings, filenames):
@@ -377,8 +386,6 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         settings = _resolve(args)
-        if settings.get("normalize") == "none":
-            settings["normalize"] = None
         return COMMANDS[args.command](settings)
     except ind.CostBudgetError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -79,16 +79,6 @@ def estimate_cost(kg: KnowledgeGraph, max_len: int, predicates=None) -> float:
     return patterns * scanned
 
 
-def _triplet_arrays(kg, predicates):
-    """Heads, predicates and tails of the triples of `predicates`, in graph order."""
-    wanted = set(predicates)
-    triples = [tri for tri in kg.triples if tri[1] in wanted]
-    hs = np.fromiter((h for h, _, _ in triples), dtype=np.int64, count=len(triples))
-    qs = np.fromiter((p for _, p, _ in triples), dtype=np.int64, count=len(triples))
-    ts = np.fromiter((t for _, _, t in triples), dtype=np.int64, count=len(triples))
-    return hs, qs, ts
-
-
 def _saturation_scan(kg, ops, max_len, active, exclude):
     """Exact gamma and delta of every pattern of length 2..max_len per active predicate.
 
@@ -106,7 +96,10 @@ def _saturation_scan(kg, ops, max_len, active, exclude):
     predicate) still sums its shares in triplet order.
     """
     num_preds, num_ents = ops.num_predicates, ops.num_entities
-    hs, qs, ts = _triplet_arrays(kg, active)
+    width = len(active)
+    slot = np.full(num_preds, -1, dtype=np.int64)  # column of each active predicate
+    slot[active] = np.arange(width)
+    hs, qs, ts = kg.triple_array[slot[kg.triple_array[:, 1]] >= 0].T
     pattern_ids, triplet_ids, counts = [], [], []
     for lo in range(0, len(hs), SCAN_CHUNK):
         h, q, t = (a[lo:lo + SCAN_CHUNK] for a in (hs, qs, ts))
@@ -134,12 +127,10 @@ def _saturation_scan(kg, ops, max_len, active, exclude):
                 offset += num_preds**k
 
     hops = pattern_table(num_preds, 2, max_len)
-    num_patterns, width = len(hops), len(active)
+    num_patterns = len(hops)
     pid, trip, cnt = (np.concatenate(a) for a in (pattern_ids, triplet_ids, counts))
     totals = np.bincount(trip, weights=cnt, minlength=len(hs))
     shares = cnt / totals[trip]  # every stored count is positive
-    slot = np.full(num_preds, -1, dtype=np.int64)
-    slot[active] = np.arange(width)
     key = pid * width + slot[qs[trip]]
     nq = np.bincount(slot[qs], minlength=width).astype(np.float64)
     size = num_patterns * width
@@ -158,7 +149,7 @@ def bifurcation(
         raise ValueError(f"unknown direction {direction!r}")
     if kg.num_edges(predicate) == 0:
         raise EmptySubgraphError(f"empty subgraph for predicate {predicate}")
-    ends = np.asarray(kg.per_predicate[predicate])[:, 0 if direction == FORWARD else 1]
+    ends = kg.per_predicate[predicate][:, 0 if direction == FORWARD else 1]
     _, degs = np.unique(ends, return_counts=True)
     proportions = {
         lam: float(np.count_nonzero(degs >= lam)) / len(degs)
@@ -176,8 +167,7 @@ def sample_subgraph(
         raise ValueError(f"cannot sample {target_triple_count} of {n} triples")
     rng = np.random.default_rng(seed)
     idx = np.sort(rng.choice(n, size=target_triple_count, replace=False))
-    triples = [kg.triples[i] for i in idx]
-    return KnowledgeGraph(kg.entities, kg.predicates, triples)
+    return KnowledgeGraph(kg.entities, kg.predicates, kg.triple_array[idx])
 
 
 def saturation_report(

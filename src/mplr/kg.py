@@ -1,16 +1,20 @@
-"""Knowledge graph loading, vocabularies, degree statistics, and query grouping.
+"""Knowledge graph loading, vocabularies, and query grouping.
 
 Triple files are UTF-8 text, one triple per line, three TAB-separated fields:
 head, relation, tail. Entity and predicate identifiers are opaque strings;
 integer indices are assigned by first appearance so repeated loads of the same
-files are reproducible.
+files are reproducible. A loaded graph is one read-only (n, 3) int64 triple
+array; every other view of it (per-predicate edge lists, successors, edge
+counts, membership) is derived from that array.
 """
 
 from __future__ import annotations
 
-from collections import Counter
+import itertools
 from dataclasses import dataclass, field
 from pathlib import Path
+
+import numpy as np
 
 Triple = tuple[int, int, int]
 
@@ -23,10 +27,15 @@ class TripleParseError(ValueError):
 
 
 class KnowledgeGraph:
-    """Immutable triple store with per-predicate subgraph views.
+    """Immutable triple store: one triple array and the views derived from it.
 
-    `triples` holds deduplicated (head, predicate, tail) index triples;
-    `per_predicate[p]` is the edge list of the subgraph of predicate p.
+    `triple_array` is the read-only (n, 3) int64 array of the distinct
+    (head, predicate, tail) index triples, in input order; `triples` holds the
+    same rows as int tuples. `per_predicate[p]` is the (n_p, 2) (head, tail)
+    edge list of the subgraph of predicate p, in input order: a read-only view
+    into one predicate-sorted copy. `successors` and `has_triple` search the
+    keys predicate * |E| + head, stable-sorted so each key's tails keep input
+    order.
     """
 
     def __init__(self, entities, predicates, triples):
@@ -40,27 +49,38 @@ class KnowledgeGraph:
             raise ValueError("duplicate predicate identifiers")
 
         ne, np_ = len(self.entities), len(self.predicates)
-        seen = set()
-        self.triples: list[Triple] = []
-        self.per_predicate: dict[int, list[tuple[int, int]]] = {
-            p: [] for p in range(np_)
+        flat = itertools.chain.from_iterable(triples)
+        array = np.fromiter(flat, dtype=np.int64).reshape(-1, 3)
+        h, p, t = array.T
+        bad_entity = (np.minimum(h, t) < 0) | (np.maximum(h, t) >= ne)
+        bad = bad_entity | (p < 0) | (p >= np_)
+        # triples before the first out-of-range one are keyed; a duplicate
+        # among them comes first, as it would in a walk over the input
+        valid = int(np.argmax(bad)) if bad.any() else len(array)
+        keys = (p[:valid] * ne + h[:valid]) * ne + t[:valid]
+        order = np.argsort(keys, kind="stable")
+        keys = keys[order]
+        repeats = order[1:][keys[1:] == keys[:-1]]  # the later copies
+        if len(repeats):
+            raise ValueError(f"duplicate triple {tuple(array[repeats.min()].tolist())}")
+        if valid < len(array):
+            kind = "entity" if bad_entity[valid] else "predicate"
+            raise ValueError(
+                f"{kind} index out of range in triple {tuple(array[valid].tolist())}"
+            )
+
+        array.flags.writeable = False
+        self.triple_array = array
+        self.triples: list[Triple] = list(map(tuple, array.tolist()))
+        heads = p * ne + h  # one key per (predicate, head) pair
+        by_head = np.argsort(heads, kind="stable")
+        self._heads, self._tails = heads[by_head], t[by_head]
+        edges = array[np.argsort(p, kind="stable")][:, [0, 2]]
+        edges.flags.writeable = False
+        bounds = np.concatenate([[0], np.cumsum(np.bincount(p, minlength=np_))])
+        self.per_predicate: dict[int, np.ndarray] = {
+            q: edges[bounds[q] : bounds[q + 1]] for q in range(np_)
         }
-        # forward/backward adjacency per predicate: vertex -> neighbor list
-        self._out: dict[int, dict[int, list[int]]] = {p: {} for p in range(np_)}
-        self._in: dict[int, dict[int, list[int]]] = {p: {} for p in range(np_)}
-        for h, p, t in triples:
-            if not (0 <= h < ne and 0 <= t < ne):
-                raise ValueError(f"entity index out of range in triple {(h, p, t)}")
-            if not 0 <= p < np_:
-                raise ValueError(f"predicate index out of range in triple {(h, p, t)}")
-            if (h, p, t) in seen:
-                raise ValueError(f"duplicate triple {(h, p, t)}")
-            seen.add((h, p, t))
-            self.triples.append((h, p, t))
-            self.per_predicate[p].append((h, t))
-            self._out[p].setdefault(h, []).append(t)
-            self._in[p].setdefault(t, []).append(h)
-        self._triple_set = seen
 
     @property
     def num_entities(self) -> int:
@@ -74,40 +94,22 @@ class KnowledgeGraph:
         """Edge count of the predicate subgraph (n^q)."""
         return len(self.per_predicate[predicate])
 
+    def successors(self, predicate: int, v: int) -> list[int]:
+        """Tails of the `predicate` edges leaving v, in input order."""
+        ne = self.num_entities
+        if not (0 <= predicate < self.num_predicates and 0 <= v < ne):
+            return []
+        key = predicate * ne + v
+        lo, hi = self._heads.searchsorted(key), self._heads.searchsorted(key + 1)
+        return self._tails[lo:hi].tolist()
+
     def has_triple(self, h: int, p: int, t: int) -> bool:
-        return (h, p, t) in self._triple_set
-
-    def heads(self, predicate: int):
-        """Distinct head entities of the predicate subgraph, first-appearance order."""
-        return list(self._out[predicate])
-
-    def tails(self, predicate: int):
-        return list(self._in[predicate])
-
-    def successors(self, predicate: int, v: int):
-        return self._out[predicate].get(v, [])
-
-    def predecessors(self, predicate: int, v: int):
-        return self._in[predicate].get(v, [])
+        return t in self.successors(p, h)
 
     def to_lines(self):
         """Render triples back to the TAB-separated text format."""
         for h, p, t in self.triples:
             yield f"{self.entities[h]}\t{self.predicates[p]}\t{self.entities[t]}"
-
-
-def fw_degree(kg: KnowledgeGraph, predicate: int, v: int) -> int:
-    """Number of entities reached from v by `predicate` edges (out-degree in G(q))."""
-    if not 0 <= v < kg.num_entities:
-        raise IndexError(f"entity index {v} out of range")
-    return len(kg._out[predicate].get(v, ()))
-
-
-def bw_degree(kg: KnowledgeGraph, predicate: int, v: int) -> int:
-    """Number of entities reaching v by `predicate` edges (in-degree in G(q))."""
-    if not 0 <= v < kg.num_entities:
-        raise IndexError(f"entity index {v} out of range")
-    return len(kg._in[predicate].get(v, ()))
 
 
 @dataclass
@@ -181,6 +183,8 @@ def load_dataset(
 
     Returns (kg, splits, summary).
     """
+    if not graph_source:
+        raise ValueError("graph source names no split (expected train, valid or test)")
     for name in graph_source:
         if name not in ("train", "valid", "test"):
             raise ValueError(f"unknown graph source {name!r}")

@@ -34,6 +34,9 @@ import numpy as np
 from .operators import OperatorSet, RulePattern, pattern_table, top_patterns
 
 GATE_ORDER = "ifgo"  # slices of the fused 4*hidden gate tensors
+# the ModelParams arguments a checkpoint records, in its order
+SETTINGS = ("num_predicates", "rank", "max_len", "embed_dim", "hidden_dim",
+            "seed", "normalize", "epsilon_mode", "predicates")
 
 CORRECTED = "corrected"
 LITERAL = "literal"
@@ -130,18 +133,7 @@ class ModelParams:
         return dup
 
     def meta(self):
-        return {
-            "num_predicates": self.num_predicates,
-            "rank": self.rank,
-            "max_len": self.max_len,
-            "embed_dim": self.embed_dim,
-            "hidden_dim": self.hidden_dim,
-            "seed": self.seed,
-            "normalize": self.normalize,
-            "epsilon_mode": self.epsilon_mode,
-            "predicates": self.predicates,
-            "gate_order": GATE_ORDER,
-        }
+        return {key: getattr(self, key) for key in SETTINGS} | {"gate_order": GATE_ORDER}
 
 
 def save_checkpoint(params: ModelParams, path) -> None:
@@ -160,9 +152,15 @@ def load_checkpoint(path) -> ModelParams:
         if "__meta__" not in data.files:
             raise ValueError("not an mplr checkpoint: missing '__meta__'")
         meta = json.loads(bytes(data["__meta__"].tobytes()))
+        for key in (*SETTINGS, "gate_order"):
+            if not isinstance(meta, dict) or key not in meta:
+                raise ValueError(f"not an mplr checkpoint: missing {key!r}")
         gate_order = meta.pop("gate_order")
         if gate_order != GATE_ORDER:
             raise ValueError(f"checkpoint gate order {gate_order!r} unsupported")
+        unknown = sorted(set(meta) - set(SETTINGS))
+        if unknown:
+            raise ValueError(f"not an mplr checkpoint: unknown setting {unknown[0]!r}")
         params = ModelParams(**meta)
         for key in params.tensors:
             if key not in data.files:

@@ -4,15 +4,14 @@ Predicate p is the |E| x |E| 0/1 adjacency operator M_p at operator index
 p + 1, (i, j) = 1 iff (e_i, p, e_j) is in the graph; index 0 is the identity.
 The j-th entry of v_h^T M_p1 ... M_pl counts the paths h -> ... -> j whose
 i-th edge carries p_i, which is how a rule body is applied. Only nonzeros are
-stored: one edge list (row, col, operator), built from the triples with numpy.
-The reasoner and the saturation scan propagate over it, with an optional
-excluded edge per entity. CSR views, built on call, serve reference code and
-are the only use of scipy.
+stored: one edge list (row, col, operator), built with numpy from the
+graph's triple array. The reasoner and the saturation scan propagate over it,
+with an optional excluded edge per entity. CSR views, built on call, serve
+reference code and are the only use of scipy.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -90,8 +89,7 @@ class OperatorSet:
     def __init__(self, kg: KnowledgeGraph):
         n, K = kg.num_entities, kg.num_predicates + 1
         self.num_entities, self.num_predicates = n, kg.num_predicates
-        flat = itertools.chain.from_iterable(kg.triples)
-        h, p, t = np.fromiter(flat, np.int64, 3 * len(kg.triples)).reshape(-1, 3).T
+        h, p, t = kg.triple_array.T
         loops = np.arange(n, dtype=np.int64)
         # one key per edge, (row * K + operator) * |E| + col; triples are distinct
         keys = np.sort(np.concatenate([loops * K * n + loops, (h * K + p + 1) * n + t]))

@@ -88,8 +88,34 @@ def random_kg(seed, num_entities=8, num_predicates=4, edge_prob=0.18):
 # ---------------------------------------------------------------------------
 # brute-force oracles (kept independent of the library's propagation code)
 
+def adjacency_reference(kg):
+    """(out, into): per predicate, vertex -> successor / predecessor list in
+    triple order, built from `kg.triples` alone."""
+    out = {p: {} for p in range(kg.num_predicates)}
+    into = {p: {} for p in range(kg.num_predicates)}
+    for h, p, t in kg.triples:
+        out[p].setdefault(h, []).append(t)
+        into[p].setdefault(t, []).append(h)
+    return out, into
+
+
+def fw_degree(kg, predicate, v):
+    """Number of entities reached from v by `predicate` edges (out-degree in G(q))."""
+    if not 0 <= v < kg.num_entities:
+        raise IndexError(f"entity index {v} out of range")
+    return sum(1 for h, p, _ in kg.triples if (h, p) == (v, predicate))
+
+
+def bw_degree(kg, predicate, v):
+    """Number of entities reaching v by `predicate` edges (in-degree in G(q))."""
+    if not 0 <= v < kg.num_entities:
+        raise IndexError(f"entity index {v} out of range")
+    return sum(1 for _, p, t in kg.triples if (p, t) == (predicate, v))
+
+
 def dfs_count_paths(kg, head, hops, tail, excluded_edge=None):
     """Exhaustive path enumeration; hops are predicate indices, -1 = stay put."""
+    out, _ = adjacency_reference(kg)
 
     def rec(node, i):
         if i == len(hops):
@@ -98,7 +124,7 @@ def dfs_count_paths(kg, head, hops, tail, excluded_edge=None):
         if p == -1:
             return rec(node, i + 1)
         total = 0
-        for nxt in kg.successors(p, node):
+        for nxt in out[p].get(node, []):
             if excluded_edge is not None and (node, p, nxt) == tuple(excluded_edge):
                 continue
             total += rec(nxt, i + 1)
@@ -117,6 +143,7 @@ def oracle_scores(kg, weights, query):
     """
     R, L, K = weights.shape
     E = kg.num_entities
+    out, _ = adjacency_reference(kg)
     targets = set(query.targets)
     s = np.zeros(E)
     for r in range(R):
@@ -140,7 +167,7 @@ def oracle_scores(kg, weights, query):
                     walk(node, i + 1, direct_uses)
                     return
                 p = k - 1
-                for nxt in kg.successors(p, node):
+                for nxt in out[p].get(node, []):
                     du = direct_uses
                     if p == query.query and node == query.head:
                         du = dict(direct_uses)
@@ -215,9 +242,12 @@ def edge_list_reference(kg):
     the long way: one CSR matrix per operator, converted to COO, concatenated
     and stable-sorted by row."""
     n = kg.num_entities
+    per_predicate = {p: [] for p in range(kg.num_predicates)}
+    for h, p, t in kg.triples:
+        per_predicate[p].append((h, t))
     mats = [sparse.eye_array(n, dtype=np.float64, format="csr")]
     for p in range(kg.num_predicates):
-        edges = kg.per_predicate[p]
+        edges = per_predicate[p]
         if edges:
             rows = np.fromiter((h for h, _ in edges), dtype=np.int64)
             cols = np.fromiter((t for _, t in edges), dtype=np.int64)

@@ -30,6 +30,7 @@ from mplr.model import (
 from mplr.training import TrainConfig, evaluate, hit_upper_bound, train
 
 from conftest import (
+    adjacency_reference,
     build_toy_kg,
     dfs_count_paths,
     naive_bernoulli_loss,
@@ -359,6 +360,7 @@ class TestCriterion07OracleEquivalence:
 def max_direct_edge_uses(kg, head, query, target, max_len=2):
     """Most times any <= max_len hop path can traverse the edge (head, q, target)."""
     best = 0
+    out, _ = adjacency_reference(kg)
     for length in range(1, max_len + 1):
         for hops in itertools.product(range(kg.num_predicates), repeat=length):
 
@@ -368,7 +370,7 @@ def max_direct_edge_uses(kg, head, query, target, max_len=2):
                     best = max(best, uses)
                     return
                 p = hops[i]
-                for nxt in kg.successors(p, node):
+                for nxt in out[p].get(node, []):
                     walk(
                         nxt,
                         i + 1,

@@ -1,3 +1,4 @@
+import json
 import os
 import re
 import subprocess
@@ -40,6 +41,12 @@ class TestStats:
     def test_missing_dataset_exits_one(self, tmp_path, capsys):
         assert run("stats", "--dataset-dir", tmp_path / "nope") == 1
         assert "missing dataset" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("source", ["none", ",", ""], ids=["none", "comma", "empty"])
+    def test_graph_source_naming_no_split_exits_one(self, kin_dir, source, capsys):
+        assert run("stats", "--dataset-dir", kin_dir, "--graph-source", source) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
 
 
 class TestIndicators:
@@ -116,7 +123,13 @@ class TestIndicators:
         assert not out.exists()
 
     @pytest.mark.parametrize(
-        "key, value", [("direct_edge", "inclde"), ("direction", "sideways")]
+        "key, value",
+        [
+            ("direct_edge", "inclde"), ("direction", "sideways"),
+            ("direct_edge", "none"), ("max_rule_len", "none"), ("top_n", "none"),
+            ("lambda_max", "none"), ("rank", "none"), ("seed", "none"),
+            ("budget", "none"), ("epochs", "abc"), ("overwrite", "maybe"),
+        ],
     )
     def test_bad_config_choice_exits_one_before_making_out(
         self, kin_dir, tmp_path, capsys, key, value
@@ -130,6 +143,14 @@ class TestIndicators:
         assert err.startswith(f"error: {key} must be ") and err.count("\n") == 1
         assert err.endswith(f"not {value!r}\n")
         assert not out.exists()
+
+    def test_none_and_inf_config_values(self, kin_dir, tmp_path):
+        cfg = tmp_path / "ok.cfg"
+        cfg.write_text("budget = inf\nsample = none\npredicates = none\n")
+        out = tmp_path / "ok"
+        assert run("--config", cfg, "indicators", "--dataset-dir", kin_dir,
+                   "--out", out) == 0
+        assert "budget = inf\n" in (out / "manifest.txt").read_text()
 
     def test_sampling_respects_budget(self, kin_dir, tmp_path):
         out = tmp_path / "ind3"
@@ -207,12 +228,31 @@ class TestPipeline:
         assert err.startswith(f"error: {message}") and err.count("\n") == 1
         assert not out.exists()
 
-    @pytest.mark.parametrize("dropped", ["__meta__", "proj_W"])
+    @pytest.mark.parametrize(
+        "dropped, meta, message",
+        [
+            pytest.param("__meta__", {}, "missing '__meta__'", id="__meta__"),
+            pytest.param("proj_W", {}, "missing 'proj_W'", id="proj_W"),
+            # a None value deletes the setting from __meta__
+            pytest.param(None, {"gate_order": None}, "missing 'gate_order'",
+                         id="gate_order"),
+            pytest.param(None, {"colour": "red"}, "unknown setting 'colour'",
+                         id="unknown-setting"),
+        ],
+    )
     def test_incomplete_checkpoint_exits_one(
-        self, kin_dir, tiny_checkpoint, tmp_path, capsys, dropped
+        self, kin_dir, tiny_checkpoint, tmp_path, capsys, dropped, meta, message
     ):
         with np.load(tiny_checkpoint) as data:
             kept = {k: data[k] for k in data.files if k != dropped}
+        if meta:
+            settings = json.loads(kept["__meta__"].tobytes())
+            for key, value in meta.items():
+                if value is None:
+                    del settings[key]
+                else:
+                    settings[key] = value
+            kept["__meta__"] = np.frombuffer(json.dumps(settings).encode(), np.uint8)
         bad = tmp_path / "bad.npz"
         np.savez(bad, **kept)
         for command in ("eval", "rules"):
@@ -220,7 +260,7 @@ class TestPipeline:
             assert run(command, "--dataset-dir", kin_dir, "--out", out,
                        "--checkpoint", bad) == 1
             err = capsys.readouterr().err
-            assert err == f"error: not an mplr checkpoint: missing {dropped!r}\n"
+            assert err == f"error: not an mplr checkpoint: {message}\n"
             assert not out.exists()
 
     def test_eval_without_checkpoint_exits_one(self, kin_dir, tmp_path, capsys):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import mplr.indicators
-from mplr.kg import KnowledgeGraph, bw_degree, fw_degree
+from mplr.kg import KnowledgeGraph
 from mplr.operators import OperatorSet, RulePattern, build_operators
 from mplr.indicators import (
     BACKWARD,
@@ -24,8 +24,11 @@ from mplr.indicators import (
 )
 
 from conftest import (
+    adjacency_reference,
+    bw_degree,
     comprehensive_saturation,
     dfs_count_paths,
+    fw_degree,
     macro_saturation,
     make_family_triples,
     micro_saturation,
@@ -254,11 +257,12 @@ class TestBifurcation:
     def test_matches_degree_counts(self):
         for seed in range(5):
             kg = random_kg(seed, num_entities=10, num_predicates=3, edge_prob=0.3)
+            out, into = adjacency_reference(kg)
             for q in range(kg.num_predicates):
                 if kg.num_edges(q) == 0:
                     continue
-                for direction, ends, degree in ((FORWARD, kg.heads(q), fw_degree),
-                                                (BACKWARD, kg.tails(q), bw_degree)):
+                for direction, ends, degree in ((FORWARD, out[q], fw_degree),
+                                                (BACKWARD, into[q], bw_degree)):
                     degs = [degree(kg, q, v) for v in ends]
                     rec = bifurcation(kg, q, direction, lambda_max=6)
                     assert rec.proportions == {

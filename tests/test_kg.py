@@ -4,14 +4,12 @@ import pytest
 from mplr.kg import (
     KnowledgeGraph,
     TripleParseError,
-    bw_degree,
-    fw_degree,
     group_queries,
     load_dataset,
     write_triples,
 )
 
-from conftest import TOY_LINES, random_kg
+from conftest import TOY_LINES, adjacency_reference, bw_degree, fw_degree, random_kg
 
 
 def write_dataset(tmp_path, train, valid="", test=""):
@@ -29,7 +27,7 @@ class TestLoading:
         assert kg.num_entities == 6
         p = kg.predicate_index["daughterOf"]
         e = kg.entity_index
-        assert sorted(kg.per_predicate[p]) == sorted(
+        assert sorted(map(tuple, kg.per_predicate[p].tolist())) == sorted(
             [(e["z1"], e["x1"]), (e["z2"], e["x1"]), (e["z4"], e["x2"])]
         )
 
@@ -83,6 +81,8 @@ class TestLoading:
         assert len(splits.valid) == 1 and len(splits.test) == 1
         with pytest.raises(ValueError, match="unknown graph source"):
             load_dataset(*paths, graph_source=("tain",))
+        with pytest.raises(ValueError, match="graph source names no split"):
+            load_dataset(*paths, graph_source=())
 
     def test_inverse_augmentation_flag(self, tmp_path):
         paths = write_dataset(tmp_path, "a\tr\tb\n")
@@ -107,10 +107,67 @@ class TestLoading:
             KnowledgeGraph(["a", "b"], ["r"], [(0, 0, 1), (0, 0, 1)])
         with pytest.raises(ValueError, match="out of range"):
             KnowledgeGraph(["a"], ["r"], [(0, 0, 3)])
+        # the message names the first offending triple in input order
+        for triples, message in [
+            ([(0, 0, 0), (1, 0, 1), (1, 0, 1), (0, 0, 0)], "duplicate triple (1, 0, 1)"),
+            ([(0, 0, 1), (0, 0, 1), (0, 0, 5)], "duplicate triple (0, 0, 1)"),
+            ([(0, 0, 1), (0, 0, 5), (0, 0, 1)],
+             "entity index out of range in triple (0, 0, 5)"),
+            ([(1, 0, 0), (-1, 0, 0)], "entity index out of range in triple (-1, 0, 0)"),
+            ([(1, 2, 0), (0, 0, 9)], "predicate index out of range in triple (1, 2, 0)"),
+            ([(0, 3, 7)], "entity index out of range in triple (0, 3, 7)"),
+        ]:
+            with pytest.raises(ValueError) as err:
+                KnowledgeGraph(["a", "b"], ["r"], triples)
+            assert str(err.value) == message
 
     def test_per_predicate_sizes_sum_to_triples(self, toy_kg):
         total = sum(len(edges) for edges in toy_kg.per_predicate.values())
         assert total == len(toy_kg.triples)
+
+
+class TestIndex:
+    """The views derived from the triple array against a Python-built index."""
+
+    @staticmethod
+    def assert_matches_reference(kg):
+        out, _ = adjacency_reference(kg)
+        stored = set(kg.triples)
+        assert not kg.triple_array.flags.writeable
+        assert kg.triple_array.shape == (len(kg.triples), 3)
+        assert list(map(tuple, kg.triple_array.tolist())) == kg.triples
+        assert all(type(x) is int for triple in kg.triples for x in triple)
+        n = kg.num_entities
+        for p in range(kg.num_predicates):
+            rows = [(h, t) for h, q, t in kg.triples if q == p]
+            assert kg.per_predicate[p].shape == (len(rows), 2)
+            assert list(map(tuple, kg.per_predicate[p].tolist())) == rows
+            assert kg.num_edges(p) == len(rows)
+            for v in range(n):
+                assert kg.successors(p, v) == out[p].get(v, [])
+                for t in range(n):
+                    assert kg.has_triple(v, p, t) == ((v, p, t) in stored)
+            assert kg.successors(p, n) == [] and kg.successors(p, -1) == []
+            assert not kg.has_triple(0, p, n) and not kg.has_triple(n, p, 0)
+
+    def test_views_match_reference_on_random_graphs(self):
+        for seed in range(20):
+            # dense enough for self-loops and one (h, t) pair under several predicates
+            base = random_kg(seed, num_entities=7, num_predicates=3, edge_prob=0.35)
+            triples = list(base.triples)
+            np.random.default_rng(seed).shuffle(triples)
+            # one entity without edges and one predicate without edges
+            kg = KnowledgeGraph(base.entities + ["isolated"],
+                                base.predicates + ["empty"], triples)
+            assert kg.num_edges(kg.num_predicates - 1) == 0
+            assert any(h == t for h, _, t in kg.triples)
+            assert len({(h, t) for h, _, t in kg.triples}) < len(kg.triples)
+            self.assert_matches_reference(kg)
+
+    def test_views_match_reference_on_edge_cases(self, toy_kg):
+        for kg in (toy_kg, KnowledgeGraph(["a", "b"], ["r", "s"], []),
+                   KnowledgeGraph([], ["r"], []), KnowledgeGraph(["a"], [], [])):
+            self.assert_matches_reference(kg)
 
 
 class TestDegrees:
