@@ -13,7 +13,6 @@ from .kg import (
     TripleParseError,
     group_queries,
     load_dataset,
-    write_triples,
 )
 from .operators import (
     IDENTITY_HOP,

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
@@ -106,11 +105,6 @@ class KnowledgeGraph:
     def has_triple(self, h: int, p: int, t: int) -> bool:
         return t in self.successors(p, h)
 
-    def to_lines(self):
-        """Render triples back to the TAB-separated text format."""
-        for h, p, t in self.triples:
-            yield f"{self.entities[h]}\t{self.predicates[p]}\t{self.entities[t]}"
-
 
 @dataclass
 class DatasetSplits:
@@ -148,20 +142,27 @@ class LoadSummary:
 
 
 def parse_triple_file(path) -> list[tuple[str, str, str]]:
-    """Read one TAB-separated triple file; raises TripleParseError with the line number."""
-    out = []
+    """Read one TAB-separated triple file; raises TripleParseError with the line number.
+
+    The non-empty lines are checked at once, by their tab counts and the
+    stripped fields of one split of the lines joined by tabs; only a file
+    that fails is walked line by line, to name its first bad line.
+    """
     with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.rstrip("\n").rstrip("\r")
-            if not line:
-                continue
+        numbered = fh.read().split("\n")
+    lines = list(filter(None, numbered))
+    if not lines:
+        return []
+    tabs = list(map(str.count, lines, itertools.repeat("\t")))
+    fields = list(map(str.strip, "\t".join(lines).split("\t")))
+    if tabs.count(2) < len(lines) or not all(fields):
+        for lineno, line in enumerate(numbered, 1):
             parts = line.split("\t")
-            if len(parts) != 3 or any(not f.strip() for f in parts):
+            if line and (len(parts) != 3 or not all(map(str.strip, parts))):
                 raise TripleParseError(
                     f"{path}:{lineno}: expected 3 TAB-separated fields, got {len(parts)}"
                 )
-            out.append((parts[0].strip(), parts[1].strip(), parts[2].strip()))
-    return out
+    return list(zip(fields[0::3], fields[1::3], fields[2::3]))
 
 
 def load_dataset(
@@ -183,49 +184,35 @@ def load_dataset(
 
     Returns (kg, splits, summary).
     """
+    names = ("train", "valid", "test")
     if not graph_source:
         raise ValueError("graph source names no split (expected train, valid or test)")
     for name in graph_source:
-        if name not in ("train", "valid", "test"):
+        if name not in names:
             raise ValueError(f"unknown graph source {name!r}")
-    raw = {
-        "train": parse_triple_file(train_path),
-        "valid": parse_triple_file(valid_path),
-        "test": parse_triple_file(test_path),
-    }
-    if not raw["train"]:
+    raw = [parse_triple_file(path) for path in (train_path, valid_path, test_path)]
+    if not raw[0]:
         raise ValueError(f"empty train file: {train_path}")
 
-    entities: list[str] = []
-    predicates: list[str] = []
-    ent_idx: dict[str, int] = {}
-    pred_idx: dict[str, int] = {}
-
-    def ent(name):
-        if name not in ent_idx:
-            ent_idx[name] = len(entities)
-            entities.append(name)
-        return ent_idx[name]
-
-    def pred(name):
-        if name not in pred_idx:
-            pred_idx[name] = len(predicates)
-            predicates.append(name)
-        return pred_idx[name]
+    # (heads, relations, tails) per split; heads and tails interleave line by
+    # line in the entities' first-appearance order
+    columns = [tuple(zip(*rows)) or ((), (), ()) for rows in raw]
+    entities = list(dict.fromkeys(itertools.chain.from_iterable(
+        itertools.chain.from_iterable(zip(h, t)) for h, _, t in columns
+    )))
+    predicates = list(dict.fromkeys(
+        itertools.chain.from_iterable(r for _, r, _ in columns)
+    ))
+    ent_idx = dict(zip(entities, itertools.count()))
+    pred_idx = dict(zip(predicates, itertools.count()))
 
     splits_idx: dict[str, list[Triple]] = {}
     duplicates: dict[str, int] = {}
-    for name in ("train", "valid", "test"):
-        seen: set[Triple] = set()
-        dedup: list[Triple] = []
-        for h, r, t in raw[name]:
-            tri = (ent(h), pred(r), ent(t))
-            if tri in seen:
-                continue
-            seen.add(tri)
-            dedup.append(tri)
-        splits_idx[name] = dedup
-        duplicates[name] = len(raw[name]) - len(dedup)
+    for name, (h, r, t) in zip(names, columns):
+        index = zip(map(ent_idx.__getitem__, h), map(pred_idx.__getitem__, r),
+                    map(ent_idx.__getitem__, t))
+        splits_idx[name] = list(dict.fromkeys(index))  # each triple at its first line
+        duplicates[name] = len(h) - len(splits_idx[name])
 
     for a, b in (("train", "valid"), ("train", "test"), ("valid", "test")):
         overlap = set(splits_idx[a]) & set(splits_idx[b])
@@ -236,16 +223,16 @@ def load_dataset(
             )
 
     graph_triples: list[Triple] = []
-    for name in ("train", "valid", "test"):
+    for name in names:
         if name in graph_source:
             graph_triples.extend(splits_idx[name])
 
     if add_inverse:
-        base = list(graph_triples)
-        inv_ids = {}
-        for p, pname in enumerate(list(predicates)):
-            inv_ids[p] = pred(INVERSE_PREFIX + pname)
-        graph_triples.extend((t, inv_ids[p], h) for h, p, t in base)
+        # a name already in the vocabulary keeps its index
+        inverse = [pred_idx.setdefault(INVERSE_PREFIX + p, len(pred_idx))
+                   for p in predicates]
+        graph_triples += [(t, inverse[p], h) for h, p, t in graph_triples]
+        predicates = list(pred_idx)
 
     kg = KnowledgeGraph(entities, predicates, graph_triples)
     splits = DatasetSplits(
@@ -260,12 +247,6 @@ def load_dataset(
         graph_source=tuple(graph_source),
     )
     return kg, splits, summary
-
-
-def write_triples(kg: KnowledgeGraph, path) -> None:
-    Path(path).write_text(
-        "".join(line + "\n" for line in kg.to_lines()), encoding="utf-8"
-    )
 
 
 @dataclass(frozen=True)

@@ -189,8 +189,8 @@ def _run_cell(params, r, direction, x, steps):
     h = np.zeros((len(x), dh))
     c = np.zeros((len(x), dh))
     hs, caches = [], []
-    for _ in range(steps):
-        z = zx + h @ Wh
+    for step in range(steps):
+        z = zx + h @ Wh if step else zx  # h is the zero state at step 0
         s = sigmoid(z)  # one call over the fused gates; the g slice goes unused
         i, f, o = s[:, :dh], s[:, dh : 2 * dh], s[:, 3 * dh :]
         g = np.tanh(z[:, 2 * dh : 3 * dh])
@@ -223,19 +223,22 @@ def _rank_unroll(params, r, x):
     return att_in, fwd_caches, bwd_caches
 
 
-def _attention_forward(params: ModelParams, queries):
+def _attention_forward(params: ModelParams, queries, caches=None):
     """Attention weights of shape (G, R, L, K) for G distinct query predicates.
 
-    Each rank is one matrix LSTM unroll per direction over all G rows. Only
-    the weights are kept: `_attention_backward` unrolls again, one rank at a
-    time, so a batch never holds every rank's step caches at once.
+    Each rank is one matrix LSTM unroll per direction over all G rows. With a
+    `caches` list, each rank's unroll (attention inputs and both directions'
+    step caches) is appended to it for `_attention_backward`; without one,
+    only the weights are kept.
     """
     x = params.tensors["query_emb"][np.asarray(queries, dtype=np.int64)]
     W, b = params.tensors["proj_W"], params.tensors["proj_b"]
     weights = np.empty((len(x), params.rank, params.max_len, params.num_operators))
     for r in range(params.rank):
-        att_in, _, _ = _rank_unroll(params, r, x)
-        weights[:, r] = softmax(att_in @ W + b).transpose(1, 0, 2)
+        unroll = _rank_unroll(params, r, x)
+        weights[:, r] = softmax(unroll[0] @ W + b).transpose(1, 0, 2)
+        if caches is not None:
+            caches.append(unroll)
     return weights
 
 
@@ -248,7 +251,8 @@ def _cell_backward(params, r, direction, x, caches, dh_steps, grads):
     grad on step i's h. Adds the cell's weight grads to `grads`, returns dL/dx.
 
     The input x is the same at every step, so its weight and input grads come
-    from the summed gate grads: gWx = x^T sum_steps dZ.
+    from the summed gate grads: gWx = x^T sum_steps dZ. Step 0 reads the zero
+    state, so it adds nothing to gWh and passes nothing further back.
     """
     dh = params.hidden_dim
     key = f"cell{r}_{direction}_"
@@ -262,23 +266,26 @@ def _cell_backward(params, r, direction, x, caches, dh_steps, grads):
         dh_total = dh_steps[step] + dh_carry
         do = dh_total * tc
         dc = dh_total * o * (1.0 - tc * tc) + dc_carry
-        dc_carry = dc * f
         dz = np.concatenate(
             [dc * g * i * (1 - i), dc * c_prev * f * (1 - f), dc * i * (1 - g * g),
              do * o * (1 - o)],
             axis=1,
         )
-        gWh += h_prev.T @ dz
         dz_sum += dz
+        if step == 0:
+            break
+        gWh += h_prev.T @ dz
+        dc_carry = dc * f
         dh_carry = dz @ Wh.T
     grads[key + "Wx"] += x.T @ dz_sum
     grads[key + "b"] += dz_sum.sum(axis=0)
     return dz_sum @ params.tensors[key + "Wx"].T
 
 
-def _attention_backward(params, queries, weights, dA, grads):
+def _attention_backward(params, queries, weights, caches, dA, grads):
     """Accumulate parameter grads given the (G, R, L, K) attention weights of
-    `queries` and dL/d(weights).
+    `queries`, the per-rank unrolls `_attention_forward` kept in `caches`,
+    and dL/d(weights).
 
     One pass per rank and direction covers all G predicates; the projection's
     grads are one matmul over every (hop, predicate) row.
@@ -288,8 +295,7 @@ def _attention_backward(params, queries, weights, dA, grads):
     queries = np.asarray(queries, dtype=np.int64)
     x = params.tensors["query_emb"][queries]
     dx = np.zeros_like(x)
-    for r in range(params.rank):
-        att_in, fwd_caches, bwd_caches = _rank_unroll(params, r, x)
+    for r, (att_in, fwd_caches, bwd_caches) in enumerate(caches):
         a = weights[:, r].transpose(1, 0, 2)  # (L, G, K)
         dAr = dA[:, r].transpose(1, 0, 2)
         dlogits = a * (dAr - np.sum(dAr * a, axis=2, keepdims=True))
@@ -578,27 +584,35 @@ def score_entities(
 # ---------------------------------------------------------------------------
 # training-facing entry points
 
-def loss_and_gradients(ops: OperatorSet, params: ModelParams, queries):
+def loss_and_gradients(ops: OperatorSet, params: ModelParams, queries, *, out=None):
     """Summed loss and parameter gradients over a batch of queries.
 
     One matrix LSTM unroll gives the attention of the batch's G distinct
     predicates; one support-restricted forward/backward covers every query,
-    and the (G, R, L, K) attention grads go back through the LSTM in one
-    pass. The returned grads are plain sums; callers rescale for mean
-    reduction.
+    and the (G, R, L, K) attention grads go back through the LSTM's kept
+    unroll in one pass. The returned grads are plain sums; callers rescale
+    for mean reduction. `out`, a dict shaped like `params.zero_grads()`, is
+    zero-filled, receives the grads and is returned; without it the grads
+    are fresh arrays.
     """
     index: dict[int, int] = {}
     groups = [index.setdefault(q.query, len(index)) for q in queries]
     preds = list(index)
-    weights = _attention_forward(params, preds)
+    caches = []
+    weights = _attention_forward(params, preds, caches)
     fwd = _BatchForward(
         ops, weights, preds, groups,
         [q.head for q in queries], [q.targets for q in queries],
         epsilon_mode=params.epsilon_mode, normalize=params.normalize,
     )
-    grads = params.zero_grads()
+    if out is None:
+        grads = params.zero_grads()
+    else:
+        grads = out
+        for g in grads.values():
+            g.fill(0.0)
     dA = fwd.backward(logit_loss_grad(fwd.s, fwd.v))
-    _attention_backward(params, preds, weights, dA, grads)
+    _attention_backward(params, preds, weights, caches, dA, grads)
     return fwd.loss(), grads
 
 

@@ -33,6 +33,7 @@ from .model import attention_forward, score_entities  # noqa: F401
 
 TIE_RULE = "mean-rank-among-ties"
 EVAL_CHUNK = 128  # test queries scored at once, which bounds evaluation memory
+ADAM_BLOCK = 16_384  # elements per in-place Adam block, sized to stay in cache
 
 
 class TrainingDivergedError(RuntimeError):
@@ -69,25 +70,54 @@ class TrainConfig:
         return self
 
 
+def _row_blocks(shape):
+    """Index of each run of first-axis rows holding about ADAM_BLOCK elements."""
+    if not shape:
+        return [...]
+    rows = max(1, ADAM_BLOCK // max(1, int(np.prod(shape[1:]))))
+    return [slice(start, start + rows) for start in range(0, shape[0], rows)]
+
+
 class AdamOptimizer:
-    """Adam over a dict of named tensors; updates in place, deterministically."""
+    """Adam over a dict of named tensors; updates in place, deterministically.
+
+    The moments and the tensors are updated by in-place ufuncs one block of
+    rows at a time (`_row_blocks`), through two scratch buffers allocated
+    here: a step allocates nothing the size of a tensor, and a block's
+    passes stay in cache.
+    """
 
     def __init__(self, tensors, lr=0.001, beta1=0.9, beta2=0.999, eps=1e-8):
         self.lr, self.beta1, self.beta2, self.eps = lr, beta1, beta2, eps
         self.t = 0
         self.m = {k: np.zeros_like(v) for k, v in tensors.items()}
         self.v = {k: np.zeros_like(v) for k, v in tensors.items()}
+        self._blocks = {k: _row_blocks(v.shape) for k, v in tensors.items()}
+        size = max((v[i].size for k, v in tensors.items() for i in self._blocks[k]),
+                   default=0)
+        self._scratch = np.empty((2, size))
 
     def step(self, tensors, grads):
         self.t += 1
-        bc1 = 1.0 - self.beta1**self.t
-        bc2 = 1.0 - self.beta2**self.t
+        b1, b2, lr, eps = self.beta1, self.beta2, self.lr, self.eps
+        bc1 = 1.0 - b1**self.t
+        bc2 = 1.0 - b2**self.t
         for k, g in grads.items():
-            self.m[k] = self.beta1 * self.m[k] + (1 - self.beta1) * g
-            self.v[k] = self.beta2 * self.v[k] + (1 - self.beta2) * g * g
-            m_hat = self.m[k] / bc1
-            v_hat = self.v[k] / bc2
-            tensors[k] -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+            for i in self._blocks[k]:
+                x, m, v, gi = tensors[k][i], self.m[k][i], self.v[k][i], g[i]
+                a, b = (s[: gi.size].reshape(gi.shape) for s in self._scratch)
+                # the allocating form's operation order, so the results equal
+                # it bit for bit: m = b1 m + (1 - b1) g, v = b2 v + ((1 - b2) g) g
+                m *= b1
+                m += np.multiply(gi, 1 - b1, out=a)
+                v *= b2
+                np.multiply(gi, 1 - b2, out=a)
+                v += np.multiply(a, gi, out=a)
+                # x -= (lr (m / bc1)) / (sqrt(v / bc2) + eps)
+                np.multiply(np.divide(m, bc1, out=a), lr, out=a)
+                np.sqrt(np.divide(v, bc2, out=b), out=b)
+                b += eps
+                x -= np.divide(a, b, out=a)
 
 
 @dataclass
@@ -138,12 +168,13 @@ def train(
     best_mrr = -np.inf
     best_loss = np.inf
     bad_epochs = 0
+    grads = params.zero_grads()  # every batch's gradients, filled in place
     for epoch in range(1, config.max_epochs + 1):
         order = rng.permutation(len(queries))
         epoch_loss = 0.0
         for start in range(0, len(order), config.batch_size):
             batch = [queries[i] for i in order[start : start + config.batch_size]]
-            loss, grads = loss_and_gradients(ops, params, batch)
+            loss, grads = loss_and_gradients(ops, params, batch, out=grads)
             if not np.isfinite(loss):
                 raise TrainingDivergedError(
                     f"non-finite loss at epoch {epoch}, "

@@ -12,13 +12,16 @@ import pytest
 from scipy import sparse
 
 from mplr.indicators import EmptySubgraphError, _saturation_scan
-from mplr.kg import KnowledgeGraph, load_dataset
+from mplr.kg import KnowledgeGraph, TripleParseError, load_dataset
 from mplr.model import (
     ExtractedRule,
     _BatchForward,
     logit_loss,
+    logit_loss_grad,
     loss_and_gradients,
     score_entities,
+    sigmoid,
+    softmax,
 )
 from mplr.operators import IDENTITY_OP, OperatorSet, RulePattern
 
@@ -65,6 +68,34 @@ def toy_dataset_dir(tmp_path):
     (d / "valid.txt").write_text("")
     (d / "test.txt").write_text("")
     return d
+
+
+def triple_lines(kg):
+    """The graph's triples rendered back to the TAB-separated text format."""
+    for h, p, t in kg.triples:
+        yield f"{kg.entities[h]}\t{kg.predicates[p]}\t{kg.entities[t]}"
+
+
+def parse_triple_file_reference(path):
+    """`parse_triple_file` as a walk over the file's lines, one check each."""
+    out = []
+    with open(path, encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, 1):
+            line = line.rstrip("\n").rstrip("\r")
+            if not line:
+                continue
+            parts = line.split("\t")
+            if len(parts) != 3 or any(not f.strip() for f in parts):
+                raise TripleParseError(
+                    f"{path}:{lineno}: expected 3 TAB-separated fields, got {len(parts)}"
+                )
+            out.append((parts[0].strip(), parts[1].strip(), parts[2].strip()))
+    return out
+
+
+def write_triples(kg, path):
+    Path(path).write_text("".join(line + "\n" for line in triple_lines(kg)),
+                          encoding="utf-8")
 
 
 # ---------------------------------------------------------------------------
@@ -284,6 +315,125 @@ def neural_lp_score(ops, attn, head, tail, *, normalize=None):
 def backward(ops, params, query):
     """Loss and parameter gradients of one query, run as a batch of one."""
     return loss_and_gradients(ops, params, [query])
+
+
+# ---------------------------------------------------------------------------
+# training step references: every product and temporary written out
+
+def _run_cell_reference(params, r, direction, x, steps):
+    """One direction of cell r unrolled with the zero state multiplied in."""
+    dh = params.hidden_dim
+    key = f"cell{r}_{direction}_"
+    Wh = params.tensors[key + "Wh"]
+    zx = x @ params.tensors[key + "Wx"] + params.tensors[key + "b"]
+    h = np.zeros((len(x), dh))
+    c = np.zeros((len(x), dh))
+    hs, caches = [], []
+    for _ in range(steps):
+        z = zx + h @ Wh
+        s = sigmoid(z)
+        i, f, o = s[:, :dh], s[:, dh : 2 * dh], s[:, 3 * dh :]
+        g = np.tanh(z[:, 2 * dh : 3 * dh])
+        c_prev, h_prev = c, h
+        c = f * c_prev + i * g
+        tc = np.tanh(c)
+        h = o * tc
+        hs.append(h)
+        caches.append((i, f, g, o, tc, c_prev, h_prev))
+    return hs, caches
+
+
+def _rank_unroll_reference(params, r, x):
+    L = params.max_len
+    fwd_h, fwd_caches = _run_cell_reference(params, r, "fwd", x, L)
+    bwd_h, bwd_caches = _run_cell_reference(params, r, "bwd", x, L)
+    zero = np.zeros_like(fwd_h[0])
+    att_in = np.stack([
+        np.concatenate([fwd_h[l], bwd_h[L - 2 - l] if l < L - 1 else zero], axis=1)
+        for l in range(L)
+    ])
+    return att_in, fwd_caches, bwd_caches
+
+
+def _cell_backward_reference(params, r, direction, x, caches, dh_steps, grads):
+    """BPTT through every step, the zero state's products and the dead
+    carries after step 0 included."""
+    dh = params.hidden_dim
+    key = f"cell{r}_{direction}_"
+    Wh = params.tensors[key + "Wh"]
+    gWh = grads[key + "Wh"]
+    dz_sum = np.zeros((len(x), 4 * dh))
+    dh_carry = np.zeros((len(x), dh))
+    dc_carry = np.zeros((len(x), dh))
+    for step in reversed(range(len(caches))):
+        i, f, g, o, tc, c_prev, h_prev = caches[step]
+        dh_total = dh_steps[step] + dh_carry
+        do = dh_total * tc
+        dc = dh_total * o * (1.0 - tc * tc) + dc_carry
+        dc_carry = dc * f
+        dz = np.concatenate(
+            [dc * g * i * (1 - i), dc * c_prev * f * (1 - f), dc * i * (1 - g * g),
+             do * o * (1 - o)],
+            axis=1,
+        )
+        gWh += h_prev.T @ dz
+        dz_sum += dz
+        dh_carry = dz @ Wh.T
+    grads[key + "Wx"] += x.T @ dz_sum
+    grads[key + "b"] += dz_sum.sum(axis=0)
+    return dz_sum @ params.tensors[key + "Wx"].T
+
+
+def loss_and_gradients_reference(ops, params, queries):
+    """`loss_and_gradients` with the attention unrolled again, rank by rank,
+    for the backward pass and fresh gradient arrays."""
+    L, dh = params.max_len, params.hidden_dim
+    index = {}
+    groups = [index.setdefault(q.query, len(index)) for q in queries]
+    preds = np.asarray(list(index), dtype=np.int64)
+    x = params.tensors["query_emb"][preds]
+    W, b = params.tensors["proj_W"], params.tensors["proj_b"]
+    weights = np.empty((len(x), params.rank, L, params.num_operators))
+    for r in range(params.rank):
+        att_in, _, _ = _rank_unroll_reference(params, r, x)
+        weights[:, r] = softmax(att_in @ W + b).transpose(1, 0, 2)
+    fwd = _BatchForward(
+        ops, weights, preds, groups,
+        [q.head for q in queries], [q.targets for q in queries],
+        epsilon_mode=params.epsilon_mode, normalize=params.normalize,
+    )
+    grads = {k: np.zeros_like(v) for k, v in params.tensors.items()}
+    dA = fwd.backward(logit_loss_grad(fwd.s, fwd.v))
+    dx = np.zeros_like(x)
+    for r in range(params.rank):
+        att_in, fwd_caches, bwd_caches = _rank_unroll_reference(params, r, x)
+        a = weights[:, r].transpose(1, 0, 2)
+        dAr = dA[:, r].transpose(1, 0, 2)
+        dlogits = a * (dAr - np.sum(dAr * a, axis=2, keepdims=True))
+        grads["proj_W"] += att_in.reshape(-1, 2 * dh).T @ dlogits.reshape(-1, W.shape[1])
+        grads["proj_b"] += dlogits.sum(axis=(0, 1))
+        dhid = dlogits @ W.T
+        dfwd = dhid[:, :, :dh]
+        dbwd = np.zeros_like(dfwd)
+        dbwd[: L - 1] = dhid[: L - 1, :, dh:][::-1]
+        dx += _cell_backward_reference(params, r, "fwd", x, fwd_caches, dfwd, grads)
+        dx += _cell_backward_reference(params, r, "bwd", x, bwd_caches, dbwd, grads)
+    grads["query_emb"][preds] += dx
+    return fwd.loss(), grads
+
+
+def adam_step_reference(adam, tensors, grads):
+    """One Adam step of `adam` (an AdamOptimizer) with a fresh array for every
+    intermediate: m and v are rebound, the tensors updated in place."""
+    adam.t += 1
+    bc1 = 1.0 - adam.beta1**adam.t
+    bc2 = 1.0 - adam.beta2**adam.t
+    for k, g in grads.items():
+        adam.m[k] = adam.beta1 * adam.m[k] + (1 - adam.beta1) * g
+        adam.v[k] = adam.beta2 * adam.v[k] + (1 - adam.beta2) * g * g
+        m_hat = adam.m[k] / bc1
+        v_hat = adam.v[k] / bc2
+        tensors[k] -= adam.lr * m_hat / (np.sqrt(v_hat) + adam.eps)
 
 
 @dataclass(frozen=True)

@@ -3,11 +3,16 @@
 import numpy as np
 import pytest
 
-from mplr.kg import KnowledgeGraph, MultiTargetQuery
+from mplr.kg import KnowledgeGraph, MultiTargetQuery, group_queries
 from mplr.operators import build_operators
 from mplr.model import ModelParams, _Propagation, loss_and_gradients
 
-from conftest import backward, operator_grads_reference, random_kg
+from conftest import (
+    backward,
+    loss_and_gradients_reference,
+    operator_grads_reference,
+    random_kg,
+)
 
 
 def four_entity_kg():
@@ -260,3 +265,65 @@ def test_batch_of_three_predicates_is_sum_of_single_queries():
         np.testing.assert_allclose(
             grads[key], sum(g[key] for _, g in singles), atol=1e-10
         )
+
+
+# ---------------------------------------------------------------------------
+# the training step against its written-out reference, bit for bit
+
+def reference_setup(max_len, epsilon_mode="corrected", normalize="l2"):
+    kg = random_kg(5, num_entities=9, num_predicates=3, edge_prob=0.3)
+    queries = group_queries(kg.triples)[:8]
+    assert max(len(q.targets) for q in queries) > 1
+    params = ModelParams(
+        kg.num_predicates, rank=2, max_len=max_len, embed_dim=6, hidden_dim=7,
+        seed=19, normalize=normalize, epsilon_mode=epsilon_mode,
+    )
+    return build_operators(kg), params, queries
+
+
+@pytest.mark.parametrize("max_len", [1, 2, 3])
+@pytest.mark.parametrize("epsilon_mode", ["corrected", "literal"])
+@pytest.mark.parametrize("normalize", [None, "l2", "l1"])
+def test_gradients_equal_the_unrolled_again_reference(max_len, epsilon_mode, normalize):
+    # the reference multiplies by the zero initial state, unrolls every cell
+    # again for the backward pass and allocates fresh gradients
+    ops, params, queries = reference_setup(max_len, epsilon_mode, normalize)
+    loss, grads = loss_and_gradients(ops, params, queries)
+    ref_loss, ref_grads = loss_and_gradients_reference(ops, params, queries)
+    assert loss == ref_loss
+    assert grads.keys() == ref_grads.keys()
+    for key in grads:
+        assert np.array_equal(grads[key], ref_grads[key]), key
+
+
+def test_recurrent_weights_get_exactly_zero_gradient_at_one_hop():
+    ops, params, queries = reference_setup(max_len=1)
+    _, grads = loss_and_gradients(ops, params, queries)
+    for r in range(params.rank):
+        for direction in ("fwd", "bwd"):
+            assert not grads[f"cell{r}_{direction}_Wh"].any()
+        # the one hop reads the forward state only
+        assert grads[f"cell{r}_fwd_Wx"].any()
+
+
+def test_out_buffer_is_zero_filled_and_returned():
+    ops, params, queries = reference_setup(max_len=2)
+    fresh_loss, fresh = loss_and_gradients(ops, params, queries)
+    rng = np.random.default_rng(0)
+    out = {k: rng.standard_normal(v.shape) for k, v in params.tensors.items()}
+    out["proj_b"][:] = np.nan
+    arrays = dict(out)
+    loss, grads = loss_and_gradients(ops, params, queries, out=out)
+    assert grads is out and loss == fresh_loss
+    for key in fresh:
+        assert grads[key] is arrays[key]
+        assert np.array_equal(grads[key], fresh[key]), key
+
+
+def test_calls_without_out_return_distinct_arrays():
+    ops, params, queries = reference_setup(max_len=2)
+    _, a = loss_and_gradients(ops, params, queries)
+    _, b = loss_and_gradients(ops, params, queries)
+    for key in a:
+        assert not np.shares_memory(a[key], b[key]), key
+        assert np.array_equal(a[key], b[key])

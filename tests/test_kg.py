@@ -6,10 +6,19 @@ from mplr.kg import (
     TripleParseError,
     group_queries,
     load_dataset,
-    write_triples,
+    parse_triple_file,
 )
 
-from conftest import TOY_LINES, adjacency_reference, bw_degree, fw_degree, random_kg
+from conftest import (
+    TOY_LINES,
+    adjacency_reference,
+    bw_degree,
+    fw_degree,
+    parse_triple_file_reference,
+    random_kg,
+    triple_lines,
+    write_triples,
+)
 
 
 def write_dataset(tmp_path, train, valid="", test=""):
@@ -52,6 +61,31 @@ class TestLoading:
         with pytest.raises(TripleParseError, match="train.txt:2"):
             load_dataset(*paths)
 
+    @pytest.mark.parametrize("text", [
+        "a\tb\tc\n d \t e\tf \n\n\ng\th\ti",  # padding, blank lines, no last newline
+        "a\tb\tc\r\n\r\nd\te\tf\r\n",
+        "a\tb\tc\rd\te\tf\r",
+        "a\tb\u00a0\tc\x0cd\n",  # non-TAB whitespace stays inside a field or is stripped
+        "", "\n\n",
+        "a\tb\tc\nx\t \ty\n",  # a blank field
+        "a\tb\tc\nx\ty\tz\tw\n",
+        "a\tb\tc\n\nxyz\n",
+        "a\tb\tc\td\nx\ty\n",  # four fields, then two: the tab total is right
+        "a\tb\tc\n   \n",
+        "\t\t\n",
+    ])
+    def test_parse_equals_the_line_walk(self, tmp_path, text):
+        path = tmp_path / "triples.txt"
+        path.write_bytes(text.encode())
+        try:
+            want = parse_triple_file_reference(path)
+        except TripleParseError as exc:
+            with pytest.raises(TripleParseError) as got:
+                parse_triple_file(path)
+            assert str(got.value) == str(exc)
+        else:
+            assert parse_triple_file(path) == want
+
     def test_empty_train_is_error(self, tmp_path):
         with pytest.raises(ValueError, match="empty train"):
             load_dataset(*write_dataset(tmp_path, ""))
@@ -93,14 +127,25 @@ class TestLoading:
         # splits stay augmentation-free
         assert splits.train == [(0, 0, 1)]
 
+    def test_inverse_of_a_name_already_loaded_keeps_its_index(self, tmp_path):
+        paths = write_dataset(tmp_path, "b\tr\ta\na\tinv:r\tc\nb\tr\ta\n",
+                              valid="d\tq\tb\n")
+        kg, splits, summary = load_dataset(*paths, add_inverse=True)
+        assert kg.entities == ["b", "a", "c", "d"]
+        assert kg.predicates == ["r", "inv:r", "q", "inv:inv:r", "inv:q"]
+        assert splits.train == [(0, 0, 1), (1, 1, 2)] and splits.valid == [(3, 2, 0)]
+        assert kg.triples == [(0, 0, 1), (1, 1, 2), (3, 2, 0),
+                              (1, 1, 0), (2, 3, 1), (0, 4, 3)]
+        assert summary.duplicates == {"train": 1, "valid": 0, "test": 0}
+
     def test_round_trip(self, tmp_path, toy_kg):
         out = tmp_path / "roundtrip.txt"
         write_triples(toy_kg, out)
         empty = tmp_path / "empty.txt"
         empty.write_text("")
         kg2, _, _ = load_dataset(out, empty, empty)
-        original = {line for line in toy_kg.to_lines()}
-        assert {line for line in kg2.to_lines()} == original
+        original = set(triple_lines(toy_kg))
+        assert set(triple_lines(kg2)) == original
 
     def test_kg_invariants_validated(self):
         with pytest.raises(ValueError, match="duplicate triple"):

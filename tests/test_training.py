@@ -1,3 +1,5 @@
+import zipfile
+
 import numpy as np
 import pytest
 
@@ -9,11 +11,13 @@ from mplr.model import (
     ModelParams,
     _attention_forward,
     extract_rules,
+    save_checkpoint,
     score_entities,
     support_scores,
 )
 from mplr.operators import build_operators
 from mplr.training import (
+    ADAM_BLOCK,
     AdamOptimizer,
     TrainConfig,
     TrainingDivergedError,
@@ -23,7 +27,7 @@ from mplr.training import (
     train,
 )
 
-from conftest import random_kg
+from conftest import adam_step_reference, random_kg
 
 
 class TestAdam:
@@ -50,6 +54,30 @@ class TestAdam:
         for _ in range(10):
             adam.step(tensors, {"w": np.zeros(2)})
         assert np.array_equal(tensors["w"], np.array([3.14, -1.0]))
+
+    def test_in_place_step_equals_the_allocating_reference(self):
+        # sizes below, at and past one block; zero and negative-zero grads
+        shapes = {"scalar": (), "one": (1,), "seven": (7,), "tail": (ADAM_BLOCK + 3,),
+                  "rows": (5, ADAM_BLOCK // 4 + 1)}
+        rng = np.random.default_rng(3)
+        tensors = {k: rng.standard_normal(shape) for k, shape in shapes.items()}
+        ref_tensors = {k: v.copy() for k, v in tensors.items()}
+        adam = AdamOptimizer(tensors, lr=0.01)
+        ref = AdamOptimizer(ref_tensors, lr=0.01)
+        for _ in range(5):
+            grads = {k: rng.standard_normal(shape) for k, shape in shapes.items()}
+            for g in grads.values():
+                flat = g.reshape(-1)
+                flat[::3] = 0.0
+                flat[1::5] = -0.0
+            kept = {k: g.copy() for k, g in grads.items()}
+            adam.step(tensors, grads)
+            adam_step_reference(ref, ref_tensors, grads)
+            for k in shapes:
+                assert np.array_equal(tensors[k], ref_tensors[k]), k
+                assert np.array_equal(adam.m[k], ref.m[k]), k
+                assert np.array_equal(adam.v[k], ref.v[k]), k
+                assert np.array_equal(grads[k], kept[k]), k
 
 
 def rule_chain_dataset(num_instances=4, num_valid=1):
@@ -232,10 +260,13 @@ class TestSupportRanks:
             )
 
 
+TRAINED_CONFIG = dict(max_epochs=60, patience=60, seed=0, **SMALL_CONFIG)
+
+
 @pytest.fixture(scope="module")
 def trained():
     kg, splits = rule_chain_dataset(num_instances=6, num_valid=2)
-    cfg = TrainConfig(max_epochs=60, patience=60, seed=0, **SMALL_CONFIG)
+    cfg = TrainConfig(**TRAINED_CONFIG)
     params, _ = train(kg, splits, cfg)
     return kg, splits, params
 
@@ -249,11 +280,21 @@ class TestEvaluate:
         assert report.hit_at[1] == pytest.approx(1.0)
         assert report.num_queries == len(splits.valid)
 
-    def test_deterministic(self, trained):
+    def test_deterministic(self, trained, tmp_path):
         kg, splits, params = trained
         a = evaluate(kg, params, splits.valid, ks=(1, 3))
         b = evaluate(kg, params, splits.valid, ks=(1, 3))
         assert a.as_tsv() == b.as_tsv()
+        # training again from the seed writes the same checkpoint; the
+        # archive's headers carry the write time, so its members are compared
+        again, _ = train(kg, splits, TrainConfig(**TRAINED_CONFIG))
+        for name, p in (("a.npz", params), ("b.npz", again)):
+            save_checkpoint(p, tmp_path / name)
+        members = []
+        for name in ("a.npz", "b.npz"):
+            with zipfile.ZipFile(tmp_path / name) as archive:
+                members.append({n: archive.read(n) for n in archive.namelist()})
+        assert members[0] == members[1]
 
     def test_hits_non_decreasing_in_k(self, trained):
         kg, splits, params = trained
