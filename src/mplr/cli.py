@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import itertools
+import math
 import sys
 import time
 from pathlib import Path
@@ -195,6 +196,8 @@ def _check_indicator_settings(settings, kg):
         raise CliError("--top-n must be at least 1")
     if settings["lambda_max"] < 1:
         raise CliError("--lambda-max must be at least 1")
+    if math.isnan(settings["budget"]):
+        raise CliError("--budget must be a number or inf, not nan")
     for key, choices in (("direct_edge", DIRECT_EDGES), ("direction", DIRECTIONS)):
         if settings[key] not in choices:
             raise CliError(f"{key} must be {'/'.join(choices)}, not {settings[key]!r}")

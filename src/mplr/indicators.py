@@ -11,22 +11,31 @@ lambda neighbors.
 By default, path search for a triplet (h, q, t) excludes the triplet's own
 edge from traversal so a pattern containing q cannot explain the edge with
 itself; pass exclude_direct_edge=False for literal inclusion. Both conventions
-are exact, not sampled, and share one path: `_saturation_scan` walks every
-scanned triplet's paths over the operator edge list (`OperatorSet.out_edges`,
-the edge list the reasoner propagates over), each triplet dropping its own
-edge under the exclusion. `operators.count_paths` stays the per-triplet
-reference.
+are exact, not sampled, and share one path: `_saturation_scan` meets in the
+middle. It walks the first half of every pattern forward from each scanned
+triplet's head (`OperatorSet.out_edges`, the edge list the reasoner
+propagates over) and the second half backward from its tail
+(`OperatorSet.in_edges`), and joins the two walks on the entity where they
+meet. Under the exclusion, both walks drop the triplet's own edge.
+`operators.count_paths` stays the per-triplet reference.
 """
 
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .kg import KnowledgeGraph
-from .operators import OperatorSet, RulePattern, pattern_table, top_patterns
+from .operators import (
+    OperatorSet,
+    RulePattern,
+    concat_ranges,
+    pattern_table,
+    top_patterns,
+)
 # the per-triplet reference count; bench/tracing.py hooks it under this name
 from .operators import count_paths  # noqa: F401
 
@@ -85,17 +94,18 @@ def _saturation_scan(kg, ops, max_len, active, exclude):
     Returns (hops, gamma, delta): `hops` is `pattern_table(|P|, 2, max_len)`
     and gamma and delta are (num_patterns, len(active)), row for row.
 
-    One walk over `OperatorSet.out_edges` counts every pattern's paths: row n
-    starts at the head of triplet n, and level k holds the nonzero path counts
-    of the chains of length k under sorted keys (chain * rows + row) * |E| +
-    entity, chains in `pattern_table` order. Each level expands the one before
-    along the predicate edges; the pattern counts of a level are its entries
-    at the rows' tails, and the last hop only takes edges into the row's tail.
-    With `exclude`, row n never takes the edge (h_n, q_n, t_n). The walk runs
-    SCAN_CHUNK triplets at a time, in graph order, so each (pattern,
-    predicate) still sums its shares in triplet order.
+    The scan meets in the middle. Row n is triplet n. A pattern of length k
+    is ceil(k/2) hops walked forward from the row's head over
+    `OperatorSet.out_edges`, then floor(k/2) hops walked backward from the
+    row's tail over `OperatorSet.in_edges` (`_chain_levels`). Joining the two
+    walks on (row, middle entity) counts the pattern's paths from head to
+    tail (`_join`), so no walk expands every out-edge of a last level. With
+    `exclude`, neither walk takes the row's own edge (h_n, q_n, t_n). The
+    scan runs SCAN_CHUNK triplets at a time, in graph order, and each chunk
+    lists its counts by pattern, then row, so each (pattern, predicate) sums
+    its shares in triplet order.
     """
-    num_preds, num_ents = ops.num_predicates, ops.num_entities
+    num_preds = ops.num_predicates
     width = len(active)
     slot = np.full(num_preds, -1, dtype=np.int64)  # column of each active predicate
     slot[active] = np.arange(width)
@@ -103,28 +113,13 @@ def _saturation_scan(kg, ops, max_len, active, exclude):
     pattern_ids, triplet_ids, counts = [], [], []
     for lo in range(0, len(hs), SCAN_CHUNK):
         h, q, t = (a[lo:lo + SCAN_CHUNK] for a in (hs, qs, ts))
-        n = len(h)
-        chain, row, ent, cnt = np.zeros(n, dtype=np.int64), np.arange(n), h, np.ones(n)
-        offset = 0  # id of the first pattern of length k
-        for k in range(1, max_len + 1):
-            excluded = (h[row], q[row] + 1, t[row]) if exclude else None
-            src, nxt, op = ops.out_edges(ent, excluded)
-            keep = op > 0  # predicate edges; operator 0 is the identity
-            if k == max_len:
-                keep &= nxt == t[row[src]]
-            src, nxt, op = src[keep], nxt[keep], op[keep]
-            chain = chain[src] * num_preds + op - 1
-            keys, inv = np.unique((chain * n + row[src]) * num_ents + nxt,
-                                  return_inverse=True)
-            cnt = np.bincount(inv, weights=cnt[src], minlength=len(keys))
-            chain_row, ent = np.divmod(keys, num_ents)
-            chain, row = np.divmod(chain_row, n)
-            if k >= 2:
-                hit = ent == t[row]
-                pattern_ids.append(offset + chain[hit])
-                triplet_ids.append(lo + row[hit])
-                counts.append(cnt[hit])
-                offset += num_preds**k
+        excluded = (h, q + 1, t) if exclude else None
+        forward = _chain_levels(ops, h, excluded, (max_len + 1) // 2, True)
+        backward = _chain_levels(ops, t, excluded, max_len // 2, False)
+        pid, row, cnt = _join(forward, backward, num_preds, len(h), ops.num_entities)
+        pattern_ids.append(pid)
+        triplet_ids.append(lo + row)
+        counts.append(cnt)
 
     hops = pattern_table(num_preds, 2, max_len)
     num_patterns = len(hops)
@@ -139,6 +134,70 @@ def _saturation_scan(kg, ops, max_len, active, exclude):
         num_patterns, width
     ) / nq
     return hops, gamma, delta
+
+
+def _chain_levels(ops, start, excluded, depth, forward):
+    """Levels 1..depth of the predicate chains walked from start[n], row n.
+
+    Level j holds (row, entity, chain, count), in no set order: one entry
+    per chain of length j that links the row's start and the entity, and
+    the number of such paths. Chains are numbered in forward hop order both
+    ways: walking backward from a tail, a level's chain runs entity -> ...
+    -> tail. `excluded` is passed to every hop's edge gather.
+    """
+    num_preds, num_ents = ops.num_predicates, ops.num_entities
+    edges_of = ops.out_edges if forward else ops.in_edges
+    row, ent = np.arange(len(start)), start
+    chain, cnt = np.zeros(len(start), dtype=np.int64), np.ones(len(start))
+    levels = []
+    for j in range(depth):
+        x = None if excluded is None else tuple(a[row] for a in excluded)
+        src, ent, op = edges_of(ent, x, identity=False)
+        op = op - 1
+        row, cnt = row[src], cnt[src]
+        chain = chain[src] * num_preds + op if forward else op * num_preds**j + chain[src]
+        if j:  # a one-hop chain is one edge; longer ones can meet again
+            size = num_preds ** (j + 1)
+            keys, inv = np.unique((row * num_ents + ent) * size + chain,
+                                  return_inverse=True)
+            cnt = np.bincount(inv, weights=cnt, minlength=len(keys))
+            row_ent, chain = np.divmod(keys, size)
+            row, ent = np.divmod(row_ent, num_ents)
+        levels.append((row, ent, chain, cnt))
+    return levels
+
+
+def _join(forward, backward, num_preds, num_rows, num_ents):
+    """(pattern, row, count) of every pattern with a path from head to tail.
+
+    The pattern of length k joins forward level ceil(k/2) to backward level
+    floor(k/2): every forward chain that reaches (row, x) meets every
+    backward chain that leaves (row, x), and the pattern's count sums their
+    products over x. All lengths go through one join, keyed by (k, row, x);
+    pattern ids follow `pattern_table`, and the nonzero counts come out by
+    pattern, then row.
+    """
+    lefts, rights = [], []
+    offset = 0  # id of the first pattern of length k
+    for k in range(2, len(forward) + len(backward) + 1):
+        back = k // 2  # hops walked backward
+        f_row, f_ent, f_chain, f_cnt = forward[k - back - 1]
+        b_row, b_ent, b_chain, b_cnt = backward[back - 1]
+        lefts.append(((k * num_rows + f_row) * num_ents + f_ent,
+                      offset + f_chain * num_preds**back, f_row, f_cnt))
+        rights.append(((k * num_rows + b_row) * num_ents + b_ent, b_chain, b_cnt))
+        offset += num_preds**k
+    l_key, l_base, l_row, l_cnt = (np.concatenate(a) for a in zip(*lefts))
+    r_key, r_chain, r_cnt = (np.concatenate(a) for a in zip(*rights))
+    order = np.argsort(r_key)
+    r_key, r_chain, r_cnt = r_key[order], r_chain[order], r_cnt[order]
+    lo = np.searchsorted(r_key, l_key)
+    f, b = concat_ranges(lo, np.searchsorted(r_key, l_key, side="right") - lo)
+    keys, inv = np.unique((l_base[f] + r_chain[b]) * num_rows + l_row[f],
+                          return_inverse=True)
+    cnt = np.bincount(inv, weights=l_cnt[f] * r_cnt[b], minlength=len(keys))
+    pid, row = np.divmod(keys, num_rows)
+    return pid, row, cnt
 
 
 def bifurcation(
@@ -184,8 +243,12 @@ def saturation_report(
     Covers every pattern of length 2..max_len against every predicate (or the
     given subset, repeats dropped), skipping empty subgraphs with a warning. Guarded by
     `estimate_cost` over the scanned predicates; sample the graph or raise
-    the budget for large inputs.
+    the budget for large inputs. `budget` None or inf lifts the guard; NaN is
+    refused.
     """
+    if budget is not None and math.isnan(budget):
+        # cost > nan is false, so a NaN budget would pass every scan
+        raise ValueError("budget must be a number or inf, not nan")
     cost = estimate_cost(kg, max_len, predicates)
     if budget is not None and cost > budget:
         raise CostBudgetError(

@@ -1,13 +1,15 @@
-"""Relational operators stored as one row-ordered edge list.
+"""Relational operators stored as one edge list, by row and by column.
 
 Predicate p is the |E| x |E| 0/1 adjacency operator M_p at operator index
 p + 1, (i, j) = 1 iff (e_i, p, e_j) is in the graph; index 0 is the identity.
 The j-th entry of v_h^T M_p1 ... M_pl counts the paths h -> ... -> j whose
 i-th edge carries p_i, which is how a rule body is applied. Only nonzeros are
 stored: one edge list (row, col, operator), built with numpy from the
-graph's triple array. The reasoner and the saturation scan propagate over it,
-with an optional excluded edge per entity. CSR views, built on call, serve
-reference code and are the only use of scipy.
+graph's triple array, and kept both in row order and in column order. The
+reasoner and the saturation scan propagate over it, forward from an entity's
+out-edges or backward from its in-edges, with an optional excluded edge per
+entity. CSR views, built on call, serve reference code and are the only use
+of scipy.
 """
 
 from __future__ import annotations
@@ -84,19 +86,30 @@ class OperatorSet:
 
     `edges` = (rows, cols, ops): every operator's nonzeros, identity loops
     included, by row, operator, then column. Row e is indptr[e]:indptr[e + 1].
+    The same edges are also kept by column, operator, then row, so that
+    `out_edges` and `in_edges` each cost the number of edges they return.
     """
 
     def __init__(self, kg: KnowledgeGraph):
         n, K = kg.num_entities, kg.num_predicates + 1
         self.num_entities, self.num_predicates = n, kg.num_predicates
         h, p, t = kg.triple_array.T
-        loops = np.arange(n, dtype=np.int64)
-        # one key per edge, (row * K + operator) * |E| + col; triples are distinct
-        keys = np.sort(np.concatenate([loops * K * n + loops, (h * K + p + 1) * n + t]))
-        row_op, cols = np.divmod(keys, n)
-        rows, ops = np.divmod(row_op, K)
+        loops = np.arange(n, dtype=np.int64) * (K * n + 1)
+
+        def ordered_by(own, other):
+            # each entity owns its edges in the triples plus its identity loop
+            indptr = np.zeros(n + 1, dtype=np.int64)
+            np.cumsum(np.bincount(own, minlength=n) + 1, out=indptr[1:])
+            # one key per edge, (own * K + operator) * |E| + other; triples are distinct
+            keys = np.sort(np.concatenate([loops, (own * K + p + 1) * n + other]))
+            own_op, other = np.divmod(keys, n)
+            own, ops = np.divmod(own_op, K)
+            return own, other, ops, indptr
+
+        rows, cols, ops, self.indptr = ordered_by(h, t)
         self.edges = (rows, cols, ops)
-        self.indptr = np.searchsorted(rows, np.arange(n + 1))
+        _, in_rows, in_ops, self._in_indptr = ordered_by(t, h)
+        self._in_edges = (in_rows, in_ops)
 
     def __len__(self):
         return self.num_predicates + 1
@@ -114,30 +127,31 @@ class OperatorSet:
         keep = self.edges[2] == predicate + 1
         return self._csr(np.ones(np.count_nonzero(keep)), keep)
 
-    def out_edges(self, entities, excluded=None):
-        """Every edge leaving `entities`, over all operators (identity included).
+    def out_edges(self, entities, excluded=None, identity=True):
+        """Every edge leaving `entities`, over all operators.
 
         Returns (owner, cols, ops): edge n runs from entities[owner[n]] to
         cols[n] in operator ops[n]. `excluded` = (heads, ops, tails), one entry
         per entity, drops the edge (heads[i], ops[i], tails[i]) from the edges
-        of entities[i] (operator -1: nothing dropped). The edge list is
-        row-ordered, so the cost is the number of edges returned, not the size
-        of the graph.
+        of entities[i] (operator -1: nothing dropped). `identity=False` leaves
+        out the identity loops. The edge list is row-ordered, so the cost is
+        the number of edges returned, not the size of the graph.
         """
         _, cols, ops = self.edges
-        entities = np.asarray(entities, dtype=np.int64)
-        starts = self.indptr[entities]
-        counts = self.indptr[entities + 1] - starts
-        owner = np.repeat(np.arange(len(entities)), counts)
-        # output position of each entity's first edge, shifted to its edge-list start
-        shift = starts - (np.cumsum(counts) - counts)
-        edge = np.arange(counts.sum()) + np.repeat(shift, counts)
-        cols, ops = cols[edge], ops[edge]
-        if excluded is not None:
-            x_head, x_op, x_tail = (np.asarray(x)[owner] for x in excluded)
-            keep = ~((entities[owner] == x_head) & (ops == x_op) & (cols == x_tail))
-            owner, cols, ops = owner[keep], cols[keep], ops[keep]
-        return owner, cols, ops
+        return _gather(self.indptr, cols, ops, entities, excluded, identity)
+
+    def in_edges(self, entities, excluded=None, identity=True):
+        """Every edge entering `entities`, over all operators.
+
+        Returns (owner, rows, ops): edge n runs from rows[n] to
+        entities[owner[n]] in operator ops[n]. `excluded` and `identity` are
+        as in `out_edges`: (heads, ops, tails), one entry per entity, drops
+        that edge from the edges of entities[i]. The column order makes the
+        cost the number of edges returned.
+        """
+        rows, ops = self._in_edges
+        flipped = None if excluded is None else excluded[::-1]
+        return _gather(self._in_indptr, rows, ops, entities, flipped, identity)
 
     def combine(self, weights: np.ndarray):
         """Weighted sum over all operators, sum_k weights[k] * M_k, as one CSR
@@ -152,6 +166,31 @@ class OperatorSet:
     def combine_t(self, weights: np.ndarray):
         """Transpose of combine(weights)."""
         return self.combine(weights).T.tocsr()
+
+
+def concat_ranges(starts, counts):
+    """(owner, index) over the ranges starts[i]:starts[i] + counts[i], concatenated:
+    position n holds index[n] of range owner[n]."""
+    owner = np.repeat(np.arange(len(starts)), counts)
+    # output position of each range's first index, shifted to the range start
+    shift = starts - (np.cumsum(counts) - counts)
+    return owner, np.arange(counts.sum()) + np.repeat(shift, counts)
+
+
+def _gather(indptr, others, ops, entities, excluded, identity):
+    """The edges of `entities` in an edge list ordered by its own end: entity e
+    owns others[indptr[e]:indptr[e + 1]]. Returns (owner, others, ops);
+    `excluded` = (own ends, ops, other ends), one entry per entity."""
+    entities = np.asarray(entities, dtype=np.int64)
+    # operator 0 sorts first, so each entity's identity loop opens its edges
+    starts = indptr[entities] + (0 if identity else 1)
+    owner, edge = concat_ranges(starts, indptr[entities + 1] - starts)
+    others, ops = others[edge], ops[edge]
+    if excluded is not None:
+        x_own, x_op, x_other = (np.asarray(x)[owner] for x in excluded)
+        keep = ~((entities[owner] == x_own) & (ops == x_op) & (others == x_other))
+        owner, others, ops = owner[keep], others[keep], ops[keep]
+    return owner, others, ops
 
 
 def build_operators(kg: KnowledgeGraph) -> OperatorSet:

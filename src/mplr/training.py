@@ -352,10 +352,12 @@ def evaluate(
     per_pred: dict[str, PredicateEval] = {}
     for g, pred in enumerate(index):
         part = slice(bounds[g], bounds[g + 1])
+        n = part.stop - part.start
+        # np.mean's own pairwise sum and division, without its per-call overhead
         per_pred[kg.predicates[pred]] = PredicateEval(
-            mrr=float(np.mean(rr[part])),
-            hit_at={k: float(np.mean(hits[k][part])) for k in ks},
-            num_queries=part.stop - part.start,
+            mrr=float(np.add.reduce(rr[part]) / n),
+            hit_at={k: float(np.add.reduce(hits[k][part]) / n) for k in ks},
+            num_queries=n,
         )
     return EvalReport(
         mrr=float(np.mean(rr)),

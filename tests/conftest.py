@@ -23,7 +23,7 @@ from mplr.model import (
     sigmoid,
     softmax,
 )
-from mplr.operators import IDENTITY_OP, OperatorSet, RulePattern
+from mplr.operators import IDENTITY_OP, OperatorSet, RulePattern, pattern_table
 
 # ---------------------------------------------------------------------------
 # six-entity toy graph reproducing the worked adjacency/product matrices
@@ -292,6 +292,63 @@ def edge_list_reference(kg):
     ops = np.repeat(np.arange(len(coos)), [c.nnz for c in coos])
     order = np.argsort(rows, kind="stable")
     return rows[order], cols[order], ops[order]
+
+
+def saturation_scan_reference(kg, ops, max_len, active, exclude, chunk=1024):
+    """`_saturation_scan` as one forward walk over `OperatorSet.out_edges`.
+
+    Row n starts at the head of triplet n, and level k holds the nonzero
+    path counts of the chains of length k under sorted keys (chain * rows +
+    row) * |E| + entity, chains in `pattern_table` order. Each level expands
+    every out-edge of the one before; the pattern counts of a level are its
+    entries at the rows' tails, and the last hop only takes edges into the
+    row's tail. With `exclude`, row n never takes the edge (h_n, q_n, t_n).
+    The walk runs `chunk` triplets at a time, in graph order.
+    """
+    num_preds, num_ents = ops.num_predicates, ops.num_entities
+    width = len(active)
+    slot = np.full(num_preds, -1, dtype=np.int64)
+    slot[active] = np.arange(width)
+    hs, qs, ts = kg.triple_array[slot[kg.triple_array[:, 1]] >= 0].T
+    pattern_ids, triplet_ids, counts = [], [], []
+    for lo in range(0, len(hs), chunk):
+        h, q, t = (a[lo:lo + chunk] for a in (hs, qs, ts))
+        n = len(h)
+        chain, row, ent, cnt = np.zeros(n, dtype=np.int64), np.arange(n), h, np.ones(n)
+        offset = 0
+        for k in range(1, max_len + 1):
+            excluded = (h[row], q[row] + 1, t[row]) if exclude else None
+            src, nxt, op = ops.out_edges(ent, excluded)
+            keep = op > 0
+            if k == max_len:
+                keep &= nxt == t[row[src]]
+            src, nxt, op = src[keep], nxt[keep], op[keep]
+            chain = chain[src] * num_preds + op - 1
+            keys, inv = np.unique((chain * n + row[src]) * num_ents + nxt,
+                                  return_inverse=True)
+            cnt = np.bincount(inv, weights=cnt[src], minlength=len(keys))
+            chain_row, ent = np.divmod(keys, num_ents)
+            chain, row = np.divmod(chain_row, n)
+            if k >= 2:
+                hit = ent == t[row]
+                pattern_ids.append(offset + chain[hit])
+                triplet_ids.append(lo + row[hit])
+                counts.append(cnt[hit])
+                offset += num_preds**k
+
+    hops = pattern_table(num_preds, 2, max_len)
+    num_patterns = len(hops)
+    pid, trip, cnt = (np.concatenate(a) for a in (pattern_ids, triplet_ids, counts))
+    totals = np.bincount(trip, weights=cnt, minlength=len(hs))
+    shares = cnt / totals[trip]
+    key = pid * width + slot[qs[trip]]
+    nq = np.bincount(slot[qs], minlength=width).astype(np.float64)
+    size = num_patterns * width
+    gamma = np.bincount(key, minlength=size).reshape(num_patterns, width) / nq
+    delta = np.bincount(key, weights=shares, minlength=size).reshape(
+        num_patterns, width
+    ) / nq
+    return hops, gamma, delta
 
 
 def operator_grads_reference(ops, x, g):

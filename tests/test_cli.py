@@ -110,6 +110,7 @@ class TestIndicators:
             ("--lambda-max", 0, "--lambda-max must be at least 1"),
             ("--sample", 0, "--sample must lie between 1 and"),
             ("--top-n", 0, "--top-n must be at least 1"),
+            ("--budget", "nan", "--budget must be a number or inf, not nan"),
         ],
     )
     def test_bad_setting_exits_one_before_making_out(

@@ -33,6 +33,7 @@ from conftest import (
     make_family_triples,
     micro_saturation,
     random_kg,
+    saturation_scan_reference,
 )
 
 
@@ -204,6 +205,42 @@ class TestSaturation:
             for want, have in zip(expected, got):
                 assert np.array_equal(want, have)
 
+    @pytest.mark.parametrize("chunk", [1, 2, 5, None], ids=["1", "2", "5", "default"])
+    @pytest.mark.parametrize("exclude", [True, False])
+    @pytest.mark.parametrize("max_len", [2, 3, 4])
+    def test_scan_matches_forward_walk_bit_for_bit(
+        self, monkeypatch, max_len, exclude, chunk
+    ):
+        if chunk is not None:
+            monkeypatch.setattr(mplr.indicators, "SCAN_CHUNK", chunk)
+        loops = parallel = False
+        for seed in range(15):
+            kg = random_kg(seed, num_entities=6 + seed % 3, num_predicates=2 + seed % 3,
+                           edge_prob=0.3)
+            loops |= any(h == t for h, _, t in kg.triples)
+            parallel |= len({(h, t) for h, _, t in kg.triples}) < len(kg.triples)
+            ops = OperatorSet(kg)
+            for active in ([q for q in range(kg.num_predicates) if kg.num_edges(q)],
+                           [kg.triples[0][1]]):
+                want = saturation_scan_reference(kg, ops, max_len, active, exclude)
+                got = _saturation_scan(kg, ops, max_len, active, exclude)
+                for a, b in zip(want, got, strict=True):
+                    assert np.array_equal(a, b)
+        assert loops and parallel
+
+    @pytest.mark.parametrize("exclude", [True, False])
+    @pytest.mark.parametrize("max_len", [2, 3])
+    def test_family_scan_matches_forward_walk_bit_for_bit(
+        self, family_data, max_len, exclude
+    ):
+        kg, _, _ = family_data
+        ops = OperatorSet(kg)
+        active = list(range(kg.num_predicates))
+        want = saturation_scan_reference(kg, ops, max_len, active, exclude)
+        got = _saturation_scan(kg, ops, max_len, active, exclude)
+        for a, b in zip(want, got, strict=True):
+            assert np.array_equal(a, b)
+
 
 class TestComprehensive:
     def test_table_values(self):
@@ -358,6 +395,27 @@ class TestReport:
             tracemalloc.stop()
         assert peak <= 10e6
 
+    def test_hub_scan_memory_is_bounded(self):
+        # one hub on every length-2 path: (i, p0, hub) and (hub, p1, j) for
+        # every other entity; a forward walk expands all the hub's out-edges
+        # for every scanned triplet
+        n, hub = 3000, 0
+        others = range(1, n)
+        triples = [(i, 0, hub) for i in others] + [(hub, 1, j) for j in others]
+        rng = np.random.default_rng(0)
+        pairs = rng.choice(np.arange(1, n), size=(500, 2))
+        triples += sorted({(int(a), 2, int(b)) for a, b in pairs})
+        kg = KnowledgeGraph([f"e{i}" for i in range(n)], ["p0", "p1", "q"], triples)
+        assert kg.num_edges(2) == 500
+        tracemalloc.start()
+        try:
+            records = saturation_report(kg, max_len=2, predicates=[2])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert records[0].pattern.hops == (0, 1) and records[0].gamma == 1.0
+        assert peak <= 5e6
+
     def test_empty_predicate_warned_and_skipped(self, caplog):
         kg = KnowledgeGraph(["a", "b"], ["r", "unused"], [(0, 0, 1)])
         with caplog.at_level(logging.WARNING):
@@ -370,6 +428,8 @@ class TestReport:
         assert estimate_cost(kg, 2) > 0
         with pytest.raises(CostBudgetError):
             saturation_report(kg, max_len=2, budget=1.0)
+        with pytest.raises(ValueError, match="nan"):
+            saturation_report(kg, max_len=2, budget=float("nan"))
 
     def test_cost_counts_scanned_predicates(self, family_data):
         kg, _, _ = family_data

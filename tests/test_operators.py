@@ -130,6 +130,65 @@ class TestEdgeList:
     def test_no_entities_no_edges(self, toy_ops):
         owner, cols, op = toy_ops.out_edges(np.zeros(0, dtype=np.int64))
         assert len(owner) == len(cols) == len(op) == 0
+        owner, rows, op = toy_ops.in_edges(np.zeros(0, dtype=np.int64))
+        assert len(owner) == len(rows) == len(op) == 0
+
+    @staticmethod
+    def listed(ops, entities, excluded=None):
+        """(src, op, dst) of out_edges and of in_edges over `entities`, per entity."""
+        entities = np.asarray(entities)
+        owner, cols, op = ops.out_edges(entities, excluded)
+        out = [(n, (int(entities[n]), int(o), int(c))) for n, c, o in zip(owner, cols, op)]
+        owner, rows, op = ops.in_edges(entities, excluded)
+        into = [(n, (int(r), int(o), int(entities[n]))) for n, r, o in zip(owner, rows, op)]
+        return sorted(out), sorted(into)
+
+    def test_in_edges_list_the_out_edges(self):
+        for seed in range(12):
+            kg = random_kg(seed, num_entities=7, num_predicates=3, edge_prob=0.3)
+            ops = build_operators(kg)
+            out, into = self.listed(ops, np.arange(kg.num_entities))
+            out, into = sorted(e for _, e in out), sorted(e for _, e in into)
+            assert out == into
+            loops = [(e, 0, e) for e in range(kg.num_entities)]
+            triples = [(h, p + 1, t) for h, p, t in kg.triples]
+            assert out == sorted(loops + triples)
+            # each entity owns its in-edges, in column order
+            owner, rows, op = ops.in_edges(np.arange(kg.num_entities))
+            assert np.all(np.diff(owner) >= 0)
+            # identity=False leaves out exactly the identity loops, both ways
+            entities = np.array([3, 0, 3, 6, 5])
+            for edges_of in (ops.out_edges, ops.in_edges):
+                every = list(zip(*(a.tolist() for a in edges_of(entities))))
+                loops = [(n, e, 0) for n, e in enumerate(entities.tolist())]
+                some = list(zip(*(a.tolist() for a in edges_of(entities, identity=False))))
+                assert sorted(some + loops) == sorted(every)
+
+    def test_each_side_drops_exactly_the_excluded_edge(self):
+        for seed in range(6):
+            kg = random_kg(seed, num_entities=7, num_predicates=3, edge_prob=0.3)
+            ops = build_operators(kg)
+            rng = np.random.default_rng(seed)
+            present = [(h, p + 1, t) for h, p, t in kg.triples] + [(3, 0, 3)]
+            absent = [(h, o, t) for h, o, t in itertools.product(range(7), range(4), range(7))
+                      if (h, o, t) not in present and (o > 0 or h != t)]
+            picks = [present[i] for i in rng.choice(len(present), 5, replace=False)]
+            picks += [absent[i] for i in rng.choice(len(absent), 3, replace=False)]
+            picks += [(2, -1, 2)]  # operator -1 drops nothing
+            for h, o, t in picks:
+                # the same exclusion on the head side and on the tail side
+                for entity in (h, t):
+                    full = self.listed(ops, [entity])
+                    dropped = self.listed(ops, [entity], ([h], [o], [t]))
+                    for all_edges, kept in zip(full, dropped):
+                        gone = set(all_edges) - set(kept)
+                        assert set(kept) <= set(all_edges)
+                        side = [e for _, e in all_edges]
+                        assert gone == ({(0, (h, o, t))} if (h, o, t) in side else set())
+            # exclusions are per listed entity, not per distinct entity
+            h, o, t = present[0]
+            into = self.listed(ops, [t, t], ([h, h], [o, -1], [t, t]))[1]
+            assert (0, (h, o, t)) not in into and (1, (h, o, t)) in into
 
 
 class TestPropagate:
