@@ -15,7 +15,6 @@ from .kg import (
     load_dataset,
 )
 from .operators import (
-    IDENTITY_HOP,
     IDENTITY_OP,
     OperatorSet,
     RulePattern,

@@ -1,7 +1,9 @@
 """Command-line entry point: indicators, train, eval, rules, stats.
 
 A flat key = value config file can hold any option; command-line flags
-override config keys. Every run writes a manifest (settings echo plus the
+override config keys. Each option is one entry of OPTIONS, and a flag and a
+config key are the same string parsed by `_coerce`, so they give the same
+value and the same error. Every run writes a manifest (settings echo plus the
 conventions in effect) into the output directory. Report files themselves
 carry no timestamps, so identical config + seed reproduces them byte for
 byte. Exit codes: 0 success, 1 error, 2 saturation cost budget exceeded.
@@ -15,10 +17,12 @@ import math
 import sys
 import time
 from pathlib import Path
+from typing import NamedTuple
 
 from . import indicators as ind
 from .kg import load_dataset
 from .model import (
+    EPSILON_MODES,
     extract_rules,
     load_checkpoint,
     rules_table,
@@ -29,44 +33,46 @@ from .training import TIE_RULE, TrainConfig, evaluate, train
 
 SPLIT_FILES = ("train.txt", "valid.txt", "test.txt")
 
-DEFAULTS = {
-    "dataset_dir": None,
-    "out": None,
-    "seed": 0,
-    "max_rule_len": 2,
-    "rank": 3,
-    "embed_dim": 128,
-    "hidden_dim": 128,
-    "top_n": 5,
-    "lambda_max": 7,
-    "sample": None,
-    "budget": ind.DEFAULT_COST_BUDGET,
-    "epochs": 10,
-    "batch_size": 128,
-    "learning_rate": 0.001,
-    "patience": 3,
-    "direct_edge": "exclude",
-    "epsilon_mode": "corrected",
-    "normalize": "l2",
-    "graph_source": "train,valid,test",
-    "checkpoint": None,
-    "query": None,
-    "ks": "1,3,10",
-    "direction": "both",
-    "overwrite": False,
-    "predicates": None,
+
+class Option(NamedTuple):
+    default: object
+    kind: object  # int, float, bool, str, or the tuple of allowed values
+    commands: tuple[str, ...]  # the commands that take it as a flag
+    flag: str | None = None  # when it is not --key-name
+
+
+EVERY = ("stats", "indicators", "train", "eval", "rules")
+
+OPTIONS = {
+    "dataset_dir": Option(None, str, EVERY),
+    "out": Option(None, str, EVERY),
+    "seed": Option(0, int, EVERY),
+    "overwrite": Option(False, bool, EVERY),
+    "graph_source": Option("train,valid,test", str, EVERY),
+    "max_rule_len": Option(2, int, ("indicators", "train")),
+    "top_n": Option(5, int, ("indicators", "rules")),
+    "lambda_max": Option(7, int, ("indicators",)),
+    "direct_edge": Option("exclude", ("exclude", "include"), ("indicators",)),
+    "sample": Option(None, int, ("indicators",)),
+    "budget": Option(ind.DEFAULT_COST_BUDGET, float, ("indicators",)),
+    "predicates": Option(None, str, ("indicators",)),
+    "rank": Option(3, int, ("train",)),
+    "embed_dim": Option(128, int, ("train",)),
+    "hidden_dim": Option(128, int, ("train",)),
+    "epochs": Option(10, int, ("train",)),
+    "batch_size": Option(128, int, ("train",)),
+    "learning_rate": Option(0.001, float, ("train",), "--lr"),
+    "patience": Option(3, int, ("train",)),
+    "normalize": Option("l2", ("l1", "l2", "none"), ("train",)),
+    "epsilon_mode": Option("corrected", EPSILON_MODES, ("train",)),
+    "checkpoint": Option(None, str, ("eval", "rules")),
+    "ks": Option("1,3,10", str, ("eval",)),
+    "query": Option(None, str, ("rules",)),
 }
 
-_INT_KEYS = {
-    "seed", "max_rule_len", "rank", "embed_dim", "hidden_dim", "top_n",
-    "lambda_max", "sample", "epochs", "batch_size", "patience",
-}
-_FLOAT_KEYS = {"budget", "learning_rate"}
-_BOOL_KEYS = {"overwrite"}
+_KIND_NAMES = {int: "an integer", float: "a number"}
 _BOOL_WORDS = {"1": True, "true": True, "yes": True, "on": True,
                "0": False, "false": False, "no": False, "off": False}
-DIRECT_EDGES = ("exclude", "include")
-DIRECTIONS = (ind.FORWARD, ind.BACKWARD, "both")
 
 
 class CliError(Exception):
@@ -90,44 +96,41 @@ def _parse_config_file(path):
             raise CliError(f"{path}:{lineno}: expected key = value")
         key, value = (part.strip() for part in line.split("=", 1))
         key = key.replace("-", "_")
-        if key not in DEFAULTS:
+        if key not in OPTIONS:
             raise CliError(f"{path}:{lineno}: unknown option {key!r}")
         settings[key] = value
     return settings
 
 
 def _coerce(key, value):
-    """A flag or config value as its key's type; a bad value is a CliError naming the key."""
-    if not isinstance(value, str):
-        return value
-    word = value.lower()
+    """A flag's or config key's string as the option's value, or a CliError naming key."""
+    option, word = OPTIONS[key], value.lower()
+    choices = option.kind if isinstance(option.kind, tuple) else ()
     # only options that can be unset take none; `budget = inf` lifts the guard
-    if word in ("none", "") and (DEFAULTS[key] is None or key == "normalize"):
+    if word in ("none", "") and (option.default is None or "none" in choices):
         return None
-    try:
-        if key in _INT_KEYS:
-            return int(value)
-        if key in _FLOAT_KEYS:
-            return float(value)
-    except ValueError:
-        kind = "an integer" if key in _INT_KEYS else "a number"
-        raise CliError(f"{key} must be {kind}, not {value!r}") from None
-    if key in _BOOL_KEYS:
+    if choices:
+        if value not in choices:
+            raise CliError(f"{key} must be {'/'.join(choices)}, not {value!r}")
+        return value
+    if option.kind is bool:
         if word not in _BOOL_WORDS:
             raise CliError(f"{key} must be true or false, not {value!r}")
         return _BOOL_WORDS[word]
-    return value
+    try:
+        return option.kind(value)
+    except ValueError:
+        raise CliError(f"{key} must be {_KIND_NAMES[option.kind]}, not {value!r}") from None
 
 
-def _resolve(args):
-    settings = dict(DEFAULTS)
-    if args.config:
-        settings.update(_parse_config_file(args.config))
-    for key in DEFAULTS:
-        flag = getattr(args, key, None)
-        if flag is not None and flag is not False:
-            settings[key] = flag
-    return {k: _coerce(k, v) for k, v in settings.items()}
+def _resolve(argv):
+    """The command and its settings: defaults, then the config file, then flags."""
+    args = _build_parser().parse_args(argv)
+    given = _parse_config_file(args.config) if args.config else {}
+    given.update((k, v) for k, v in vars(args).items() if k in OPTIONS and v is not None)
+    settings = {key: option.default for key, option in OPTIONS.items()}
+    settings.update((key, _coerce(key, value)) for key, value in given.items())
+    return args.command, settings
 
 
 def _load(settings):
@@ -198,9 +201,6 @@ def _check_indicator_settings(settings, kg):
         raise CliError("--lambda-max must be at least 1")
     if math.isnan(settings["budget"]):
         raise CliError("--budget must be a number or inf, not nan")
-    for key, choices in (("direct_edge", DIRECT_EDGES), ("direction", DIRECTIONS)):
-        if settings[key] not in choices:
-            raise CliError(f"{key} must be {'/'.join(choices)}, not {settings[key]!r}")
     sample = settings["sample"]
     if sample is not None and not 1 <= sample <= len(kg.triples):
         raise CliError(
@@ -230,16 +230,12 @@ def cmd_indicators(settings):
         budget=settings["budget"],
         predicates=wanted,
     )
-    directions = (
-        (ind.FORWARD, ind.BACKWARD)
-        if settings["direction"] == "both"
-        else (settings["direction"],)
-    )
-    bif = []
-    for q in wanted if wanted is not None else range(kg.num_predicates):
-        for direction in directions:
-            if kg.num_edges(q) > 0:
-                bif.append(ind.bifurcation(kg, q, direction, settings["lambda_max"]))
+    bif = [
+        ind.bifurcation(kg, q, direction, settings["lambda_max"])
+        for q in (wanted if wanted is not None else range(kg.num_predicates))
+        if kg.num_edges(q) > 0
+        for direction in (ind.FORWARD, ind.BACKWARD)
+    ]
     (out / "saturation.tsv").write_text(ind.saturation_tsv(records, kg))
     (out / "saturation.txt").write_text(ind.saturation_table(records, kg))
     (out / "bifurcation.tsv").write_text(ind.bifurcation_tsv(bif, kg))
@@ -347,49 +343,20 @@ def _build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
     for name in COMMANDS:
         p = sub.add_parser(name)
-        p.add_argument("--dataset-dir", dest="dataset_dir")
-        p.add_argument("--out")
-        p.add_argument("--seed", type=int)
-        p.add_argument("--overwrite", action="store_true")
-        p.add_argument("--graph-source", dest="graph_source")
-        if name == "indicators":
-            p.add_argument("--max-rule-len", dest="max_rule_len", type=int)
-            p.add_argument("--top-n", dest="top_n", type=int)
-            p.add_argument("--lambda-max", dest="lambda_max", type=int)
-            p.add_argument("--direct-edge", dest="direct_edge",
-                           choices=DIRECT_EDGES)
-            p.add_argument("--sample", type=int)
-            p.add_argument("--budget", type=float)
-            p.add_argument("--direction", choices=DIRECTIONS)
-            p.add_argument("--predicates")
-        if name == "train":
-            p.add_argument("--max-rule-len", dest="max_rule_len", type=int)
-            p.add_argument("--rank", type=int)
-            p.add_argument("--embed-dim", dest="embed_dim", type=int)
-            p.add_argument("--hidden-dim", dest="hidden_dim", type=int)
-            p.add_argument("--epochs", type=int)
-            p.add_argument("--batch-size", dest="batch_size", type=int)
-            p.add_argument("--lr", dest="learning_rate", type=float)
-            p.add_argument("--patience", type=int)
-            p.add_argument("--normalize", choices=["l1", "l2", "none"])
-            p.add_argument("--epsilon-mode", dest="epsilon_mode",
-                           choices=["corrected", "literal"])
-        if name in ("eval", "rules"):
-            p.add_argument("--checkpoint")
-        if name == "eval":
-            p.add_argument("--ks")
-        if name == "rules":
-            p.add_argument("--query")
-            p.add_argument("--top-n", dest="top_n", type=int)
+        for key, option in OPTIONS.items():
+            if name in option.commands:
+                flag = option.flag or "--" + key.replace("_", "-")
+                if option.kind is bool:
+                    p.add_argument(flag, dest=key, action="store_const", const="true")
+                else:
+                    p.add_argument(flag, dest=key)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-        settings = _resolve(args)
-        return COMMANDS[args.command](settings)
+        command, settings = _resolve(argv)
+        return COMMANDS[command](settings)
     except ind.CostBudgetError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -18,7 +18,6 @@ import numpy as np
 Triple = tuple[int, int, int]
 
 DEFAULT_GRAPH_SOURCE = ("train", "valid", "test")
-INVERSE_PREFIX = "inv:"
 
 
 class TripleParseError(ValueError):
@@ -170,7 +169,6 @@ def load_dataset(
     valid_path,
     test_path,
     graph_source: tuple[str, ...] = DEFAULT_GRAPH_SOURCE,
-    add_inverse: bool = False,
 ):
     """Load the three split files into a KnowledgeGraph plus DatasetSplits.
 
@@ -178,9 +176,7 @@ def load_dataset(
     (train, then valid, then test; head, relation, tail within a line). The
     reasoning graph is built from the splits named by `graph_source`. Duplicate
     lines within a split are stored once and counted in the summary; a triple
-    appearing in two different splits is an error. `add_inverse` adds an
-    `inv:<name>` predicate and reversed edge to the graph (not to the splits)
-    for every loaded triple; it defaults off so queries stay (h, q, ?)-only.
+    appearing in two different splits is an error.
 
     Returns (kg, splits, summary).
     """
@@ -226,13 +222,6 @@ def load_dataset(
     for name in names:
         if name in graph_source:
             graph_triples.extend(splits_idx[name])
-
-    if add_inverse:
-        # a name already in the vocabulary keeps its index
-        inverse = [pred_idx.setdefault(INVERSE_PREFIX + p, len(pred_idx))
-                   for p in predicates]
-        graph_triples += [(t, inverse[p], h) for h, p, t in graph_triples]
-        predicates = list(pred_idx)
 
     kg = KnowledgeGraph(entities, predicates, graph_triples)
     splits = DatasetSplits(

@@ -162,10 +162,16 @@ def load_checkpoint(path) -> ModelParams:
         if unknown:
             raise ValueError(f"not an mplr checkpoint: unknown setting {unknown[0]!r}")
         params = ModelParams(**meta)
-        for key in params.tensors:
+        for key, built in params.tensors.items():
             if key not in data.files:
                 raise ValueError(f"not an mplr checkpoint: missing {key!r}")
-            params.tensors[key] = data[key].copy()
+            tensor = data[key]
+            if tensor.shape != built.shape:
+                raise ValueError(
+                    f"not an mplr checkpoint: {key!r} has shape {tensor.shape}, "
+                    f"expected {built.shape}"
+                )
+            params.tensors[key] = tensor.copy()
     return params
 
 

@@ -21,17 +21,11 @@ import numpy as np
 from .kg import KnowledgeGraph
 
 IDENTITY_OP = 0
-# marker for an identity hop inside a model-side hop sequence
-IDENTITY_HOP = -1
 
 
 @dataclass(frozen=True)
 class RulePattern:
-    """Ordered predicate hops of a candidate rule body.
-
-    Indicator patterns never contain identity hops; model-side sequences may
-    use IDENTITY_HOP (-1), which propagation treats as a no-op.
-    """
+    """Ordered predicate hops of a candidate rule body."""
 
     hops: tuple[int, ...]
 
@@ -43,9 +37,7 @@ class RulePattern:
         return len(self.hops)
 
     def names(self, kg: KnowledgeGraph) -> tuple[str, ...]:
-        return tuple(
-            "<identity>" if p == IDENTITY_HOP else kg.predicates[p] for p in self.hops
-        )
+        return tuple(kg.predicates[p] for p in self.hops)
 
 
 def pattern_table(num_predicates: int, min_len: int, max_len: int) -> np.ndarray:
@@ -217,7 +209,6 @@ def count_paths(ops, h: int, pattern: RulePattern, t: int, excluded_edge=None) -
     u = np.zeros(ops.num_entities)
     u[h] = 1.0
     for hop in pattern.hops:
-        if hop != IDENTITY_HOP:
-            keep = (op == hop + 1) & live
-            u = np.bincount(cols[keep], weights=u[rows[keep]], minlength=len(u))
+        keep = (op == hop + 1) & live
+        u = np.bincount(cols[keep], weights=u[rows[keep]], minlength=len(u))
     return int(round(u[t]))

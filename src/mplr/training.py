@@ -11,6 +11,7 @@ from the candidate list, and ties resolved by the mean rank among tied scores
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -61,8 +62,10 @@ class TrainConfig:
         for name in ("embed_dim", "hidden_dim", "batch_size", "max_epochs", "patience"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be positive")
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
+        if not 0 < self.learning_rate < math.inf:  # nan compares false
+            raise ValueError(
+                f"learning_rate must be positive and finite, not {self.learning_rate}"
+            )
         if self.normalize not in NORMALIZE_MODES:
             raise ValueError(f"normalize must be one of {NORMALIZE_MODES}")
         if self.epsilon_mode not in EPSILON_MODES:

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mplr.cli import main
+from mplr.cli import OPTIONS, _resolve, main
 
 from conftest import write_family_dataset
 
@@ -126,7 +126,7 @@ class TestIndicators:
     @pytest.mark.parametrize(
         "key, value",
         [
-            ("direct_edge", "inclde"), ("direction", "sideways"),
+            ("direct_edge", "inclde"),
             ("direct_edge", "none"), ("max_rule_len", "none"), ("top_n", "none"),
             ("lambda_max", "none"), ("rank", "none"), ("seed", "none"),
             ("budget", "none"), ("epochs", "abc"), ("overwrite", "maybe"),
@@ -200,12 +200,20 @@ class TestPipeline:
         rules = (out / "rules" / "rules.tsv").read_text()
         assert "wifeOf" in rules
 
-    @pytest.mark.parametrize("flag", ["--epochs", "--rank"])
+    @pytest.mark.parametrize(
+        "flag, value",
+        [
+            pytest.param("--epochs", 0, id="--epochs"),
+            pytest.param("--rank", 0, id="--rank"),
+            pytest.param("--lr", "nan", id="--lr-nan"),
+            pytest.param("--lr", "inf", id="--lr-inf"),
+        ],
+    )
     def test_bad_train_config_exits_one_before_making_out(
-        self, kin_dir, tmp_path, capsys, flag
+        self, kin_dir, tmp_path, capsys, flag, value
     ):
         out = tmp_path / "bad"
-        assert run("train", "--dataset-dir", kin_dir, "--out", out, flag, 0) == 1
+        assert run("train", "--dataset-dir", kin_dir, "--out", out, flag, value) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert not out.exists()
@@ -239,6 +247,13 @@ class TestPipeline:
                          id="gate_order"),
             pytest.param(None, {"colour": "red"}, "unknown setting 'colour'",
                          id="unknown-setting"),
+            # cut to one row, or rows doubled: shapes that broadcast, so an
+            # unchecked eval would exit 0 with a wrong MRR
+            pytest.param(("proj_b",), {}, "'proj_b' has shape (1,), expected (13,)",
+                         id="shape"),
+            pytest.param(("proj_b", "cell0_fwd_b", "query_emb"), {},
+                         "'query_emb' has shape (24, 8), expected (12, 8)",
+                         id="broadcast-shapes"),
         ],
     )
     def test_incomplete_checkpoint_exits_one(
@@ -246,6 +261,10 @@ class TestPipeline:
     ):
         with np.load(tiny_checkpoint) as data:
             kept = {k: data[k] for k in data.files if k != dropped}
+        if isinstance(dropped, tuple):
+            for key in dropped:
+                v = kept[key]
+                kept[key] = np.concatenate([v, v]) if key == "query_emb" else v[:1]
         if meta:
             settings = json.loads(kept["__meta__"].tobytes())
             for key, value in meta.items():
@@ -326,6 +345,34 @@ class TestPipeline:
 
 
 class TestConfigFile:
+    @pytest.mark.parametrize("key", list(OPTIONS))
+    def test_flag_and_config_key_share_one_parse(self, key, tmp_path, capsys):
+        option = OPTIONS[key]
+        flag = option.flag or "--" + key.replace("_", "-")
+        if isinstance(option.kind, tuple):
+            good = next(c for c in option.kind if c != option.default)
+            bad = "bogus"
+        else:
+            good = {int: "17", float: "0.25", bool: "true", str: "a,b"}[option.kind]
+            # a bool flag takes no value, and every string is a str
+            bad = {int: "1.5", float: "abc"}.get(option.kind)
+        cfg = tmp_path / "run.cfg"
+        assert option.commands
+        for command in option.commands:
+            cfg.write_text(f"{key} = {good}\n")
+            by_flag = _resolve([command, flag] if option.kind is bool
+                               else [command, flag, good])
+            assert by_flag == _resolve(["--config", str(cfg), command])
+            assert by_flag[1][key] != option.default
+            if bad is None:
+                continue
+            cfg.write_text(f"{key} = {bad}\n")
+            assert run(command, flag, bad) == 1
+            err = capsys.readouterr().err
+            assert err.startswith(f"error: {key} must be ") and err.count("\n") == 1
+            assert run("--config", cfg, command) == 1
+            assert capsys.readouterr().err == err
+
     def test_config_supplies_defaults_flags_override(self, kin_dir, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
         cfg.write_text(

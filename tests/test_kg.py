@@ -118,24 +118,16 @@ class TestLoading:
         with pytest.raises(ValueError, match="graph source names no split"):
             load_dataset(*paths, graph_source=())
 
-    def test_inverse_augmentation_flag(self, tmp_path):
-        paths = write_dataset(tmp_path, "a\tr\tb\n")
-        kg, splits, _ = load_dataset(*paths, add_inverse=True)
-        assert kg.predicates == ["r", "inv:r"]
-        inv = kg.predicate_index["inv:r"]
-        assert kg.has_triple(kg.entity_index["b"], inv, kg.entity_index["a"])
-        # splits stay augmentation-free
-        assert splits.train == [(0, 0, 1)]
-
     def test_inverse_of_a_name_already_loaded_keeps_its_index(self, tmp_path):
+        # a name spelled like an inverse is an ordinary predicate: it keeps its
+        # first-appearance index and no reversed edges are added to the graph
         paths = write_dataset(tmp_path, "b\tr\ta\na\tinv:r\tc\nb\tr\ta\n",
                               valid="d\tq\tb\n")
-        kg, splits, summary = load_dataset(*paths, add_inverse=True)
+        kg, splits, summary = load_dataset(*paths)
         assert kg.entities == ["b", "a", "c", "d"]
-        assert kg.predicates == ["r", "inv:r", "q", "inv:inv:r", "inv:q"]
+        assert kg.predicates == ["r", "inv:r", "q"]
         assert splits.train == [(0, 0, 1), (1, 1, 2)] and splits.valid == [(3, 2, 0)]
-        assert kg.triples == [(0, 0, 1), (1, 1, 2), (3, 2, 0),
-                              (1, 1, 0), (2, 3, 1), (0, 4, 3)]
+        assert kg.triples == [(0, 0, 1), (1, 1, 2), (3, 2, 0)]
         assert summary.duplicates == {"train": 1, "valid": 0, "test": 0}
 
     def test_round_trip(self, tmp_path, toy_kg):

@@ -6,7 +6,6 @@ import pytest
 from mplr.indicators import _saturation_scan
 from mplr.kg import KnowledgeGraph
 from mplr.operators import (
-    IDENTITY_HOP,
     IDENTITY_OP,
     OperatorSet,
     RulePattern,
@@ -322,12 +321,6 @@ class TestCountPaths:
             count_paths(toy_ops, e["z1"], pattern, e["x1"], excluded_edge=(e["z1"], q, e["x2"]))
             == 1
         )
-
-    def test_identity_hops_pass_through(self, toy_kg, toy_ops):
-        e = toy_kg.entity_index
-        d = toy_kg.predicate_index["daughterOf"]
-        pattern = RulePattern((IDENTITY_HOP, d, IDENTITY_HOP))
-        assert count_paths(toy_ops, e["z1"], pattern, e["x1"]) == 1
 
 
 class TestEnumeratePatterns:
