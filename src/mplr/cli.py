@@ -46,7 +46,7 @@ EVERY = ("stats", "indicators", "train", "eval", "rules")
 OPTIONS = {
     "dataset_dir": Option(None, str, EVERY),
     "out": Option(None, str, EVERY),
-    "seed": Option(0, int, EVERY),
+    "seed": Option(0, int, ("indicators", "train")),
     "overwrite": Option(False, bool, EVERY),
     "graph_source": Option("train,valid,test", str, EVERY),
     "max_rule_len": Option(2, int, ("indicators", "train")),
@@ -257,7 +257,6 @@ def _train_config(settings):
         seed=settings["seed"],
         normalize=settings["normalize"],
         epsilon_mode=settings["epsilon_mode"],
-        hit_ks=_ks(settings),
     )
 
 

@@ -27,11 +27,12 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .operators import OperatorSet, RulePattern, pattern_table, top_patterns
+from .operators import OperatorSet, RulePattern, pattern_rows, reaching_top, top_patterns
 
 GATE_ORDER = "ifgo"  # slices of the fused 4*hidden gate tensors
 # the ModelParams arguments a checkpoint records, in its order
@@ -44,28 +45,57 @@ EPSILON_MODES = (CORRECTED, LITERAL)
 NORMALIZE_MODES = (None, "l1", "l2")
 
 
-def sigmoid(x):
-    """Logistic function; where exp(-x) overflows it returns the limit 0."""
+def sigmoid(x, out=None):
+    """Logistic function of an array; where exp(-x) overflows it returns the
+    limit 0. With `out` (which may be x itself) the result is written there."""
     with np.errstate(over="ignore"):
-        return 1.0 / (1.0 + np.exp(-x))
+        e = np.negative(x, out=out)
+        np.exp(e, out=e)
+        e += 1.0
+        return np.divide(1.0, e, out=e)
 
 
 def softmax(x):
-    """Softmax over the last axis."""
-    z = x - np.max(x, axis=-1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=-1, keepdims=True)
+    """Softmax over the last axis, in place: x is overwritten and returned."""
+    x -= np.max(x, axis=-1, keepdims=True)
+    np.exp(x, out=x)
+    x /= x.sum(axis=-1, keepdims=True)
+    return x
+
+
+def packed(shapes, zero=False):
+    """Arrays of the given shapes, by key, as consecutive views of one buffer.
+
+    One allocation in place of one per array, so that a call which builds
+    and drops large state (a training run: the parameters, their gradients
+    and Adam's moments) costs the same every time. glibc hands a few large
+    freed buffers back to the system at the end of every such call, where
+    it kept the pages of dozens of separate arrays after some calls and
+    handed them back after others, depending on what else lay on the heap;
+    and numpy asks the kernel to back a buffer of 4 MB or more with huge
+    pages, which makes touching fresh pages cheaper. With `zero` the arrays
+    start at zero; otherwise they are uninitialised.
+    """
+    sizes = [math.prod(shape) for shape in shapes.values()]
+    flat = (np.zeros if zero else np.empty)(sum(sizes))
+    views, start = {}, 0
+    for (key, shape), size in zip(shapes.items(), sizes):
+        views[key] = flat[start : start + size].reshape(shape)
+        start += size
+    return views
 
 
 class ModelParams:
     """All trainable state: query embeddings, R bidirectional cells, shared projection.
 
     Tensors live in an ordered dict so optimizers and gradient checks can
-    iterate them generically. Gate weights are fused (input, forget, candidate,
-    output); forget biases start at 1.0, everything else from symmetric uniform
-    ranges scaled by fan-in, all drawn from the seed. `predicates` optionally
-    names the predicate vocabulary, in index order; checkpoints record it so a
-    model is only ever applied to the vocabulary it was trained on.
+    iterate them generically; they are views of one buffer (`packed`), as
+    are their gradients and Adam's moments. Gate weights are fused (input,
+    forget, candidate, output); forget biases start at 1.0, everything else
+    from symmetric uniform ranges scaled by fan-in, all drawn from the seed.
+    `predicates` optionally names the predicate vocabulary, in index order;
+    checkpoints record it so a model is only ever applied to the vocabulary
+    it was trained on.
     """
 
     def __init__(
@@ -107,29 +137,40 @@ class ModelParams:
             return rng.uniform(-bound, bound, size=shape)
 
         dh, de = hidden_dim, embed_dim
-        self.tensors: dict[str, np.ndarray] = {}
-        self.tensors["query_emb"] = uniform((num_predicates, de), de)
+        shapes = {"query_emb": (num_predicates, de)}
         for r in range(rank):
             for direction in ("fwd", "bwd"):
-                self.tensors[f"cell{r}_{direction}_Wx"] = uniform((de, 4 * dh), de)
-                self.tensors[f"cell{r}_{direction}_Wh"] = uniform((dh, 4 * dh), dh)
-                b = np.zeros(4 * dh)
-                b[dh : 2 * dh] = 1.0
-                self.tensors[f"cell{r}_{direction}_b"] = b
-        self.tensors["proj_W"] = uniform((2 * dh, num_predicates + 1), 2 * dh)
-        self.tensors["proj_b"] = np.zeros(num_predicates + 1)
+                shapes[f"cell{r}_{direction}_Wx"] = (de, 4 * dh)
+                shapes[f"cell{r}_{direction}_Wh"] = (dh, 4 * dh)
+                shapes[f"cell{r}_{direction}_b"] = (4 * dh,)
+        shapes["proj_W"] = (2 * dh, num_predicates + 1)
+        shapes["proj_b"] = (num_predicates + 1,)
+        t = self.tensors = packed(shapes, zero=True)
+        t["query_emb"][...] = uniform(shapes["query_emb"], de)
+        for r in range(rank):
+            for direction in ("fwd", "bwd"):
+                key = f"cell{r}_{direction}_"
+                t[key + "Wx"][...] = uniform(shapes[key + "Wx"], de)
+                t[key + "Wh"][...] = uniform(shapes[key + "Wh"], dh)
+                t[key + "b"][dh : 2 * dh] = 1.0
+        t["proj_W"][...] = uniform(shapes["proj_W"], 2 * dh)
 
     @property
     def num_operators(self):
         return self.num_predicates + 1
 
+    def shapes(self):
+        return {k: v.shape for k, v in self.tensors.items()}
+
     def zero_grads(self):
-        return {k: np.zeros_like(v) for k, v in self.tensors.items()}
+        return packed(self.shapes(), zero=True)
 
     def copy(self):
         dup = ModelParams.__new__(ModelParams)
         dup.__dict__.update(self.__dict__)
-        dup.tensors = {k: v.copy() for k, v in self.tensors.items()}
+        dup.tensors = packed(self.shapes())
+        for k, v in self.tensors.items():
+            dup.tensors[k][...] = v
         return dup
 
     def meta(self):
@@ -171,7 +212,7 @@ def load_checkpoint(path) -> ModelParams:
                     f"not an mplr checkpoint: {key!r} has shape {tensor.shape}, "
                     f"expected {built.shape}"
                 )
-            params.tensors[key] = tensor.copy()
+            built[...] = tensor
     return params
 
 
@@ -186,47 +227,62 @@ class AttentionTensor:
             raise ValueError("attention tensor must be rank x hops x operators")
 
 
-def _run_cell(params, r, direction, x, steps):
-    """Unroll one direction of cell r over the (G, embed) inputs x, fed at every step."""
-    dh = params.hidden_dim
+def _run_cell(params, r, direction, x, h, blocks, scratch):
+    """Unroll one direction of cell r over the (G, embed) inputs x, fed at every step.
+
+    h is a (steps, G, hidden) view that receives the state after each step.
+    The gate math runs in place in the direction's blocks: the activated
+    gates (steps, G, 4 * hidden), the cell states (steps + 1, G, hidden),
+    zero state first, and their tanh (steps, G, hidden). scratch is a
+    (G, 4 * hidden) and a (G, hidden) array that the call overwrites.
+    Returns the step cache (h, gates, c, tc) that `_cell_backward` reads.
+    """
+    steps, G, dh = h.shape
     key = f"cell{r}_{direction}_"
     Wh = params.tensors[key + "Wh"]
-    zx = x @ params.tensors[key + "Wx"] + params.tensors[key + "b"]
-    h = np.zeros((len(x), dh))
-    c = np.zeros((len(x), dh))
-    hs, caches = [], []
+    gates, c, tc = blocks
+    zx, ig = scratch
+    np.matmul(x, params.tensors[key + "Wx"], out=zx)
+    zx += params.tensors[key + "b"]
+    c[0] = 0.0
     for step in range(steps):
-        z = zx + h @ Wh if step else zx  # h is the zero state at step 0
-        s = sigmoid(z)  # one call over the fused gates; the g slice goes unused
-        i, f, o = s[:, :dh], s[:, dh : 2 * dh], s[:, 3 * dh :]
-        g = np.tanh(z[:, 2 * dh : 3 * dh])
-        c_prev, h_prev = c, h
-        c = f * c_prev + i * g
-        tc = np.tanh(c)
-        h = o * tc
-        hs.append(h)
-        caches.append((i, f, g, o, tc, c_prev, h_prev))
-    return hs, caches
+        z = gates[step]
+        pre = zx  # h is the zero state at step 0
+        if step:
+            pre = np.matmul(h[step - 1], Wh, out=z)
+            pre += zx
+        i, f, g, o = (z[:, k * dh : (k + 1) * dh] for k in range(4))
+        sigmoid(pre[:, : 2 * dh], out=z[:, : 2 * dh])  # i and f
+        np.tanh(pre[:, 2 * dh : 3 * dh], out=g)
+        sigmoid(pre[:, 3 * dh :], out=o)
+        np.multiply(f, c[step], out=c[step + 1])
+        c[step + 1] += np.multiply(i, g, out=ig)
+        np.tanh(c[step + 1], out=tc[step])
+        np.multiply(o, tc[step], out=h[step])
+    return h, gates, c, tc
 
 
-def _rank_unroll(params, r, x):
-    """Both directions of cell r over the (G, embed) inputs x.
+def _rank_unroll(params, r, x, blocks, k, scratch):
+    """Both directions of cell r over the (G, embed) inputs x, in the blocks
+    `blocks` holds under key k (see `_attention_forward`).
 
     Returns the per-hop attention inputs, shape (L, G, 2 * hidden), and each
-    direction's step caches. Hop i (1-based) reads the forward state after i
+    direction's step cache. Hop i (1-based) reads the forward state after i
     steps concatenated with the backward state after L-i steps; "after 0
     steps" is the zero initial state, so the deepest hop sees only the
-    forward direction.
+    forward direction, and no hop reads the backward state after L steps:
+    the backward cell runs L-1 steps. Both cells write their states straight
+    into the attention inputs.
     """
-    L = params.max_len
-    fwd_h, fwd_caches = _run_cell(params, r, "fwd", x, L)
-    bwd_h, bwd_caches = _run_cell(params, r, "bwd", x, L)
-    zero = np.zeros_like(fwd_h[0])
-    att_in = np.stack([
-        np.concatenate([fwd_h[l], bwd_h[L - 2 - l] if l < L - 1 else zero], axis=1)
-        for l in range(L)
-    ])
-    return att_in, fwd_caches, bwd_caches
+    L, dh = params.max_len, params.hidden_dim
+    att_in = blocks[k, "att_in"]
+    att_in[L - 1, :, dh:] = 0.0
+    fwd, bwd = [
+        _run_cell(params, r, d, x, h, [blocks[k, d, n] for n in ("gates", "c", "tc")],
+                  scratch)
+        for d, h in (("fwd", att_in[:, :, :dh]), ("bwd", att_in[: L - 1, :, dh:][::-1]))
+    ]
+    return att_in, fwd, bwd
 
 
 def _attention_forward(params: ModelParams, queries, caches=None):
@@ -235,14 +291,29 @@ def _attention_forward(params: ModelParams, queries, caches=None):
     Each rank is one matrix LSTM unroll per direction over all G rows. With a
     `caches` list, each rank's unroll (attention inputs and both directions'
     step caches) is appended to it for `_attention_backward`; without one,
-    only the weights are kept.
+    only the weights are kept, and every rank unrolls in the same blocks.
+    The blocks are views of one buffer (`packed`), the scratch that no rank
+    keeps views of a second.
     """
     x = params.tensors["query_emb"][np.asarray(queries, dtype=np.int64)]
     W, b = params.tensors["proj_W"], params.tensors["proj_b"]
-    weights = np.empty((len(x), params.rank, params.max_len, params.num_operators))
+    G, L, dh, K = len(x), params.max_len, params.hidden_dim, params.num_operators
+    kept = params.rank if caches is not None else 1
+    shapes = {}
+    for k in range(kept):
+        shapes[k, "att_in"] = (L, G, 2 * dh)
+        for d, steps in (("fwd", L), ("bwd", L - 1)):
+            shapes[k, d, "gates"] = (steps, G, 4 * dh)
+            shapes[k, d, "c"] = (steps + 1, G, dh)
+            shapes[k, d, "tc"] = (steps, G, dh)
+    blocks = packed(shapes)
+    scratch = packed({"zx": (G, 4 * dh), "ig": (G, dh), "logits": (L, G, K)})
+    weights = np.empty((G, params.rank, L, K))
     for r in range(params.rank):
-        unroll = _rank_unroll(params, r, x)
-        weights[:, r] = softmax(unroll[0] @ W + b).transpose(1, 0, 2)
+        unroll = _rank_unroll(params, r, x, blocks, r % kept, (scratch["zx"], scratch["ig"]))
+        logits = np.matmul(unroll[0], W, out=scratch["logits"])
+        logits += b
+        weights[:, r] = softmax(logits).transpose(1, 0, 2)
         if caches is not None:
             caches.append(unroll)
     return weights
@@ -252,37 +323,55 @@ def attention_forward(params: ModelParams, query: int) -> AttentionTensor:
     return AttentionTensor(_attention_forward(params, [query])[0])
 
 
-def _cell_backward(params, r, direction, x, caches, dh_steps, grads):
-    """BPTT through one direction over all G rows; dh_steps[i] is the external
-    grad on step i's h. Adds the cell's weight grads to `grads`, returns dL/dx.
+def _cell_backward(params, r, direction, x, cache, dh_steps, grads):
+    """BPTT through one direction over all G rows, from the step cache
+    `_run_cell` returned; dh_steps[i] is the external grad on step i's h.
+    Adds the cell's weight grads to `grads`, returns dL/dx.
 
     The input x is the same at every step, so its weight and input grads come
     from the summed gate grads: gWx = x^T sum_steps dZ. Step 0 reads the zero
-    state, so it adds nothing to gWh and passes nothing further back.
+    state, so it adds nothing to gWh and passes nothing further back. Each
+    step writes its four gate grads in place into one (G, 4 * hidden) dZ.
     """
-    dh = params.hidden_dim
+    h, gates, c, tc = cache
+    steps, G, dh = h.shape
     key = f"cell{r}_{direction}_"
     Wh = params.tensors[key + "Wh"]
     gWh = grads[key + "Wh"]
-    dz_sum = np.zeros((len(x), 4 * dh))
-    dh_carry = np.zeros((len(x), dh))
-    dc_carry = np.zeros((len(x), dh))
-    for step in reversed(range(len(caches))):
-        i, f, g, o, tc, c_prev, h_prev = caches[step]
-        dh_total = dh_steps[step] + dh_carry
-        do = dh_total * tc
-        dc = dh_total * o * (1.0 - tc * tc) + dc_carry
-        dz = np.concatenate(
-            [dc * g * i * (1 - i), dc * c_prev * f * (1 - f), dc * i * (1 - g * g),
-             do * o * (1 - o)],
-            axis=1,
-        )
+    dz = np.empty((G, 4 * dh))
+    dz_i, dz_f, dz_g, dz_o = (dz[:, k * dh : (k + 1) * dh] for k in range(4))
+    dz_sum = np.zeros((G, 4 * dh))
+    dh_total = np.zeros((G, dh))  # holds the grad carried back from the step after
+    dc_carry = np.zeros((G, dh))
+    dc = np.empty((G, dh))
+    tmp = np.empty((G, dh))
+    for step in reversed(range(steps)):
+        i, f, g, o = (gates[step][:, k * dh : (k + 1) * dh] for k in range(4))
+        dh_total += dh_steps[step]
+        # dz_o = do * o * (1 - o), with do = dh_total * tanh(c)
+        np.multiply(dh_total, tc[step], out=dz_o)
+        dz_o *= o
+        dz_o *= np.subtract(1.0, o, out=tmp)
+        # dc = dh_total * o * (1 - tanh(c)^2) + dc_carry
+        np.multiply(dh_total, o, out=dc)
+        np.multiply(tc[step], tc[step], out=tmp)
+        dc *= np.subtract(1.0, tmp, out=tmp)
+        dc += dc_carry
+        np.multiply(dc, g, out=dz_i)
+        dz_i *= i
+        dz_i *= np.subtract(1.0, i, out=tmp)
+        np.multiply(dc, c[step], out=dz_f)
+        dz_f *= f
+        dz_f *= np.subtract(1.0, f, out=tmp)
+        np.multiply(dc, i, out=dz_g)
+        np.multiply(g, g, out=tmp)
+        dz_g *= np.subtract(1.0, tmp, out=tmp)
         dz_sum += dz
         if step == 0:
             break
-        gWh += h_prev.T @ dz
-        dc_carry = dc * f
-        dh_carry = dz @ Wh.T
+        gWh += h[step - 1].T @ dz
+        np.multiply(dc, f, out=dc_carry)
+        np.matmul(dz, Wh.T, out=dh_total)
     grads[key + "Wx"] += x.T @ dz_sum
     grads[key + "b"] += dz_sum.sum(axis=0)
     return dz_sum @ params.tensors[key + "Wx"].T
@@ -301,18 +390,16 @@ def _attention_backward(params, queries, weights, caches, dA, grads):
     queries = np.asarray(queries, dtype=np.int64)
     x = params.tensors["query_emb"][queries]
     dx = np.zeros_like(x)
-    for r, (att_in, fwd_caches, bwd_caches) in enumerate(caches):
+    for r, (att_in, fwd, bwd) in enumerate(caches):
         a = weights[:, r].transpose(1, 0, 2)  # (L, G, K)
         dAr = dA[:, r].transpose(1, 0, 2)
         dlogits = a * (dAr - np.sum(dAr * a, axis=2, keepdims=True))
         grads["proj_W"] += att_in.reshape(-1, 2 * dh).T @ dlogits.reshape(-1, W.shape[1])
         grads["proj_b"] += dlogits.sum(axis=(0, 1))
         dhid = dlogits @ W.T
-        dfwd = dhid[:, :, :dh]
-        dbwd = np.zeros_like(dfwd)
-        dbwd[: L - 1] = dhid[: L - 1, :, dh:][::-1]  # hop l reads step L-2-l
-        dx += _cell_backward(params, r, "fwd", x, fwd_caches, dfwd, grads)
-        dx += _cell_backward(params, r, "bwd", x, bwd_caches, dbwd, grads)
+        dx += _cell_backward(params, r, "fwd", x, fwd, dhid[:, :, :dh], grads)
+        # hop l reads backward step L-2-l
+        dx += _cell_backward(params, r, "bwd", x, bwd, dhid[: L - 1, :, dh:][::-1], grads)
     grads["query_emb"][queries] += dx
 
 
@@ -693,13 +780,13 @@ def rules_from_attention(
             total += seq
         conf.append(total.ravel())
     conf = np.concatenate(conf)
-    table = pattern_table(P, 1, L)
     kept = np.flatnonzero(conf)
-    best = kept[top_patterns(table[kept], (conf[kept],), top_n)]
+    kept = kept[reaching_top(conf[kept], top_n)]
+    hops = pattern_rows(P, 1, L, kept)  # only the rows that can make the cut
     return [
-        ExtractedRule(RulePattern(tuple(int(p) for p in table[i] if p >= 0)),
-                      float(conf[i]), query)
-        for i in best
+        ExtractedRule(RulePattern(tuple(int(p) for p in hops[i] if p >= 0)),
+                      float(conf[kept[i]]), query)
+        for i in top_patterns(hops, (conf[kept],), top_n)
     ]
 
 

@@ -54,6 +54,32 @@ def pattern_table(num_predicates: int, min_len: int, max_len: int) -> np.ndarray
     return np.concatenate(blocks)
 
 
+def pattern_rows(num_predicates: int, min_len: int, max_len: int, rows) -> np.ndarray:
+    """Rows `rows` of `pattern_table(num_predicates, min_len, max_len)`,
+    decoded within each length block without building the table."""
+    rows = np.asarray(rows, dtype=np.int64)
+    out = np.full((len(rows), max_len), -1, dtype=np.int64)
+    start = 0
+    for m in range(min_len, max_len + 1):
+        size = num_predicates**m
+        block = (rows >= start) & (rows < start + size)
+        hops = np.unravel_index(rows[block] - start, (num_predicates,) * m)
+        out[block, :m] = np.column_stack(hops)
+        start += size
+    return out
+
+
+def reaching_top(scores, top_n: int) -> np.ndarray:
+    """Positions of the scores that reach the top_n-th highest, ties included;
+    all of them when that value is NaN."""
+    keep = np.arange(len(scores))
+    if top_n < len(keep):
+        first = -np.asarray(scores)
+        cut = np.partition(first, top_n - 1)[top_n - 1]
+        keep = keep if np.isnan(cut) else np.flatnonzero(first <= cut)
+    return keep
+
+
 def top_patterns(table: np.ndarray, scores, top_n: int) -> np.ndarray:
     """Rows of a pattern table ranked by `scores`, best first, cut at top_n.
 
@@ -63,11 +89,7 @@ def top_patterns(table: np.ndarray, scores, top_n: int) -> np.ndarray:
     before its extensions. Only the rows that reach the top_n-th value of
     the primary key, ties included, are sorted.
     """
-    keep = np.arange(len(table))
-    first = -np.asarray(scores[0])
-    if top_n < len(keep):
-        cut = np.partition(first, top_n - 1)[top_n - 1]
-        keep = keep if np.isnan(cut) else np.flatnonzero(first <= cut)
+    keep = reaching_top(scores[0], top_n)
     keys = tuple(table[keep, j] for j in reversed(range(table.shape[1])))
     keys += tuple(-np.asarray(s)[keep] for s in reversed(scores))
     return keep[np.lexsort(keys)[:top_n]]

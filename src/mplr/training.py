@@ -27,6 +27,7 @@ from .model import (
     _attention_forward,
     _lookup,
     loss_and_gradients,
+    packed,
     support_scores,
 )
 # not called here; bench/tracing.py hooks them under these names
@@ -54,7 +55,6 @@ class TrainConfig:
     seed: int = 0
     normalize: str | None = "l2"
     epsilon_mode: str = CORRECTED
-    hit_ks: tuple[int, ...] = (1, 3, 10)
 
     def validate(self):
         if self.max_len < 1 or self.rank < 1:
@@ -93,8 +93,9 @@ class AdamOptimizer:
     def __init__(self, tensors, lr=0.001, beta1=0.9, beta2=0.999, eps=1e-8):
         self.lr, self.beta1, self.beta2, self.eps = lr, beta1, beta2, eps
         self.t = 0
-        self.m = {k: np.zeros_like(v) for k, v in tensors.items()}
-        self.v = {k: np.zeros_like(v) for k, v in tensors.items()}
+        shapes = {k: v.shape for k, v in tensors.items()}
+        self.m = packed(shapes, zero=True)
+        self.v = packed(shapes, zero=True)
         self._blocks = {k: _row_blocks(v.shape) for k, v in tensors.items()}
         size = max((v[i].size for k, v in tensors.items() for i in self._blocks[k]),
                    default=0)
@@ -191,9 +192,7 @@ def train(
         epoch_loss /= len(queries)
         valid_mrr = None
         if splits.valid:
-            valid_mrr = evaluate(
-                kg, params, splits.valid, ks=config.hit_ks, ops=ops
-            ).mrr
+            valid_mrr = evaluate(kg, params, splits.valid, ops=ops).mrr
         row = EpochStats(epoch, epoch_loss, valid_mrr)
         stats.append(row)
         if log_fn:

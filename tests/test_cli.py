@@ -218,6 +218,27 @@ class TestPipeline:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert not out.exists()
 
+    def test_train_ignores_the_eval_only_ks(self, kin_dir, tmp_path):
+        # ks sets eval's report; train keeps only the validation MRR
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("ks = 0\n")
+        assert run("--config", cfg, "train", "--dataset-dir", kin_dir,
+                   "--out", tmp_path / "run", "--epochs", 1, "--rank", 1,
+                   "--embed-dim", 8, "--hidden-dim", 8) == 0
+
+    @pytest.mark.parametrize("command", ["stats", "eval", "rules"])
+    def test_seed_is_no_flag_of_commands_that_never_read_it(
+        self, kin_dir, tiny_checkpoint, tmp_path, capsys, command
+    ):
+        out = tmp_path / "out"
+        ckpt = [] if command == "stats" else ["--checkpoint", tiny_checkpoint]
+        assert run(command, "--dataset-dir", kin_dir, "--out", out, *ckpt,
+                   "--seed", 1) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "--seed" in err
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "command, flag, value, message",
         [

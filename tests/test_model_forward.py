@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,14 +12,19 @@ from mplr.model import (
     _BatchForward,
     _attention_forward,
     attention_forward,
+    extract_rules,
     load_checkpoint,
     logit_loss,
     logit_loss_grad,
+    loss_and_gradients,
     save_checkpoint,
     score_entities,
+    softmax,
 )
+from mplr.training import evaluate
 
 from conftest import (
+    _rank_unroll_reference,
     naive_bernoulli_loss,
     neural_lp_score,
     oracle_scores,
@@ -76,6 +82,50 @@ class TestAttention:
         a = attention_forward(params, 0)
         b = attention_forward(params, 1)
         assert not np.allclose(a.weights, b.weights)
+
+    @pytest.mark.parametrize("max_len", [1, 2, 3, 4])
+    @pytest.mark.parametrize("preds", [[3], [5, 0, 3, 6, 1, 2, 4]], ids=["one", "all"])
+    def test_equals_the_written_out_unroll(self, max_len, preds):
+        # the path evaluation and rule extraction take, without caches; the
+        # reference runs all L backward steps and multiplies in the zero state
+        params = ModelParams(7, rank=2, max_len=max_len, embed_dim=8, hidden_dim=6, seed=11)
+        x = params.tensors["query_emb"][preds]
+        W, b = params.tensors["proj_W"], params.tensors["proj_b"]
+        want = np.empty((len(preds), params.rank, max_len, params.num_operators))
+        for r in range(params.rank):
+            att_in, _, _ = _rank_unroll_reference(params, r, x)
+            want[:, r] = softmax(att_in @ W + b).transpose(1, 0, 2)
+        assert np.array_equal(_attention_forward(params, preds), want)
+
+    def test_in_place_math_leaves_the_parameters_alone(self):
+        kg = random_kg(4, num_entities=9, num_predicates=3, edge_prob=0.3)
+        ops = build_operators(kg)
+        params = ModelParams(3, rank=2, max_len=3, embed_dim=6, hidden_dim=5, seed=8)
+        before = {key: t.tobytes() for key, t in params.tensors.items()}
+        preds = [2, 0, 1]
+        _attention_forward(params, preds)
+        _attention_forward(params, preds, [])
+        loss_and_gradients(ops, params, group_queries(kg.triples)[:8])
+        evaluate(kg, params, kg.triples, ops=ops)
+        for q in preds:
+            extract_rules(params, q)
+        assert {key: t.tobytes() for key, t in params.tensors.items()} == before
+
+    def test_unroll_memory_is_bounded(self):
+        # 192 predicates at the default sizes; the kept unroll held 21.2 MB
+        # (peak 25.7 MB) when every step kept seven fresh arrays and the
+        # backward cell ran L steps, and holds 14.2 MB (peak 17.8 MB) in
+        # per-direction blocks
+        params = ModelParams(192, max_len=2)
+        caches = []
+        tracemalloc.start()
+        try:
+            _attention_forward(params, range(192), caches)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert held <= 16e6
+        assert peak <= 20e6
 
 
 class TestScoreQuery:

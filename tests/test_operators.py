@@ -11,6 +11,7 @@ from mplr.operators import (
     RulePattern,
     build_operators,
     count_paths,
+    pattern_rows,
     pattern_table,
     top_patterns,
 )
@@ -352,6 +353,16 @@ class TestEnumeratePatterns:
             assert rows == [p.hops for p in enumerate_patterns(3, min_len, 3)]
             # the -1 padding sits after the hops only
             assert all((row[len(hops):] == -1).all() for row, hops in zip(table, rows))
+
+    def test_pattern_rows_decode_the_table(self):
+        rng = np.random.default_rng(3)
+        for min_len in (1, 2):
+            table = pattern_table(4, min_len, 3)
+            every = np.arange(len(table))
+            assert np.array_equal(pattern_rows(4, min_len, 3, every), table)
+            rows = rng.permutation(every)[:20]
+            assert np.array_equal(pattern_rows(4, min_len, 3, rows), table[rows])
+            assert pattern_rows(4, min_len, 3, []).shape == (0, 3)
 
     def test_top_patterns_breaks_ties_by_hop_tuple(self):
         table = pattern_table(2, 1, 2)  # (0,) (1,) (0, 0) (0, 1) (1, 0) (1, 1)

@@ -11,6 +11,7 @@ from mplr.model import (
     ModelParams,
     _attention_forward,
     extract_rules,
+    load_checkpoint,
     save_checkpoint,
     score_entities,
     support_scores,
@@ -78,6 +79,25 @@ class TestAdam:
                 assert np.array_equal(adam.m[k], ref.m[k]), k
                 assert np.array_equal(adam.v[k], ref.v[k]), k
                 assert np.array_equal(grads[k], kept[k]), k
+
+    def test_training_state_is_one_buffer_each(self, tmp_path):
+        # parameters, gradients, both moments, a copy and a loaded checkpoint:
+        # each a set of disjoint views that exactly covers one buffer
+        params = ModelParams(5, rank=2, max_len=3, embed_dim=4, hidden_dim=3, seed=1)
+        adam = AdamOptimizer(params.tensors)
+        dup = params.copy()
+        path = tmp_path / "checkpoint.npz"
+        save_checkpoint(params, path)
+        loaded = load_checkpoint(path)
+        for state in (params.tensors, params.zero_grads(), adam.m, adam.v, dup.tensors,
+                      loaded.tensors):
+            (flat,) = {id(a.base): a.base for a in state.values()}.values()
+            assert sum(a.size for a in state.values()) == flat.size
+            assert all(a.flags.c_contiguous for a in state.values())
+        for key, t in params.tensors.items():
+            assert not np.shares_memory(dup.tensors[key], t), key
+            assert np.array_equal(dup.tensors[key], t), key
+            assert np.array_equal(loaded.tensors[key], t), key
 
 
 def rule_chain_dataset(num_instances=4, num_valid=1):
