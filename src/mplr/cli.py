@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import itertools
-import math
 import sys
 import time
 from pathlib import Path
@@ -39,6 +38,7 @@ class Option(NamedTuple):
     kind: object  # int, float, bool, str, or the tuple of allowed values
     commands: tuple[str, ...]  # the commands that take it as a flag
     flag: str | None = None  # when it is not --key-name
+    minimum: float | None = None  # an int must be at least this, a float above it
 
 
 EVERY = ("stats", "indicators", "train", "eval", "rules")
@@ -46,23 +46,23 @@ EVERY = ("stats", "indicators", "train", "eval", "rules")
 OPTIONS = {
     "dataset_dir": Option(None, str, EVERY),
     "out": Option(None, str, EVERY),
-    "seed": Option(0, int, ("indicators", "train")),
+    "seed": Option(0, int, ("indicators", "train"), minimum=0),
     "overwrite": Option(False, bool, EVERY),
     "graph_source": Option("train,valid,test", str, EVERY),
-    "max_rule_len": Option(2, int, ("indicators", "train")),
-    "top_n": Option(5, int, ("indicators", "rules")),
-    "lambda_max": Option(7, int, ("indicators",)),
+    "max_rule_len": Option(2, int, ("indicators", "train"), minimum=1),
+    "top_n": Option(5, int, ("indicators", "rules"), minimum=1),
+    "lambda_max": Option(7, int, ("indicators",), minimum=1),
     "direct_edge": Option("exclude", ("exclude", "include"), ("indicators",)),
-    "sample": Option(None, int, ("indicators",)),
-    "budget": Option(ind.DEFAULT_COST_BUDGET, float, ("indicators",)),
+    "sample": Option(None, int, ("indicators",), minimum=1),
+    "budget": Option(ind.DEFAULT_COST_BUDGET, float, ("indicators",), minimum=0.0),
     "predicates": Option(None, str, ("indicators",)),
-    "rank": Option(3, int, ("train",)),
-    "embed_dim": Option(128, int, ("train",)),
-    "hidden_dim": Option(128, int, ("train",)),
-    "epochs": Option(10, int, ("train",)),
-    "batch_size": Option(128, int, ("train",)),
-    "learning_rate": Option(0.001, float, ("train",), "--lr"),
-    "patience": Option(3, int, ("train",)),
+    "rank": Option(3, int, ("train",), minimum=1),
+    "embed_dim": Option(128, int, ("train",), minimum=1),
+    "hidden_dim": Option(128, int, ("train",), minimum=1),
+    "epochs": Option(10, int, ("train",), minimum=1),
+    "batch_size": Option(128, int, ("train",), minimum=1),
+    "learning_rate": Option(0.001, float, ("train",), "--lr", minimum=0.0),
+    "patience": Option(3, int, ("train",), minimum=1),
     "normalize": Option("l2", ("l1", "l2", "none"), ("train",)),
     "epsilon_mode": Option("corrected", EPSILON_MODES, ("train",)),
     "checkpoint": Option(None, str, ("eval", "rules")),
@@ -118,9 +118,15 @@ def _coerce(key, value):
             raise CliError(f"{key} must be true or false, not {value!r}")
         return _BOOL_WORDS[word]
     try:
-        return option.kind(value)
+        number = option.kind(value)
     except ValueError:
         raise CliError(f"{key} must be {_KIND_NAMES[option.kind]}, not {value!r}") from None
+    low = option.minimum
+    # nan compares false, so the check refuses it
+    if low is not None and not (low <= number if option.kind is int else low < number):
+        bound = "at least" if option.kind is int else "above"
+        raise CliError(f"{key} must be {bound} {low:g}, not {number}")
+    return number
 
 
 def _resolve(argv):
@@ -191,26 +197,14 @@ def cmd_stats(settings):
     return 0
 
 
-def _check_indicator_settings(settings, kg):
-    """Refuse settings that would run but write empty or meaningless reports."""
-    if settings["max_rule_len"] < 2:
-        raise CliError("--max-rule-len must be at least 2 (patterns have 2 or more hops)")
-    if settings["top_n"] < 1:
-        raise CliError("--top-n must be at least 1")
-    if settings["lambda_max"] < 1:
-        raise CliError("--lambda-max must be at least 1")
-    if math.isnan(settings["budget"]):
-        raise CliError("--budget must be a number or inf, not nan")
-    sample = settings["sample"]
-    if sample is not None and not 1 <= sample <= len(kg.triples):
-        raise CliError(
-            f"--sample must lie between 1 and the graph's {len(kg.triples)} triples"
-        )
-
-
 def cmd_indicators(settings):
+    if settings["max_rule_len"] < 2:  # train's minimum is 1
+        raise CliError(f"max_rule_len must be at least 2 for indicators (patterns "
+                       f"have 2 or more hops), not {settings['max_rule_len']}")
     kg, _, _ = _load(settings)
-    _check_indicator_settings(settings, kg)
+    sample, n = settings["sample"], len(kg.triple_array)
+    if sample is not None and sample > n:
+        raise CliError(f"sample must be at most the graph's {n} triples, not {sample}")
     wanted = None
     if settings["predicates"]:
         names = [name.strip() for name in settings["predicates"].split(",")]
@@ -309,8 +303,6 @@ def cmd_eval(settings):
 def cmd_rules(settings):
     kg, _, _ = _load(settings)
     params = _load_model(settings, kg)
-    if settings["top_n"] < 1:
-        raise CliError("--top-n must be at least 1")
     if settings["query"]:
         if settings["query"] not in kg.predicate_index:
             raise CliError(f"unknown predicate {settings['query']!r}")

@@ -221,7 +221,7 @@ def sample_subgraph(
     kg: KnowledgeGraph, seed: int, target_triple_count: int
 ) -> KnowledgeGraph:
     """Uniform triple sample without replacement; keeps the parent vocabularies."""
-    n = len(kg.triples)
+    n = len(kg.triple_array)
     if target_triple_count > n:
         raise ValueError(f"cannot sample {target_triple_count} of {n} triples")
     rng = np.random.default_rng(seed)

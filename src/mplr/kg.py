@@ -3,13 +3,17 @@
 Triple files are UTF-8 text, one triple per line, three TAB-separated fields:
 head, relation, tail. Entity and predicate identifiers are opaque strings;
 integer indices are assigned by first appearance so repeated loads of the same
-files are reproducible. A loaded graph is one read-only (n, 3) int64 triple
-array; every other view of it (per-predicate edge lists, successors, edge
-counts, membership) is derived from that array.
+files are reproducible. The loader turns each split into an (n, 3) index array
+and finds repeated lines and triples shared between splits by one integer key
+per triple. A loaded graph is one read-only (n, 3) int64 triple array, which
+`KnowledgeGraph` accepts as it is; every other view of it (per-predicate edge
+lists, successors, edge counts, membership, and the tuple list `triples`,
+built on first use) is derived from that array.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 
@@ -27,13 +31,15 @@ class TripleParseError(ValueError):
 class KnowledgeGraph:
     """Immutable triple store: one triple array and the views derived from it.
 
-    `triple_array` is the read-only (n, 3) int64 array of the distinct
-    (head, predicate, tail) index triples, in input order; `triples` holds the
-    same rows as int tuples. `per_predicate[p]` is the (n_p, 2) (head, tail)
-    edge list of the subgraph of predicate p, in input order: a read-only view
-    into one predicate-sorted copy. `successors` and `has_triple` search the
-    keys predicate * |E| + head, stable-sorted so each key's tails keep input
-    order.
+    The constructor takes the triples as an (n, 3) integer array or as any
+    iterable of (head, predicate, tail) index triples, and refuses
+    out-of-range indices and repeated triples. `triple_array` is the
+    read-only (n, 3) int64 copy of the distinct triples, in input order;
+    `triples`, the same rows as int tuples, is built from it on first use. `per_predicate[p]` is the (n_p, 2)
+    (head, tail) edge list of the subgraph of predicate p, in input order: a
+    read-only view into one predicate-sorted copy. `successors` and
+    `has_triple` search the keys predicate * |E| + head, stable-sorted so each
+    key's tails keep input order.
     """
 
     def __init__(self, entities, predicates, triples):
@@ -47,8 +53,14 @@ class KnowledgeGraph:
             raise ValueError("duplicate predicate identifiers")
 
         ne, np_ = len(self.entities), len(self.predicates)
-        flat = itertools.chain.from_iterable(triples)
-        array = np.fromiter(flat, dtype=np.int64).reshape(-1, 3)
+        if isinstance(triples, np.ndarray):
+            if triples.dtype.kind not in "iu" or triples.shape[1:] != (3,):
+                raise ValueError(f"triple array must be (n, 3) integers, not "
+                                 f"{triples.dtype} of shape {triples.shape}")
+            array = triples.astype(np.int64)  # a copy: this graph freezes it
+        else:
+            flat = itertools.chain.from_iterable(triples)
+            array = np.fromiter(flat, dtype=np.int64).reshape(-1, 3)
         h, p, t = array.T
         bad_entity = (np.minimum(h, t) < 0) | (np.maximum(h, t) >= ne)
         bad = bad_entity | (p < 0) | (p >= np_)
@@ -69,7 +81,6 @@ class KnowledgeGraph:
 
         array.flags.writeable = False
         self.triple_array = array
-        self.triples: list[Triple] = list(map(tuple, array.tolist()))
         heads = p * ne + h  # one key per (predicate, head) pair
         by_head = np.argsort(heads, kind="stable")
         self._heads, self._tails = heads[by_head], t[by_head]
@@ -79,6 +90,10 @@ class KnowledgeGraph:
         self.per_predicate: dict[int, np.ndarray] = {
             q: edges[bounds[q] : bounds[q + 1]] for q in range(np_)
         }
+
+    @functools.cached_property
+    def triples(self) -> list[Triple]:
+        return list(map(tuple, self.triple_array.tolist()))
 
     @property
     def num_entities(self) -> int:
@@ -140,8 +155,9 @@ class LoadSummary:
         return "\n".join(lines) + "\n"
 
 
-def parse_triple_file(path) -> list[tuple[str, str, str]]:
-    """Read one TAB-separated triple file; raises TripleParseError with the line number.
+def _triple_fields(path) -> list[str]:
+    """The stripped fields of one TAB-separated triple file, three per non-empty
+    line in line order; raises TripleParseError with the line number.
 
     The non-empty lines are checked at once, by their tab counts and the
     stripped fields of one split of the lines joined by tabs; only a file
@@ -161,6 +177,12 @@ def parse_triple_file(path) -> list[tuple[str, str, str]]:
                 raise TripleParseError(
                     f"{path}:{lineno}: expected 3 TAB-separated fields, got {len(parts)}"
                 )
+    return fields
+
+
+def parse_triple_file(path) -> list[tuple[str, str, str]]:
+    """Read one TAB-separated triple file; raises TripleParseError with the line number."""
+    fields = _triple_fields(path)
     return list(zip(fields[0::3], fields[1::3], fields[2::3]))
 
 
@@ -176,7 +198,10 @@ def load_dataset(
     (train, then valid, then test; head, relation, tail within a line). The
     reasoning graph is built from the splits named by `graph_source`. Duplicate
     lines within a split are stored once and counted in the summary; a triple
-    appearing in two different splits is an error.
+    appearing in two different splits is an error. Each split is an (n, 3)
+    index array from parsing on, with one integer key per triple,
+    (predicate * |E| + head) * |E| + tail, that finds its repeated lines and
+    its overlap with the other splits.
 
     Returns (kg, splits, summary).
     """
@@ -186,52 +211,50 @@ def load_dataset(
     for name in graph_source:
         if name not in names:
             raise ValueError(f"unknown graph source {name!r}")
-    raw = [parse_triple_file(path) for path in (train_path, valid_path, test_path)]
-    if not raw[0]:
+    fields = [_triple_fields(path) for path in (train_path, valid_path, test_path)]
+    if not fields[0]:
         raise ValueError(f"empty train file: {train_path}")
 
-    # (heads, relations, tails) per split; heads and tails interleave line by
-    # line in the entities' first-appearance order
-    columns = [tuple(zip(*rows)) or ((), (), ()) for rows in raw]
-    entities = list(dict.fromkeys(itertools.chain.from_iterable(
-        itertools.chain.from_iterable(zip(h, t)) for h, _, t in columns
-    )))
-    predicates = list(dict.fromkeys(
-        itertools.chain.from_iterable(r for _, r, _ in columns)
-    ))
+    # heads and tails interleave line by line in the entities' first-appearance order
+    ends = [f.copy() for f in fields]
+    for e in ends:
+        del e[1::3]
+    entities = list(dict.fromkeys(itertools.chain.from_iterable(ends)))
+    predicates = list(dict.fromkeys(itertools.chain.from_iterable(f[1::3] for f in fields)))
     ent_idx = dict(zip(entities, itertools.count()))
     pred_idx = dict(zip(predicates, itertools.count()))
 
-    splits_idx: dict[str, list[Triple]] = {}
+    ne = len(entities)
+    rows: dict[str, np.ndarray] = {}
+    keys: dict[str, np.ndarray] = {}  # each split's distinct keys, sorted
     duplicates: dict[str, int] = {}
-    for name, (h, r, t) in zip(names, columns):
-        index = zip(map(ent_idx.__getitem__, h), map(pred_idx.__getitem__, r),
-                    map(ent_idx.__getitem__, t))
-        splits_idx[name] = list(dict.fromkeys(index))  # each triple at its first line
-        duplicates[name] = len(h) - len(splits_idx[name])
+    for name, f, e in zip(names, fields, ends):
+        n = len(f) // 3
+        ht = np.fromiter(map(ent_idx.__getitem__, e), np.int64, count=2 * n).reshape(n, 2)
+        p = np.fromiter(map(pred_idx.__getitem__, f[1::3]), np.int64, count=n)
+        keys[name], first = np.unique((p * ne + ht[:, 0]) * ne + ht[:, 1],
+                                      return_index=True)
+        first.sort()  # each triple at its first line
+        rows[name] = np.column_stack([ht[first, 0], p[first], ht[first, 1]])
+        duplicates[name] = n - len(first)
 
     for a, b in (("train", "valid"), ("train", "test"), ("valid", "test")):
-        overlap = set(splits_idx[a]) & set(splits_idx[b])
-        if overlap:
+        shared = len(np.intersect1d(keys[a], keys[b], assume_unique=True))
+        if shared:
             raise ValueError(
-                f"splits {a} and {b} share {len(overlap)} triples; "
+                f"splits {a} and {b} share {shared} triples; "
                 "splits must be pairwise disjoint"
             )
 
-    graph_triples: list[Triple] = []
-    for name in names:
-        if name in graph_source:
-            graph_triples.extend(splits_idx[name])
-
-    kg = KnowledgeGraph(entities, predicates, graph_triples)
-    splits = DatasetSplits(
-        splits_idx["train"], splits_idx["valid"], splits_idx["test"], tuple(graph_source)
-    )
+    kg = KnowledgeGraph(entities, predicates,
+                        np.concatenate([rows[n] for n in names if n in graph_source]))
+    splits = DatasetSplits(*(list(zip(*rows[n].T.tolist())) for n in names),
+                           tuple(graph_source))
     summary = LoadSummary(
         num_entities=kg.num_entities,
         num_predicates=kg.num_predicates,
-        num_graph_triples=len(kg.triples),
-        split_sizes={k: len(v) for k, v in splits_idx.items()},
+        num_graph_triples=len(kg.triple_array),
+        split_sizes={k: len(v) for k, v in rows.items()},
         duplicates=duplicates,
         graph_source=tuple(graph_source),
     )

@@ -162,6 +162,18 @@ class ModelParams:
     def shapes(self):
         return {k: v.shape for k, v in self.tensors.items()}
 
+    def unrolled_keys(self):
+        """Keys of the tensors the attention unroll reads, in tensor order.
+
+        The forward cell runs L steps and the backward one L - 1
+        (`_rank_unroll`). A cell reads Wx and b from one step on and Wh from
+        two, as step 0 starts from the zero state; every other cell tensor's
+        gradient is 0.
+        """
+        steps = {"fwd": self.max_len, "bwd": self.max_len - 1}
+        return [k for k in self.tensors if not k.startswith("cell")
+                or steps[k.split("_")[1]] >= (2 if k.endswith("Wh") else 1)]
+
     def zero_grads(self):
         return packed(self.shapes(), zero=True)
 
@@ -235,13 +247,16 @@ def _run_cell(params, r, direction, x, h, blocks, scratch):
     gates (steps, G, 4 * hidden), the cell states (steps + 1, G, hidden),
     zero state first, and their tanh (steps, G, hidden). scratch is a
     (G, 4 * hidden) and a (G, hidden) array that the call overwrites.
-    Returns the step cache (h, gates, c, tc) that `_cell_backward` reads.
+    Returns the step cache (h, gates, c, tc) that `_cell_backward` reads;
+    with zero steps (the backward cell at L = 1) nothing is computed.
     """
     steps, G, dh = h.shape
     key = f"cell{r}_{direction}_"
     Wh = params.tensors[key + "Wh"]
     gates, c, tc = blocks
     zx, ig = scratch
+    if not steps:
+        return h, gates, c, tc
     np.matmul(x, params.tensors[key + "Wx"], out=zx)
     zx += params.tensors[key + "b"]
     c[0] = 0.0
@@ -326,7 +341,8 @@ def attention_forward(params: ModelParams, query: int) -> AttentionTensor:
 def _cell_backward(params, r, direction, x, cache, dh_steps, grads):
     """BPTT through one direction over all G rows, from the step cache
     `_run_cell` returned; dh_steps[i] is the external grad on step i's h.
-    Adds the cell's weight grads to `grads`, returns dL/dx.
+    Adds the cell's weight grads to `grads`, returns dL/dx (0.0 for a cell
+    that ran no steps).
 
     The input x is the same at every step, so its weight and input grads come
     from the summed gate grads: gWx = x^T sum_steps dZ. Step 0 reads the zero
@@ -335,6 +351,8 @@ def _cell_backward(params, r, direction, x, cache, dh_steps, grads):
     """
     h, gates, c, tc = cache
     steps, G, dh = h.shape
+    if not steps:
+        return 0.0
     key = f"cell{r}_{direction}_"
     Wh = params.tensors[key + "Wh"]
     gWh = grads[key + "Wh"]

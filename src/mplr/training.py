@@ -57,14 +57,14 @@ class TrainConfig:
     epsilon_mode: str = CORRECTED
 
     def validate(self):
-        if self.max_len < 1 or self.rank < 1:
-            raise ValueError("max_len and rank must be >= 1")
-        for name in ("embed_dim", "hidden_dim", "batch_size", "max_epochs", "patience"):
+        """Refuse settings outside their ranges, in the CLI's message form."""
+        for name in ("max_len", "rank", "embed_dim", "hidden_dim", "batch_size",
+                     "max_epochs", "patience"):
             if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be positive")
+                raise ValueError(f"{name} must be at least 1, not {getattr(self, name)}")
         if not 0 < self.learning_rate < math.inf:  # nan compares false
             raise ValueError(
-                f"learning_rate must be positive and finite, not {self.learning_rate}"
+                f"learning_rate must be above 0 and finite, not {self.learning_rate}"
             )
         if self.normalize not in NORMALIZE_MODES:
             raise ValueError(f"normalize must be one of {NORMALIZE_MODES}")
@@ -164,7 +164,11 @@ def train(
         epsilon_mode=config.epsilon_mode,
         predicates=kg.predicates,
     )
-    adam = AdamOptimizer(params.tensors, lr=config.learning_rate)
+    # a tensor no hop reads has gradient 0 at every step, so Adam would leave
+    # it as it is: the optimizer and the gradient scaling skip it
+    unrolled = params.unrolled_keys()
+    adam = AdamOptimizer({k: params.tensors[k] for k in unrolled},
+                         lr=config.learning_rate)
     rng = np.random.default_rng(config.seed)
     stats: list[EpochStats] = []
     # without a validation split the final parameters are returned
@@ -173,21 +177,22 @@ def train(
     best_loss = np.inf
     bad_epochs = 0
     grads = params.zero_grads()  # every batch's gradients, filled in place
+    step_grads = {k: grads[k] for k in unrolled}
     for epoch in range(1, config.max_epochs + 1):
         order = rng.permutation(len(queries))
         epoch_loss = 0.0
         for start in range(0, len(order), config.batch_size):
             batch = [queries[i] for i in order[start : start + config.batch_size]]
-            loss, grads = loss_and_gradients(ops, params, batch, out=grads)
+            loss, _ = loss_and_gradients(ops, params, batch, out=grads)
             if not np.isfinite(loss):
                 raise TrainingDivergedError(
                     f"non-finite loss at epoch {epoch}, "
                     f"batch starting at {start} (loss={loss})"
                 )
             scale = 1.0 / len(batch)
-            for g in grads.values():
+            for g in step_grads.values():
                 g *= scale
-            adam.step(params.tensors, grads)
+            adam.step(params.tensors, step_grads)
             epoch_loss += loss
         epoch_loss /= len(queries)
         valid_mrr = None

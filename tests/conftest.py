@@ -12,7 +12,16 @@ import pytest
 from scipy import sparse
 
 from mplr.indicators import EmptySubgraphError, _saturation_scan
-from mplr.kg import KnowledgeGraph, TripleParseError, load_dataset
+from mplr.kg import (
+    DEFAULT_GRAPH_SOURCE,
+    DatasetSplits,
+    KnowledgeGraph,
+    LoadSummary,
+    Triple,
+    TripleParseError,
+    load_dataset,
+    parse_triple_file,
+)
 from mplr.model import (
     ExtractedRule,
     _BatchForward,
@@ -91,6 +100,84 @@ def parse_triple_file_reference(path):
                 )
             out.append((parts[0].strip(), parts[1].strip(), parts[2].strip()))
     return out
+
+
+def load_dataset_reference(
+    train_path,
+    valid_path,
+    test_path,
+    graph_source: tuple[str, ...] = DEFAULT_GRAPH_SOURCE,
+):
+    """`load_dataset` as it was before the loader kept the splits as arrays:
+    a tuple per line, deduplicated by `dict.fromkeys`, overlaps by set
+    intersection, and the graph built from the tuple list.
+
+    Load the three split files into a KnowledgeGraph plus DatasetSplits.
+
+    Vocabularies cover the union of all splits in first-appearance order
+    (train, then valid, then test; head, relation, tail within a line). The
+    reasoning graph is built from the splits named by `graph_source`. Duplicate
+    lines within a split are stored once and counted in the summary; a triple
+    appearing in two different splits is an error.
+
+    Returns (kg, splits, summary).
+    """
+    names = ("train", "valid", "test")
+    if not graph_source:
+        raise ValueError("graph source names no split (expected train, valid or test)")
+    for name in graph_source:
+        if name not in names:
+            raise ValueError(f"unknown graph source {name!r}")
+    raw = [parse_triple_file(path) for path in (train_path, valid_path, test_path)]
+    if not raw[0]:
+        raise ValueError(f"empty train file: {train_path}")
+
+    # (heads, relations, tails) per split; heads and tails interleave line by
+    # line in the entities' first-appearance order
+    columns = [tuple(zip(*rows)) or ((), (), ()) for rows in raw]
+    entities = list(dict.fromkeys(itertools.chain.from_iterable(
+        itertools.chain.from_iterable(zip(h, t)) for h, _, t in columns
+    )))
+    predicates = list(dict.fromkeys(
+        itertools.chain.from_iterable(r for _, r, _ in columns)
+    ))
+    ent_idx = dict(zip(entities, itertools.count()))
+    pred_idx = dict(zip(predicates, itertools.count()))
+
+    splits_idx: dict[str, list[Triple]] = {}
+    duplicates: dict[str, int] = {}
+    for name, (h, r, t) in zip(names, columns):
+        index = zip(map(ent_idx.__getitem__, h), map(pred_idx.__getitem__, r),
+                    map(ent_idx.__getitem__, t))
+        splits_idx[name] = list(dict.fromkeys(index))  # each triple at its first line
+        duplicates[name] = len(h) - len(splits_idx[name])
+
+    for a, b in (("train", "valid"), ("train", "test"), ("valid", "test")):
+        overlap = set(splits_idx[a]) & set(splits_idx[b])
+        if overlap:
+            raise ValueError(
+                f"splits {a} and {b} share {len(overlap)} triples; "
+                "splits must be pairwise disjoint"
+            )
+
+    graph_triples: list[Triple] = []
+    for name in names:
+        if name in graph_source:
+            graph_triples.extend(splits_idx[name])
+
+    kg = KnowledgeGraph(entities, predicates, graph_triples)
+    splits = DatasetSplits(
+        splits_idx["train"], splits_idx["valid"], splits_idx["test"], tuple(graph_source)
+    )
+    summary = LoadSummary(
+        num_entities=kg.num_entities,
+        num_predicates=kg.num_predicates,
+        num_graph_triples=len(kg.triples),
+        split_sizes={k: len(v) for k, v in splits_idx.items()},
+        duplicates=duplicates,
+        graph_source=tuple(graph_source),
+    )
+    return kg, splits, summary
 
 
 def write_triples(kg, path):

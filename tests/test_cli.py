@@ -106,11 +106,12 @@ class TestIndicators:
     @pytest.mark.parametrize(
         "flag, value, message",
         [
-            ("--max-rule-len", 1, "--max-rule-len must be at least 2"),
-            ("--lambda-max", 0, "--lambda-max must be at least 1"),
-            ("--sample", 0, "--sample must lie between 1 and"),
-            ("--top-n", 0, "--top-n must be at least 1"),
-            ("--budget", "nan", "--budget must be a number or inf, not nan"),
+            ("--max-rule-len", 1, "max_rule_len must be at least 2 for indicators"),
+            ("--lambda-max", 0, "lambda_max must be at least 1, not 0"),
+            ("--sample", 0, "sample must be at least 1, not 0"),
+            ("--sample", 10**6, "sample must be at most the graph's"),
+            ("--top-n", 0, "top_n must be at least 1, not 0"),
+            ("--budget", "nan", "budget must be above 0, not nan"),
         ],
     )
     def test_bad_setting_exits_one_before_making_out(
@@ -244,7 +245,7 @@ class TestPipeline:
         [
             ("eval", "--ks", "0", "--ks must be a comma-separated list of positive"),
             ("eval", "--ks", "x", "--ks must be a comma-separated list of positive"),
-            ("rules", "--top-n", 0, "--top-n must be at least 1"),
+            ("rules", "--top-n", 0, "top_n must be at least 1, not 0"),
             ("rules", "--query", "nosuch", "unknown predicate 'nosuch'"),
         ],
     )
@@ -393,6 +394,31 @@ class TestConfigFile:
             assert err.startswith(f"error: {key} must be ") and err.count("\n") == 1
             assert run("--config", cfg, command) == 1
             assert capsys.readouterr().err == err
+
+    @pytest.mark.parametrize(
+        "key", [k for k, o in OPTIONS.items() if o.kind in (int, float)])
+    def test_every_number_has_a_minimum_checked_before_loading(
+        self, key, tmp_path, capsys
+    ):
+        option = OPTIONS[key]
+        flag = option.flag or "--" + key.replace("_", "-")
+        low = option.minimum
+        assert low is not None
+        assert option.default is None or option.default >= low
+        # an int below its minimum, a float at it; no dataset is named, so the
+        # range is checked before anything is loaded
+        bad = str(low - 1) if option.kind is int else str(low)
+        want = (f"error: {key} must be {'at least' if option.kind is int else 'above'} "
+                f"{low:g}, not {option.kind(bad)}\n")
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{key} = {bad}\n")
+        for command in option.commands:
+            assert run(command, flag, bad) == 1
+            assert capsys.readouterr().err == want
+            assert run("--config", cfg, command) == 1
+            assert capsys.readouterr().err == want
+        assert run(option.commands[0], flag, low + 1) == 1
+        assert capsys.readouterr().err == "error: --dataset-dir is required\n"
 
     def test_config_supplies_defaults_flags_override(self, kin_dir, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"

@@ -1,6 +1,10 @@
+import itertools
+import random
+
 import numpy as np
 import pytest
 
+from mplr.indicators import sample_subgraph
 from mplr.kg import (
     KnowledgeGraph,
     TripleParseError,
@@ -14,6 +18,7 @@ from conftest import (
     adjacency_reference,
     bw_degree,
     fw_degree,
+    load_dataset_reference,
     parse_triple_file_reference,
     random_kg,
     triple_lines,
@@ -161,6 +166,167 @@ class TestLoading:
     def test_per_predicate_sizes_sum_to_triples(self, toy_kg):
         total = sum(len(edges) for edges in toy_kg.per_predicate.values())
         assert total == len(toy_kg.triples)
+
+
+NAMES = ["a", "b c", "Zoë", "北京", "x  y", "naïve", "e1", "e2", "e\u00a0n", "ü"]
+RELATIONS = ["r", "has part", "ρ", "inv:r", "q"]
+GRAPH_SOURCES = [combo for k in (1, 2, 3)
+                 for combo in itertools.permutations(("train", "valid", "test"), k)]
+
+
+def random_split_texts(seed, *, empty=()):
+    """Three disjoint split files as text: repeated lines within a split,
+    non-ASCII names and names with inner spaces, padded fields, blank lines,
+    and LF or CRLF line ends; the splits named in `empty` hold no triple."""
+    rng = random.Random(seed)
+    pool = list(itertools.product(NAMES, RELATIONS, NAMES))
+    rng.shuffle(pool)
+    sizes = {"train": rng.randint(1, 40), "valid": rng.randint(0, 12),
+             "test": rng.randint(0, 12)}
+    texts, start = {}, 0
+    for name, size in sizes.items():
+        size = 0 if name in empty else size
+        rows = pool[start : start + size]
+        start += size
+        rows += rng.choices(rows, k=rng.randint(0, size // 2)) if rows else []
+        rng.shuffle(rows)
+        end = rng.choice(["\n", "\r\n"])
+        lines = []
+        for h, r, t in rows:
+            pad = rng.choice(["", " ", "  "])
+            lines.append(f"{pad}{h}\t{r}{pad}\t{t}")
+            if rng.random() < 0.1:
+                lines.append("")
+        texts[name] = end.join(lines) + (end if rng.random() < 0.7 else "")
+    return texts
+
+
+def write_texts(tmp_path, texts):
+    tmp_path.mkdir(parents=True, exist_ok=True)
+    paths = []
+    for name in ("train", "valid", "test"):
+        path = tmp_path / f"{name}.txt"
+        path.write_bytes(texts[name].encode())
+        paths.append(path)
+    return paths
+
+
+def assert_same_load(got, want):
+    (kg, splits, summary), (kg_ref, splits_ref, summary_ref) = got, want
+    assert kg.entities == kg_ref.entities
+    assert kg.predicates == kg_ref.predicates
+    assert kg.triple_array.dtype == kg_ref.triple_array.dtype == np.int64
+    assert np.array_equal(kg.triple_array, kg_ref.triple_array)
+    assert kg.triples == kg_ref.triples
+    for p in range(kg.num_predicates):
+        assert np.array_equal(kg.per_predicate[p], kg_ref.per_predicate[p])
+    assert splits == splits_ref
+    assert all(type(x) is int for split in (splits.train, splits.valid, splits.test)
+               for triple in split for x in triple)
+    assert summary == summary_ref
+
+
+def assert_same_error(paths, **kwargs):
+    with pytest.raises(ValueError) as want:
+        load_dataset_reference(*paths, **kwargs)
+    with pytest.raises(ValueError) as got:
+        load_dataset(*paths, **kwargs)
+    assert type(got.value) is type(want.value)
+    assert str(got.value) == str(want.value)
+    return str(got.value)
+
+
+class TestLoaderOracle:
+    """`load_dataset` against the tuple-walking loader it replaced."""
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_equals_reference_on_random_splits(self, tmp_path, seed):
+        empty = [(), ("valid",), ("test",), ("valid", "test")][seed % 4]
+        paths = write_texts(tmp_path, random_split_texts(seed, empty=empty))
+        for source in GRAPH_SOURCES:
+            assert_same_load(load_dataset(*paths, graph_source=source),
+                             load_dataset_reference(*paths, graph_source=source))
+
+    @pytest.mark.parametrize("pair", [("train", "valid"), ("train", "test"),
+                                      ("valid", "test")])
+    def test_overlap_message_and_count_equal_reference(self, tmp_path, pair):
+        texts = random_split_texts(1)
+        a, b = pair
+        lines = [line for line in texts[a].splitlines() if line.strip()]
+        # two distinct shared triples, one of them twice
+        shared = list(dict.fromkeys(line.strip() for line in lines))[:2]
+        assert len(shared) == 2
+        texts[b] = "\n".join([texts[b].rstrip("\r\n"), *shared, shared[0]]) + "\n"
+        message = assert_same_error(write_texts(tmp_path, texts))
+        assert f"splits {a} and {b} share {len(shared)} triples" in message
+
+    @pytest.mark.parametrize("name", ["train", "valid", "test"])
+    def test_malformed_line_message_equals_reference(self, tmp_path, name):
+        texts = random_split_texts(3)
+        lines = texts[name].split("\n")
+        lines.insert(len(lines) // 2, "one field only")
+        texts[name] = "\n".join(lines)
+        message = assert_same_error(write_texts(tmp_path, texts))
+        assert f"{name}.txt:" in message
+
+    @pytest.mark.parametrize("text", ["", "\n\n", "\r\n"])
+    def test_empty_train_message_equals_reference(self, tmp_path, text):
+        texts = random_split_texts(5) | {"train": text}
+        assert "empty train file" in assert_same_error(write_texts(tmp_path, texts))
+
+    def test_graph_from_array_equals_graph_from_tuples(self):
+        for seed in range(10):
+            base = random_kg(seed, num_entities=7, num_predicates=3, edge_prob=0.35)
+            triples = list(base.triples)
+            np.random.default_rng(seed).shuffle(triples)
+            for dtype in (np.int64, np.int32, np.uint16):
+                array = np.array(triples, dtype=dtype).reshape(-1, 3)
+                kg = KnowledgeGraph(base.entities, base.predicates, array)
+                ref = KnowledgeGraph(base.entities, base.predicates, triples)
+                assert kg.triple_array.dtype == np.int64
+                assert np.array_equal(kg.triple_array, ref.triple_array)
+                assert kg.triples == ref.triples
+                for p in range(kg.num_predicates):
+                    assert np.array_equal(kg.per_predicate[p], ref.per_predicate[p])
+                # the graph freezes its own copy, not the caller's array
+                assert array.flags.writeable
+                assert not np.shares_memory(array, kg.triple_array)
+
+    @pytest.mark.parametrize("triples", [
+        [(0, 0, 0), (1, 0, 1), (1, 0, 1), (0, 0, 0)],
+        [(0, 0, 1), (0, 0, 1), (0, 0, 5)],
+        [(0, 0, 1), (0, 0, 5), (0, 0, 1)],
+        [(1, 0, 0), (-1, 0, 0)],
+        [(1, 2, 0), (0, 0, 9)],
+        [(0, 3, 7)],
+    ])
+    def test_array_and_tuples_raise_the_same_message(self, triples):
+        with pytest.raises(ValueError) as want:
+            KnowledgeGraph(["a", "b"], ["r"], triples)
+        with pytest.raises(ValueError) as got:
+            KnowledgeGraph(["a", "b"], ["r"], np.array(triples))
+        assert str(got.value) == str(want.value)
+
+    @pytest.mark.parametrize("array", [np.zeros((2, 2), dtype=np.int64),
+                                       np.zeros(6, dtype=np.int64),
+                                       np.zeros((2, 3))])
+    def test_array_of_the_wrong_shape_or_kind_is_refused(self, array):
+        with pytest.raises(ValueError, match="triple array must be"):
+            KnowledgeGraph(["a", "b"], ["r"], array)
+
+    def test_sample_subgraph_unchanged(self):
+        kg = random_kg(3, num_entities=12, num_predicates=4, edge_prob=0.3)
+        for seed, size in [(0, 1), (1, 10), (2, len(kg.triples))]:
+            sample = sample_subgraph(kg, seed, size)
+            idx = np.sort(np.random.default_rng(seed).choice(
+                len(kg.triples), size=size, replace=False))
+            ref = KnowledgeGraph(kg.entities, kg.predicates,
+                                 [kg.triples[i] for i in idx])
+            assert sample.entities == ref.entities and sample.predicates == ref.predicates
+            assert np.array_equal(sample.triple_array, ref.triple_array)
+            for p in range(kg.num_predicates):
+                assert np.array_equal(sample.per_predicate[p], ref.per_predicate[p])
+            assert sample.triples == ref.triples
 
 
 class TestIndex:

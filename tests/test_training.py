@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import mplr.training as training
-from mplr.kg import KnowledgeGraph, DatasetSplits
+from mplr.kg import KnowledgeGraph, DatasetSplits, group_queries
 from mplr.indicators import BifurcationRecord, FORWARD, BACKWARD
 from mplr.model import (
     AttentionTensor,
@@ -12,6 +12,7 @@ from mplr.model import (
     _attention_forward,
     extract_rules,
     load_checkpoint,
+    loss_and_gradients,
     save_checkpoint,
     score_entities,
     support_scores,
@@ -177,6 +178,39 @@ class TestTrain:
         cfg = TrainConfig(max_epochs=2, patience=2, seed=0, **SMALL_CONFIG)
         with pytest.raises(TrainingDivergedError, match="epoch 1"):
             train(kg, splits, cfg)
+
+    @pytest.mark.parametrize("max_len", [1, 2, 3])
+    def test_training_equals_adam_over_every_tensor(self, max_len):
+        # train steps only the tensors the unroll reads; the allocating Adam
+        # over every tensor, with every gradient scaled, gives the same bits
+        kg = random_kg(4, num_entities=9, num_predicates=3, edge_prob=0.3)
+        splits = DatasetSplits(kg.triples, [], [], ("train",))
+        config = TrainConfig(max_len=max_len, rank=2, embed_dim=6, hidden_dim=5,
+                             batch_size=5, max_epochs=2, learning_rate=0.01, seed=2)
+        trained, _ = train(kg, splits, config)
+
+        params = ModelParams(kg.num_predicates, rank=2, max_len=max_len, embed_dim=6,
+                             hidden_dim=5, seed=2, predicates=kg.predicates)
+        start = params.copy()
+        ops, queries = build_operators(kg), group_queries(splits.train)
+        ref = AdamOptimizer(params.tensors, lr=config.learning_rate)
+        rng = np.random.default_rng(config.seed)
+        for _ in range(config.max_epochs):
+            order = rng.permutation(len(queries))
+            for i in range(0, len(order), config.batch_size):
+                batch = [queries[j] for j in order[i : i + config.batch_size]]
+                _, grads = loss_and_gradients(ops, params, batch)
+                for g in grads.values():
+                    g *= 1.0 / len(batch)
+                adam_step_reference(ref, params.tensors, grads)
+        for key, t in params.tensors.items():
+            assert np.array_equal(trained.tensors[key], t), key
+        unread = sorted(set(params.tensors) - set(params.unrolled_keys()))
+        per_rank = {1: ["bwd_Wh", "bwd_Wx", "bwd_b", "fwd_Wh"], 2: ["bwd_Wh"], 3: []}
+        assert unread == [f"cell{r}_{n}" for r in range(2) for n in per_rank[max_len]]
+        for key in unread:
+            assert np.array_equal(params.tensors[key], start.tensors[key]), key
+            assert not ref.m[key].any() and not ref.v[key].any(), key
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
