@@ -9,6 +9,12 @@ per triple. A loaded graph is one read-only (n, 3) int64 triple array, which
 `KnowledgeGraph` accepts as it is; every other view of it (per-predicate edge
 lists, successors, edge counts, membership, and the tuple list `triples`,
 built on first use) is derived from that array.
+
+`group_queries` turns a split into multi-target queries, one per (head,
+predicate) pair with all of its tails. Each is a `MultiTargetQuery`, a
+validated named tuple (head, query, targets); the grouping builds them
+through the unchecked `_make`, since it already guarantees what the
+constructor checks.
 """
 
 from __future__ import annotations
@@ -16,6 +22,7 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -26,6 +33,20 @@ DEFAULT_GRAPH_SOURCE = ("train", "valid", "test")
 
 class TripleParseError(ValueError):
     """A triple file line does not have exactly three TAB-separated fields."""
+
+
+def check_key_range(num_entities: int, num_predicates: int) -> None:
+    """Refuse a graph whose int64 triple keys would wrap.
+
+    Every per-triple key in the program, (p * |E| + h) * |E| + t here and
+    (own * (|P|+1) + operator) * |E| + other in `OperatorSet`, is below
+    (|P|+1) * |E|^2, so that product must fit in an int64.
+    """
+    if (num_predicates + 1) * num_entities**2 > np.iinfo(np.int64).max:
+        raise ValueError(
+            f"graph of {num_predicates} predicates and {num_entities} entities "
+            "is too large: (|P|+1)*|E|^2 triple keys overflow int64"
+        )
 
 
 class KnowledgeGraph:
@@ -53,6 +74,7 @@ class KnowledgeGraph:
             raise ValueError("duplicate predicate identifiers")
 
         ne, np_ = len(self.entities), len(self.predicates)
+        check_key_range(ne, np_)
         if isinstance(triples, np.ndarray):
             if triples.dtype.kind not in "iu" or triples.shape[1:] != (3,):
                 raise ValueError(f"triple array must be (n, 3) integers, not "
@@ -225,6 +247,7 @@ def load_dataset(
     pred_idx = dict(zip(predicates, itertools.count()))
 
     ne = len(entities)
+    check_key_range(ne, len(predicates))
     rows: dict[str, np.ndarray] = {}
     keys: dict[str, np.ndarray] = {}  # each split's distinct keys, sorted
     duplicates: dict[str, int] = {}
@@ -261,19 +284,29 @@ def load_dataset(
     return kg, splits, summary
 
 
-@dataclass(frozen=True)
-class MultiTargetQuery:
-    """One (head, query predicate) pair together with every tail answering it."""
-
+class _QueryFields(NamedTuple):
     head: int
     query: int
     targets: tuple[int, ...]
 
-    def __post_init__(self):
-        if not self.targets:
+
+class MultiTargetQuery(_QueryFields):
+    """One (head, query predicate) pair together with every tail answering it.
+
+    A named tuple (head, query, targets): it unpacks as a 3-tuple and equals
+    the plain tuple of its fields. Direct construction refuses an empty or
+    repeated target list; `group_queries` builds records through the
+    unchecked `_make`, since its grouping already guarantees both.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, head: int, query: int, targets: tuple[int, ...]):
+        if not targets:
             raise ValueError("query must have at least one target")
-        if len(set(self.targets)) != len(self.targets):
+        if len(set(targets)) != len(targets):
             raise ValueError("duplicate targets in query")
+        return super().__new__(cls, head, query, targets)
 
 
 def group_queries(split: list[Triple]) -> list[MultiTargetQuery]:
@@ -287,6 +320,5 @@ def group_queries(split: list[Triple]) -> list[MultiTargetQuery]:
         ts = targets.setdefault((h, q), [])
         if t not in ts:
             ts.append(t)
-    return [
-        MultiTargetQuery(h, q, tuple(ts)) for (h, q), ts in targets.items()
-    ]
+    make = MultiTargetQuery._make
+    return [make((h, q, tuple(ts))) for (h, q), ts in targets.items()]

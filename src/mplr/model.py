@@ -467,7 +467,8 @@ class _Propagation:
     depend on the rank or on the attention values. The support of each level
     is built once, as sorted keys row * |E| + entity, together with the edges
     that enter it: source position at the level before, destination position,
-    a (group, operator) slot and the per-rank edge weights. A value is
+    a (group, operator) slot and the (R, n) per-rank edge weights, gathered
+    by one flat index into the C-ordered attention. A value is
     bincount(dst, u[src] * w); nothing is pruned, so exact zeros stay stored.
     `extra_keys` are added to the last level; `excluded` = (operator, tail)
     per row drops the edge (start, operator, tail) wherever it occurs
@@ -487,6 +488,8 @@ class _Propagation:
         keys = np.arange(len(starts)) * E + starts
         self.keys = [keys]
         self.edges = []  # per hop: (src, dst, slot, (R, n) weights)
+        flat = weights.reshape(-1)  # C order: (g, r, l, k) at ((g*R + r)*L + l)*K + k
+        rank_offsets = (np.arange(R) * (L * K))[:, None]
         for hop in range(first, L + 1):
             row = keys // E
             drop = None if excluded is None else (starts[row], *(x[row] for x in excluded))
@@ -498,9 +501,9 @@ class _Propagation:
             keys, inv = np.unique(new, return_inverse=True)
             g = groups[row]
             self.keys.append(keys)
+            at = g * (R * L * K) + (hop - 1) * K + op
             self.edges.append(
-                (src, inv[: len(src)], g * K + op,
-                 np.ascontiguousarray(weights[g, :, hop - 1, op].T))
+                (src, inv[: len(src)], g * K + op, np.take(flat, rank_offsets + at))
             )
 
     def forward(self, r):
@@ -710,21 +713,24 @@ def loss_and_gradients(ops: OperatorSet, params: ModelParams, queries, *, out=No
     groups = [index.setdefault(q.query, len(index)) for q in queries]
     preds = list(index)
     caches = []
-    weights = _attention_forward(params, preds, caches)
-    fwd = _BatchForward(
-        ops, weights, preds, groups,
-        [q.head for q in queries], [q.targets for q in queries],
-        epsilon_mode=params.epsilon_mode, normalize=params.normalize,
-    )
-    if out is None:
-        grads = params.zero_grads()
-    else:
-        grads = out
-        for g in grads.values():
-            g.fill(0.0)
-    dA = fwd.backward(logit_loss_grad(fwd.s, fwd.v))
-    _attention_backward(params, preds, weights, caches, dA, grads)
-    return fwd.loss(), grads
+    # parameters blown up by a huge step overflow to inf and nan here; the
+    # loss's finite check then reports them in one error, with no warnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        weights = _attention_forward(params, preds, caches)
+        fwd = _BatchForward(
+            ops, weights, preds, groups,
+            [q.head for q in queries], [q.targets for q in queries],
+            epsilon_mode=params.epsilon_mode, normalize=params.normalize,
+        )
+        if out is None:
+            grads = params.zero_grads()
+        else:
+            grads = out
+            for g in grads.values():
+                g.fill(0.0)
+        dA = fwd.backward(logit_loss_grad(fwd.s, fwd.v))
+        _attention_backward(params, preds, weights, caches, dA, grads)
+        return fwd.loss(), grads
 
 
 # ---------------------------------------------------------------------------

@@ -339,20 +339,23 @@ def evaluate(
     order = np.argsort(group, kind="stable")  # per predicate, in split order
     group = group[order]
     h, q, t = np.asarray(triples, dtype=np.int64)[order].T
-    weights = _attention_forward(params, list(index))
     ranks = np.empty(len(order))
-    for start in range(0, len(order), EVAL_CHUNK):
-        c = slice(start, start + EVAL_CHUNK)
-        keys, scores = support_scores(
-            ops, weights, group[c], h[c], excluded=(q[c] + 1, t[c]),
-            normalize=params.normalize,
-        )
-        # a NaN answer score ties with nothing and would rank 0.5
-        bad = ~np.isfinite(scores)
-        if bad.any():
-            pred = q[c][keys[bad][0] // ops.num_entities]
-            raise ValueError(f"non-finite scores for predicate {kg.predicates[pred]!r}")
-        ranks[c] = _ranks(keys, scores, ops.num_entities, h[c], t[c])
+    # non-finite parameters give inf and nan scores without warnings; the
+    # finite check below reports them in one error
+    with np.errstate(over="ignore", invalid="ignore"):
+        weights = _attention_forward(params, list(index))
+        for start in range(0, len(order), EVAL_CHUNK):
+            c = slice(start, start + EVAL_CHUNK)
+            keys, scores = support_scores(
+                ops, weights, group[c], h[c], excluded=(q[c] + 1, t[c]),
+                normalize=params.normalize,
+            )
+            # a NaN answer score ties with nothing and would rank 0.5
+            bad = ~np.isfinite(scores)
+            if bad.any():
+                pred = q[c][keys[bad][0] // ops.num_entities]
+                raise ValueError(f"non-finite scores for predicate {kg.predicates[pred]!r}")
+            ranks[c] = _ranks(keys, scores, ops.num_entities, h[c], t[c])
     rr = 1.0 / ranks
     hits = {k: np.where(ranks <= k, 1.0, 0.0) for k in ks}
     bounds = np.searchsorted(group, np.arange(len(index) + 1))

@@ -180,6 +180,17 @@ def load_dataset_reference(
     return kg, splits, summary
 
 
+def group_queries_reference(split):
+    """One plain (head, predicate, targets) triple per distinct (head,
+    predicate) pair, in first-appearance order, targets deduplicated."""
+    targets = {}
+    for h, q, t in split:
+        ts = targets.setdefault((h, q), [])
+        if t not in ts:
+            ts.append(t)
+    return [(h, q, tuple(ts)) for (h, q), ts in targets.items()]
+
+
 def write_triples(kg, path):
     Path(path).write_text("".join(line + "\n" for line in triple_lines(kg)),
                           encoding="utf-8")

@@ -219,6 +219,28 @@ class TestPipeline:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize("batch_size, message", [
+        (8, "non-finite input to loss"),  # the second batch's loss
+        (128, "non-finite scores"),  # one batch, then validation
+    ])
+    def test_huge_learning_rate_fails_in_one_line(self, kin_dir, tmp_path,
+                                                  batch_size, message):
+        # the parameters overflow after the first step; numpy's warnings
+        # about it would print before the error, so the command runs apart
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "mplr.cli", "train", "--dataset-dir", str(kin_dir),
+             "--out", str(tmp_path / "run"), "--lr", "1e308", "--epochs", "1",
+             "--rank", "1", "--embed-dim", "8", "--hidden-dim", "8",
+             "--batch-size", str(batch_size)],
+            env=env, capture_output=True, text=True, timeout=300,
+        )
+        assert proc.returncode == 1
+        assert proc.stderr.startswith(f"error: {message}")
+        assert proc.stderr.count("\n") == 1
+
     def test_train_ignores_the_eval_only_ks(self, kin_dir, tmp_path):
         # ks sets eval's report; train keeps only the validation MRR
         cfg = tmp_path / "run.cfg"

@@ -231,6 +231,42 @@ def test_operator_grads_of_all_zero_state():
 
 
 # ---------------------------------------------------------------------------
+# per-hop edge weights of the propagation kernel
+
+PROPAGATION_CASES = [
+    *((L, kind, 1) for L in (1, 2, 3) for kind in ("plain", "excluded", "extra-keys")),
+    (2, "plain", 2), (3, "plain", 2), (3, "plain", 3),  # correction chains
+    (3, "strided", 1),  # attention that is not C-contiguous
+]
+
+
+@pytest.mark.parametrize("L, kind, first", PROPAGATION_CASES)
+def test_stored_edge_weights_are_per_edge_lookups(L, kind, first):
+    kg = random_kg(L, num_entities=9, num_predicates=3, edge_prob=0.25)
+    ops = build_operators(kg)
+    E, K, G, R, B = kg.num_entities, len(ops), 3, 2, 8
+    rng = np.random.default_rng(L * 10 + first)
+    weights = rng.random((G, R, L, K))
+    if kind == "strided":
+        weights = np.asfortranarray(weights)
+    groups = rng.integers(0, G, size=B)
+    # eval-style rows start at the heads of graph triples and may drop them
+    h, p, t = kg.triple_array[rng.choice(len(kg.triple_array), size=B)].T
+    kwargs = {"first": first}
+    if kind == "excluded":
+        kwargs["excluded"] = (np.where(np.arange(B) % 4 == 3, -1, p + 1), t)
+    elif kind == "extra-keys":
+        kwargs["extra_keys"] = np.arange(B) * E + rng.integers(0, E, size=B)
+    prop = _Propagation(ops, weights, groups, h, **kwargs)
+    assert len(prop.edges) == L - first + 1
+    for i, (src, _, slot, w) in enumerate(prop.edges):
+        g, op = np.divmod(slot, K)
+        assert len(src) and w.shape == (R, len(src))
+        want = np.array([weights[g, r, first + i - 1, op] for r in range(R)])
+        assert np.array_equal(w, want)
+
+
+# ---------------------------------------------------------------------------
 # one matrix LSTM for every predicate of a batch
 
 THREE_PREDICATE_BATCH = [

@@ -1,13 +1,17 @@
 import itertools
+import math
 import random
 
 import numpy as np
 import pytest
 
 from mplr.indicators import sample_subgraph
+from mplr import kg as kg_module
 from mplr.kg import (
     KnowledgeGraph,
+    MultiTargetQuery,
     TripleParseError,
+    check_key_range,
     group_queries,
     load_dataset,
     parse_triple_file,
@@ -18,6 +22,7 @@ from conftest import (
     adjacency_reference,
     bw_degree,
     fw_degree,
+    group_queries_reference,
     load_dataset_reference,
     parse_triple_file_reference,
     random_kg,
@@ -403,6 +408,37 @@ class TestDegrees:
                 assert fw == bw == kg.num_edges(q)
 
 
+class TestKeyRange:
+    @pytest.mark.parametrize("num_predicates", [1, 12, 1000])
+    def test_boundary(self, num_predicates):
+        int64_max = np.iinfo(np.int64).max
+        largest = math.isqrt(int64_max // (num_predicates + 1))
+        check_key_range(largest, num_predicates)
+        # the largest operator key, (own * (|P|+1) + |P|) * |E| + |E| - 1, fits
+        e, k = np.int64(largest), np.int64(num_predicates + 1)
+        top = ((e - 1) * k + k - 1) * e + e - 1
+        assert int(top) == (num_predicates + 1) * largest**2 - 1 <= int64_max
+        with pytest.raises(ValueError) as info:
+            check_key_range(largest + 1, num_predicates)
+        message = str(info.value)
+        assert "\n" not in message
+        assert f"{num_predicates} predicates and {largest + 1} entities" in message
+
+    def test_graph_and_loader_check_the_range(self, tmp_path, monkeypatch):
+        seen = []
+
+        def refuse(num_entities, num_predicates):
+            seen.append((num_entities, num_predicates))
+            raise ValueError("too large")
+
+        monkeypatch.setattr(kg_module, "check_key_range", refuse)
+        with pytest.raises(ValueError, match="too large"):
+            KnowledgeGraph(["a", "b"], ["p"], [(0, 0, 1)])
+        with pytest.raises(ValueError, match="too large"):
+            load_dataset(*write_dataset(tmp_path, "a\tp\tb\nb\tq\tc\n"))
+        assert seen == [(2, 1), (3, 2)]
+
+
 class TestGroupQueries:
     def test_multi_target_example(self, toy_kg):
         s = toy_kg.predicate_index["sisterOf"]
@@ -433,6 +469,46 @@ class TestGroupQueries:
         for split in (splits.train, splits.valid, splits.test):
             queries = group_queries(split)
             assert sum(len(q.targets) for q in queries) == len(split)
+
+    @staticmethod
+    def assert_matches_reference(split):
+        queries = group_queries(split)
+        want = group_queries_reference(split)
+        assert len(queries) == len(want)
+        for got, (h, q, ts) in zip(queries, want):
+            assert type(got) is MultiTargetQuery
+            assert got.head == h and got.query == q
+            assert type(got.targets) is tuple and got.targets == ts
+
+    def test_equals_reference_on_family_splits(self, family_data):
+        _, splits, _ = family_data
+        for split in (splits.train, splits.valid, splits.test):
+            self.assert_matches_reference(split)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_equals_reference_on_random_splits(self, seed):
+        # few heads and predicates, so (h, q) pairs repeat, and rows drawn
+        # with replacement, so whole triples repeat too
+        rng = random.Random(seed)
+        pool = [(rng.randrange(6), rng.randrange(3), rng.randrange(10))
+                for _ in range(40)]
+        split = [rng.choice(pool) for _ in range(rng.randrange(60, 120))]
+        assert len(set(split)) < len(split)
+        self.assert_matches_reference(split)
+
+    def test_direct_construction_checks_targets(self):
+        with pytest.raises(ValueError, match="^query must have at least one target$"):
+            MultiTargetQuery(0, 1, ())
+        with pytest.raises(ValueError, match="^duplicate targets in query$"):
+            MultiTargetQuery(0, 1, (2, 3, 2))
+
+    def test_records_are_tuples_of_their_fields(self):
+        a, b = MultiTargetQuery(0, 1, (2, 3)), group_queries([(0, 1, 2), (0, 1, 3)])[0]
+        assert a == b and hash(a) == hash(b)
+        assert a == (0, 1, (2, 3))
+        head, query, targets = b
+        assert (head, query, targets) == (0, 1, (2, 3))
+        assert a != MultiTargetQuery(0, 1, (3, 2))
 
     def test_deterministic_first_appearance_order(self):
         split = [(0, 0, 1), (2, 0, 3), (0, 0, 4)]
