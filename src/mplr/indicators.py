@@ -33,7 +33,8 @@ from .operators import (
     OperatorSet,
     RulePattern,
     concat_ranges,
-    pattern_table,
+    pattern_rows,
+    reaching_top,
     top_patterns,
 )
 # the per-triplet reference count; bench/tracing.py hooks it under this name
@@ -91,8 +92,8 @@ def estimate_cost(kg: KnowledgeGraph, max_len: int, predicates=None) -> float:
 def _saturation_scan(kg, ops, max_len, active, exclude):
     """Exact gamma and delta of every pattern of length 2..max_len per active predicate.
 
-    Returns (hops, gamma, delta): `hops` is `pattern_table(|P|, 2, max_len)`
-    and gamma and delta are (num_patterns, len(active)), row for row.
+    Returns (gamma, delta), each (num_patterns, len(active)), one row per
+    pattern of length 2..max_len in `pattern_rows` order.
 
     The scan meets in the middle. Row n is triplet n. A pattern of length k
     is ceil(k/2) hops walked forward from the row's head over
@@ -121,8 +122,7 @@ def _saturation_scan(kg, ops, max_len, active, exclude):
         triplet_ids.append(lo + row)
         counts.append(cnt)
 
-    hops = pattern_table(num_preds, 2, max_len)
-    num_patterns = len(hops)
+    num_patterns = sum(num_preds**k for k in range(2, max_len + 1))
     pid, trip, cnt = (np.concatenate(a) for a in (pattern_ids, triplet_ids, counts))
     totals = np.bincount(trip, weights=cnt, minlength=len(hs))
     shares = cnt / totals[trip]  # every stored count is positive
@@ -133,7 +133,7 @@ def _saturation_scan(kg, ops, max_len, active, exclude):
     delta = np.bincount(key, weights=shares, minlength=size).reshape(
         num_patterns, width
     ) / nq
-    return hops, gamma, delta
+    return gamma, delta
 
 
 def _chain_levels(ops, start, excluded, depth, forward):
@@ -174,7 +174,7 @@ def _join(forward, backward, num_preds, num_rows, num_ents):
     floor(k/2): every forward chain that reaches (row, x) meets every
     backward chain that leaves (row, x), and the pattern's count sums their
     products over x. All lengths go through one join, keyed by (k, row, x);
-    pattern ids follow `pattern_table`, and the nonzero counts come out by
+    pattern ids follow `pattern_rows`, and the nonzero counts come out by
     pattern, then row.
     """
     lefts, rights = [], []
@@ -265,14 +265,25 @@ def saturation_report(
     if not active:
         return []
 
-    hops, gamma, delta = _saturation_scan(
+    gamma, delta = _saturation_scan(
         kg, OperatorSet(kg), max_len, active, exclude_direct_edge
     )
     eta = gamma * delta
+    # a row of gamma 0 has eta 0 as well, so it ranks below every row of
+    # nonzero gamma and then by hop tuple, which within one length is row
+    # order: the rows that can make the cut are the best ones of nonzero
+    # gamma and the first top_n of each length
+    sizes = [kg.num_predicates**k for k in range(2, max_len + 1)]
+    firsts = np.concatenate([start + np.arange(min(size, top_n))
+                             for start, size in zip(np.cumsum([0, *sizes]), sizes)])
     out: list[SaturationRecord] = []
     for s, q in enumerate(active):
-        for i in top_patterns(hops, (eta[:, s], gamma[:, s]), top_n):
-            pattern = RulePattern(tuple(int(p) for p in hops[i] if p >= 0))
+        scored = np.flatnonzero(gamma[:, s])
+        kept = np.union1d(scored[reaching_top(eta[scored, s], top_n)], firsts)
+        hops = pattern_rows(kg.num_predicates, 2, max_len, kept)
+        for j in top_patterns(hops, (eta[kept, s], gamma[kept, s]), top_n):
+            i = kept[j]
+            pattern = RulePattern(tuple(int(p) for p in hops[j] if p >= 0))
             out.append(SaturationRecord(
                 pattern, q, float(gamma[i, s]), float(delta[i, s]), float(eta[i, s])
             ))

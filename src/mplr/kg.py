@@ -202,12 +202,6 @@ def _triple_fields(path) -> list[str]:
     return fields
 
 
-def parse_triple_file(path) -> list[tuple[str, str, str]]:
-    """Read one TAB-separated triple file; raises TripleParseError with the line number."""
-    fields = _triple_fields(path)
-    return list(zip(fields[0::3], fields[1::3], fields[2::3]))
-
-
 def load_dataset(
     train_path,
     valid_path,

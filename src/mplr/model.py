@@ -36,8 +36,8 @@ from .operators import OperatorSet, RulePattern, pattern_rows, reaching_top, top
 
 GATE_ORDER = "ifgo"  # slices of the fused 4*hidden gate tensors
 # the ModelParams arguments a checkpoint records, in its order
-SETTINGS = ("num_predicates", "rank", "max_len", "embed_dim", "hidden_dim",
-            "seed", "normalize", "epsilon_mode", "predicates")
+INTEGER_SETTINGS = ("num_predicates", "rank", "max_len", "embed_dim", "hidden_dim", "seed")
+SETTINGS = (*INTEGER_SETTINGS, "normalize", "epsilon_mode", "predicates")
 
 CORRECTED = "corrected"
 LITERAL = "literal"
@@ -90,9 +90,16 @@ class ModelParams:
 
     Tensors live in an ordered dict so optimizers and gradient checks can
     iterate them generically; they are views of one buffer (`packed`), as
-    are their gradients and Adam's moments. Gate weights are fused (input,
-    forget, candidate, output); forget biases start at 1.0, everything else
-    from symmetric uniform ranges scaled by fan-in, all drawn from the seed.
+    are their gradients and Adam's moments. A cell holds only the tensors
+    some step of its unroll reads: the forward cell runs L steps and the
+    backward one L - 1 (`_rank_unroll`), and a cell reads Wx and b from one
+    step on and Wh from two, as step 0 starts from the zero state. So the
+    forward cell has Wx and b at every L and Wh from L = 2; the backward
+    cell has Wx and b from L = 2 and Wh from L = 3. Gate weights are fused
+    (input, forget, candidate, output); forget biases start at 1.0,
+    everything else from symmetric uniform ranges scaled by fan-in, all
+    drawn from the seed. Every cell weight is drawn whether it is kept or
+    not, so a seed gives a tensor the same values at every L.
     `predicates` optionally names the predicate vocabulary, in index order;
     checkpoints record it so a model is only ever applied to the vocabulary
     it was trained on.
@@ -137,12 +144,14 @@ class ModelParams:
             return rng.uniform(-bound, bound, size=shape)
 
         dh, de = hidden_dim, embed_dim
+        cell = {"Wx": (de, 4 * dh), "Wh": (dh, 4 * dh), "b": (4 * dh,)}
+        reads_from = {"Wx": 1, "Wh": 2, "b": 1}  # the steps a cell runs before reading it
         shapes = {"query_emb": (num_predicates, de)}
         for r in range(rank):
-            for direction in ("fwd", "bwd"):
-                shapes[f"cell{r}_{direction}_Wx"] = (de, 4 * dh)
-                shapes[f"cell{r}_{direction}_Wh"] = (dh, 4 * dh)
-                shapes[f"cell{r}_{direction}_b"] = (4 * dh,)
+            for direction, steps in (("fwd", max_len), ("bwd", max_len - 1)):
+                for name, shape in cell.items():
+                    if steps >= reads_from[name]:
+                        shapes[f"cell{r}_{direction}_{name}"] = shape
         shapes["proj_W"] = (2 * dh, num_predicates + 1)
         shapes["proj_b"] = (num_predicates + 1,)
         t = self.tensors = packed(shapes, zero=True)
@@ -150,9 +159,12 @@ class ModelParams:
         for r in range(rank):
             for direction in ("fwd", "bwd"):
                 key = f"cell{r}_{direction}_"
-                t[key + "Wx"][...] = uniform(shapes[key + "Wx"], de)
-                t[key + "Wh"][...] = uniform(shapes[key + "Wh"], dh)
-                t[key + "b"][dh : 2 * dh] = 1.0
+                for name, fan_in in (("Wx", de), ("Wh", dh)):
+                    drawn = uniform(cell[name], fan_in)
+                    if key + name in t:
+                        t[key + name][...] = drawn
+                if key + "b" in t:
+                    t[key + "b"][dh : 2 * dh] = 1.0
         t["proj_W"][...] = uniform(shapes["proj_W"], 2 * dh)
 
     @property
@@ -161,18 +173,6 @@ class ModelParams:
 
     def shapes(self):
         return {k: v.shape for k, v in self.tensors.items()}
-
-    def unrolled_keys(self):
-        """Keys of the tensors the attention unroll reads, in tensor order.
-
-        The forward cell runs L steps and the backward one L - 1
-        (`_rank_unroll`). A cell reads Wx and b from one step on and Wh from
-        two, as step 0 starts from the zero state; every other cell tensor's
-        gradient is 0.
-        """
-        steps = {"fwd": self.max_len, "bwd": self.max_len - 1}
-        return [k for k in self.tensors if not k.startswith("cell")
-                or steps[k.split("_")[1]] >= (2 if k.endswith("Wh") else 1)]
 
     def zero_grads(self):
         return packed(self.shapes(), zero=True)
@@ -201,7 +201,13 @@ def save_checkpoint(params: ModelParams, path) -> None:
 
 
 def load_checkpoint(path) -> ModelParams:
-    with np.load(path) as data:
+    """The model a checkpoint records. Only the tensors its settings build
+    are read, so a file holding more (the cell tensors no step reads, which
+    older checkpoints kept) loads too."""
+    data = np.load(path)
+    if not isinstance(data, np.lib.npyio.NpzFile):
+        raise ValueError("not an mplr checkpoint: not an npz archive")
+    with data:
         if "__meta__" not in data.files:
             raise ValueError("not an mplr checkpoint: missing '__meta__'")
         meta = json.loads(bytes(data["__meta__"].tobytes()))
@@ -214,6 +220,15 @@ def load_checkpoint(path) -> ModelParams:
         unknown = sorted(set(meta) - set(SETTINGS))
         if unknown:
             raise ValueError(f"not an mplr checkpoint: unknown setting {unknown[0]!r}")
+        for key in INTEGER_SETTINGS:
+            if type(meta[key]) is not int:  # a bool is an int subclass
+                raise ValueError(
+                    f"not an mplr checkpoint: {key!r} is {meta[key]!r}, not an integer"
+                )
+        names = meta["predicates"]
+        if names is not None and not (isinstance(names, list)
+                                      and all(isinstance(n, str) for n in names)):
+            raise ValueError("not an mplr checkpoint: 'predicates' is not a list of names")
         params = ModelParams(**meta)
         for key, built in params.tensors.items():
             if key not in data.files:
@@ -248,11 +263,11 @@ def _run_cell(params, r, direction, x, h, blocks, scratch):
     zero state first, and their tanh (steps, G, hidden). scratch is a
     (G, 4 * hidden) and a (G, hidden) array that the call overwrites.
     Returns the step cache (h, gates, c, tc) that `_cell_backward` reads;
-    with zero steps (the backward cell at L = 1) nothing is computed.
+    with zero steps (the backward cell at L = 1, which has no tensors)
+    nothing is computed, and Wh is read from step 1 on.
     """
     steps, G, dh = h.shape
     key = f"cell{r}_{direction}_"
-    Wh = params.tensors[key + "Wh"]
     gates, c, tc = blocks
     zx, ig = scratch
     if not steps:
@@ -264,7 +279,7 @@ def _run_cell(params, r, direction, x, h, blocks, scratch):
         z = gates[step]
         pre = zx  # h is the zero state at step 0
         if step:
-            pre = np.matmul(h[step - 1], Wh, out=z)
+            pre = np.matmul(h[step - 1], params.tensors[key + "Wh"], out=z)
             pre += zx
         i, f, g, o = (z[:, k * dh : (k + 1) * dh] for k in range(4))
         sigmoid(pre[:, : 2 * dh], out=z[:, : 2 * dh])  # i and f
@@ -346,16 +361,15 @@ def _cell_backward(params, r, direction, x, cache, dh_steps, grads):
 
     The input x is the same at every step, so its weight and input grads come
     from the summed gate grads: gWx = x^T sum_steps dZ. Step 0 reads the zero
-    state, so it adds nothing to gWh and passes nothing further back. Each
-    step writes its four gate grads in place into one (G, 4 * hidden) dZ.
+    state, so it adds nothing to gWh and passes nothing further back; Wh and
+    its grad are read from step 1 on. Each step writes its four gate grads in
+    place into one (G, 4 * hidden) dZ.
     """
     h, gates, c, tc = cache
     steps, G, dh = h.shape
     if not steps:
         return 0.0
     key = f"cell{r}_{direction}_"
-    Wh = params.tensors[key + "Wh"]
-    gWh = grads[key + "Wh"]
     dz = np.empty((G, 4 * dh))
     dz_i, dz_f, dz_g, dz_o = (dz[:, k * dh : (k + 1) * dh] for k in range(4))
     dz_sum = np.zeros((G, 4 * dh))
@@ -387,9 +401,9 @@ def _cell_backward(params, r, direction, x, cache, dh_steps, grads):
         dz_sum += dz
         if step == 0:
             break
-        gWh += h[step - 1].T @ dz
+        grads[key + "Wh"] += h[step - 1].T @ dz
         np.multiply(dc, f, out=dc_carry)
-        np.matmul(dz, Wh.T, out=dh_total)
+        np.matmul(dz, params.tensors[key + "Wh"].T, out=dh_total)
     grads[key + "Wx"] += x.T @ dz_sum
     grads[key + "b"] += dz_sum.sum(axis=0)
     return dz_sum @ params.tensors[key + "Wx"].T

@@ -40,23 +40,12 @@ class RulePattern:
         return tuple(kg.predicates[p] for p in self.hops)
 
 
-def pattern_table(num_predicates: int, min_len: int, max_len: int) -> np.ndarray:
-    """Every hop tuple of length min_len..max_len, one row each, padded with -1.
-
-    Shorter tuples come first, then lexicographic order, so the tuples of
-    length m are the C-order ravel of a (num_predicates,) * m array.
-    """
-    blocks = []
-    for m in range(min_len, max_len + 1):
-        block = np.full((num_predicates**m, max_len), -1, dtype=np.int64)
-        block[:, :m] = np.indices((num_predicates,) * m).reshape(m, -1).T
-        blocks.append(block)
-    return np.concatenate(blocks)
-
-
 def pattern_rows(num_predicates: int, min_len: int, max_len: int, rows) -> np.ndarray:
-    """Rows `rows` of `pattern_table(num_predicates, min_len, max_len)`,
-    decoded within each length block without building the table."""
+    """Rows `rows` of the pattern table: every hop tuple of length
+    min_len..max_len, one row each, padded with -1, shorter tuples first,
+    then lexicographic, so the tuples of length m are the C-order ravel of a
+    (num_predicates,) * m array. Decoded within each length block without
+    building the table."""
     rows = np.asarray(rows, dtype=np.int64)
     out = np.full((len(rows), max_len), -1, dtype=np.int64)
     start = 0

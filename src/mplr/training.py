@@ -73,21 +73,14 @@ class TrainConfig:
         return self
 
 
-def _row_blocks(shape):
-    """Index of each run of first-axis rows holding about ADAM_BLOCK elements."""
-    if not shape:
-        return [...]
-    rows = max(1, ADAM_BLOCK // max(1, int(np.prod(shape[1:]))))
-    return [slice(start, start + rows) for start in range(0, shape[0], rows)]
-
-
 class AdamOptimizer:
     """Adam over a dict of named tensors; updates in place, deterministically.
 
-    The moments and the tensors are updated by in-place ufuncs one block of
-    rows at a time (`_row_blocks`), through two scratch buffers allocated
-    here: a step allocates nothing the size of a tensor, and a block's
-    passes stay in cache.
+    The moments and the tensors are updated by in-place ufuncs ADAM_BLOCK
+    flat elements at a time, through two scratch buffers allocated here: a
+    step allocates nothing the size of a tensor, and a block's passes stay
+    in cache. The tensors and gradients must be C-contiguous, so that their
+    flat views write through.
     """
 
     def __init__(self, tensors, lr=0.001, beta1=0.9, beta2=0.999, eps=1e-8):
@@ -96,9 +89,7 @@ class AdamOptimizer:
         shapes = {k: v.shape for k, v in tensors.items()}
         self.m = packed(shapes, zero=True)
         self.v = packed(shapes, zero=True)
-        self._blocks = {k: _row_blocks(v.shape) for k, v in tensors.items()}
-        size = max((v[i].size for k, v in tensors.items() for i in self._blocks[k]),
-                   default=0)
+        size = min(max((v.size for v in tensors.values()), default=0), ADAM_BLOCK)
         self._scratch = np.empty((2, size))
 
     def step(self, tensors, grads):
@@ -107,9 +98,12 @@ class AdamOptimizer:
         bc1 = 1.0 - b1**self.t
         bc2 = 1.0 - b2**self.t
         for k, g in grads.items():
-            for i in self._blocks[k]:
-                x, m, v, gi = tensors[k][i], self.m[k][i], self.v[k][i], g[i]
-                a, b = (s[: gi.size].reshape(gi.shape) for s in self._scratch)
+            if not (tensors[k].flags.c_contiguous and g.flags.c_contiguous):
+                raise ValueError(f"Adam steps C-contiguous arrays only; {k!r} is not")
+            flat = [a.reshape(-1) for a in (tensors[k], self.m[k], self.v[k], g)]
+            for start in range(0, g.size, ADAM_BLOCK):
+                x, m, v, gi = (f[start : start + ADAM_BLOCK] for f in flat)
+                a, b = (s[: gi.size] for s in self._scratch)
                 # the allocating form's operation order, so the results equal
                 # it bit for bit: m = b1 m + (1 - b1) g, v = b2 v + ((1 - b2) g) g
                 m *= b1
@@ -164,11 +158,7 @@ def train(
         epsilon_mode=config.epsilon_mode,
         predicates=kg.predicates,
     )
-    # a tensor no hop reads has gradient 0 at every step, so Adam would leave
-    # it as it is: the optimizer and the gradient scaling skip it
-    unrolled = params.unrolled_keys()
-    adam = AdamOptimizer({k: params.tensors[k] for k in unrolled},
-                         lr=config.learning_rate)
+    adam = AdamOptimizer(params.tensors, lr=config.learning_rate)
     rng = np.random.default_rng(config.seed)
     stats: list[EpochStats] = []
     # without a validation split the final parameters are returned
@@ -177,7 +167,6 @@ def train(
     best_loss = np.inf
     bad_epochs = 0
     grads = params.zero_grads()  # every batch's gradients, filled in place
-    step_grads = {k: grads[k] for k in unrolled}
     for epoch in range(1, config.max_epochs + 1):
         order = rng.permutation(len(queries))
         epoch_loss = 0.0
@@ -190,9 +179,9 @@ def train(
                     f"batch starting at {start} (loss={loss})"
                 )
             scale = 1.0 / len(batch)
-            for g in step_grads.values():
+            for g in grads.values():
                 g *= scale
-            adam.step(params.tensors, step_grads)
+            adam.step(params.tensors, grads)
             epoch_loss += loss
         epoch_loss /= len(queries)
         valid_mrr = None

@@ -20,7 +20,6 @@ from mplr.kg import (
     Triple,
     TripleParseError,
     load_dataset,
-    parse_triple_file,
 )
 from mplr.model import (
     ExtractedRule,
@@ -32,7 +31,7 @@ from mplr.model import (
     sigmoid,
     softmax,
 )
-from mplr.operators import IDENTITY_OP, OperatorSet, RulePattern, pattern_table
+from mplr.operators import IDENTITY_OP, OperatorSet, RulePattern
 
 # ---------------------------------------------------------------------------
 # six-entity toy graph reproducing the worked adjacency/product matrices
@@ -86,7 +85,9 @@ def triple_lines(kg):
 
 
 def parse_triple_file_reference(path):
-    """`parse_triple_file` as a walk over the file's lines, one check each."""
+    """The (head, relation, tail) fields of one TAB-separated triple file, as
+    a walk over its lines, one check each; raises TripleParseError with the
+    line number."""
     out = []
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, 1):
@@ -128,7 +129,7 @@ def load_dataset_reference(
     for name in graph_source:
         if name not in names:
             raise ValueError(f"unknown graph source {name!r}")
-    raw = [parse_triple_file(path) for path in (train_path, valid_path, test_path)]
+    raw = [parse_triple_file_reference(p) for p in (train_path, valid_path, test_path)]
     if not raw[0]:
         raise ValueError(f"empty train file: {train_path}")
 
@@ -392,6 +393,21 @@ def edge_list_reference(kg):
     return rows[order], cols[order], ops[order]
 
 
+def pattern_table(num_predicates, min_len, max_len):
+    """Every hop tuple of length min_len..max_len, one row each, padded with -1.
+
+    Shorter tuples come first, then lexicographic order, so the tuples of
+    length m are the C-order ravel of a (num_predicates,) * m array: the
+    order `pattern_rows` decodes and the saturation scan's rows follow.
+    """
+    blocks = []
+    for m in range(min_len, max_len + 1):
+        block = np.full((num_predicates**m, max_len), -1, dtype=np.int64)
+        block[:, :m] = np.indices((num_predicates,) * m).reshape(m, -1).T
+        blocks.append(block)
+    return np.concatenate(blocks)
+
+
 def saturation_scan_reference(kg, ops, max_len, active, exclude, chunk=1024):
     """`_saturation_scan` as one forward walk over `OperatorSet.out_edges`.
 
@@ -434,8 +450,7 @@ def saturation_scan_reference(kg, ops, max_len, active, exclude, chunk=1024):
                 counts.append(cnt[hit])
                 offset += num_preds**k
 
-    hops = pattern_table(num_preds, 2, max_len)
-    num_patterns = len(hops)
+    num_patterns = len(pattern_table(num_preds, 2, max_len))
     pid, trip, cnt = (np.concatenate(a) for a in (pattern_ids, triplet_ids, counts))
     totals = np.bincount(trip, weights=cnt, minlength=len(hs))
     shares = cnt / totals[trip]
@@ -446,7 +461,7 @@ def saturation_scan_reference(kg, ops, max_len, active, exclude, chunk=1024):
     delta = np.bincount(key, weights=shares, minlength=size).reshape(
         num_patterns, width
     ) / nq
-    return hops, gamma, delta
+    return gamma, delta
 
 
 def operator_grads_reference(ops, x, g):
@@ -475,12 +490,23 @@ def backward(ops, params, query):
 # ---------------------------------------------------------------------------
 # training step references: every product and temporary written out
 
+def _cell_tensors(params, tensors, r, direction):
+    """Wx, Wh and b of one direction of cell r, read from `tensors` (the
+    parameters or their gradients). A cell tensor the parameters lack reads
+    as a fresh zero array: its products reach only states that no hop reads,
+    and a gradient written to it is thrown away."""
+    de, dh = params.embed_dim, params.hidden_dim
+    key = f"cell{r}_{direction}_"
+    shapes = {"Wx": (de, 4 * dh), "Wh": (dh, 4 * dh), "b": (4 * dh,)}
+    return [tensors[key + n] if key + n in tensors else np.zeros(shape)
+            for n, shape in shapes.items()]
+
+
 def _run_cell_reference(params, r, direction, x, steps):
     """One direction of cell r unrolled with the zero state multiplied in."""
     dh = params.hidden_dim
-    key = f"cell{r}_{direction}_"
-    Wh = params.tensors[key + "Wh"]
-    zx = x @ params.tensors[key + "Wx"] + params.tensors[key + "b"]
+    Wx, Wh, b = _cell_tensors(params, params.tensors, r, direction)
+    zx = x @ Wx + b
     h = np.zeros((len(x), dh))
     c = np.zeros((len(x), dh))
     hs, caches = [], []
@@ -514,9 +540,8 @@ def _cell_backward_reference(params, r, direction, x, caches, dh_steps, grads):
     """BPTT through every step, the zero state's products and the dead
     carries after step 0 included."""
     dh = params.hidden_dim
-    key = f"cell{r}_{direction}_"
-    Wh = params.tensors[key + "Wh"]
-    gWh = grads[key + "Wh"]
+    Wx, Wh, _ = _cell_tensors(params, params.tensors, r, direction)
+    gWx, gWh, gb = _cell_tensors(params, grads, r, direction)
     dz_sum = np.zeros((len(x), 4 * dh))
     dh_carry = np.zeros((len(x), dh))
     dc_carry = np.zeros((len(x), dh))
@@ -534,9 +559,9 @@ def _cell_backward_reference(params, r, direction, x, caches, dh_steps, grads):
         gWh += h_prev.T @ dz
         dz_sum += dz
         dh_carry = dz @ Wh.T
-    grads[key + "Wx"] += x.T @ dz_sum
-    grads[key + "b"] += dz_sum.sum(axis=0)
-    return dz_sum @ params.tensors[key + "Wx"].T
+    gWx += x.T @ dz_sum
+    gb += dz_sum.sum(axis=0)
+    return dz_sum @ Wx.T
 
 
 def loss_and_gradients_reference(ops, params, queries):
@@ -712,7 +737,7 @@ def pattern_saturation(kg, pattern, predicate, max_len, exclude):
         raise ValueError(f"not a saturation pattern: {pattern.hops}")
     if kg.num_edges(predicate) == 0:
         raise EmptySubgraphError(f"empty subgraph for predicate {predicate}")
-    _, gamma, delta = _saturation_scan(kg, OperatorSet(kg), max_len, [predicate], exclude)
+    gamma, delta = _saturation_scan(kg, OperatorSet(kg), max_len, [predicate], exclude)
     row = sum(kg.num_predicates**m for m in range(2, len(pattern))) + _chain_index(
         pattern.hops, kg.num_predicates
     )

@@ -298,6 +298,15 @@ class TestPipeline:
             pytest.param(("proj_b", "cell0_fwd_b", "query_emb"), {},
                          "'query_emb' has shape (24, 8), expected (12, 8)",
                          id="broadcast-shapes"),
+            # settings that reached ModelParams and raised a TypeError
+            pytest.param(None, {"rank": "3"}, "'rank' is '3', not an integer",
+                         id="string-rank"),
+            pytest.param(None, {"max_len": 2.5}, "'max_len' is 2.5, not an integer",
+                         id="float-max-len"),
+            pytest.param(None, {"hidden_dim": True}, "'hidden_dim' is True, not an integer",
+                         id="bool-hidden-dim"),
+            pytest.param(None, {"predicates": 12}, "'predicates' is not a list of names",
+                         id="int-predicates"),
         ],
     )
     def test_incomplete_checkpoint_exits_one(
@@ -325,6 +334,21 @@ class TestPipeline:
                        "--checkpoint", bad) == 1
             err = capsys.readouterr().err
             assert err == f"error: not an mplr checkpoint: {message}\n"
+            assert not out.exists()
+
+    def test_npy_file_is_not_a_checkpoint(self, kin_dir, tiny_checkpoint, tmp_path,
+                                          capsys):
+        with np.load(tiny_checkpoint) as data:
+            tensor = data["proj_W"]
+        bad = tmp_path / "bad.npz"
+        with open(bad, "wb") as fh:  # np.save would append .npy to the name
+            np.save(fh, tensor)
+        for command in ("eval", "rules"):
+            out = tmp_path / command
+            assert run(command, "--dataset-dir", kin_dir, "--out", out,
+                       "--checkpoint", bad) == 1
+            err = capsys.readouterr().err
+            assert err == "error: not an mplr checkpoint: not an npz archive\n"
             assert not out.exists()
 
     def test_eval_without_checkpoint_exits_one(self, kin_dir, tmp_path, capsys):

@@ -332,14 +332,16 @@ def test_gradients_equal_the_unrolled_again_reference(max_len, epsilon_mode, nor
         assert np.array_equal(grads[key], ref_grads[key]), key
 
 
-def test_recurrent_weights_get_exactly_zero_gradient_at_one_hop():
+def test_unread_cell_tensors_are_absent_at_one_hop():
+    # the one hop reads the forward state after one step, which multiplies
+    # no Wh, and the backward cell runs no steps
     ops, params, queries = reference_setup(max_len=1)
     _, grads = loss_and_gradients(ops, params, queries)
+    assert grads.keys() == params.tensors.keys()
     for r in range(params.rank):
-        for direction in ("fwd", "bwd"):
-            assert not grads[f"cell{r}_{direction}_Wh"].any()
-        # the one hop reads the forward state only
-        assert grads[f"cell{r}_fwd_Wx"].any()
+        for name in ("fwd_Wh", "bwd_Wx", "bwd_Wh", "bwd_b"):
+            assert f"cell{r}_{name}" not in params.tensors
+        assert grads[f"cell{r}_fwd_Wx"].any() and grads[f"cell{r}_fwd_b"].any()
 
 
 def test_out_buffer_is_zero_filled_and_returned():

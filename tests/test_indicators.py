@@ -32,6 +32,7 @@ from conftest import (
     macro_saturation,
     make_family_triples,
     micro_saturation,
+    pattern_table,
     random_kg,
     saturation_scan_reference,
 )
@@ -352,6 +353,28 @@ class TestReport:
             for r in rows:
                 assert r.eta == pytest.approx(r.gamma * r.delta)
                 assert 0 <= r.delta <= 1 and 0 <= r.gamma <= 1
+
+    @pytest.mark.parametrize("max_len", [2, 3])
+    @pytest.mark.parametrize("top_n", [1, 3, 8, 50])
+    def test_records_are_the_best_rows_of_the_scan(self, max_len, top_n):
+        # every row of the scan sorted by eta, then gamma, both descending,
+        # then hop tuple, a prefix before its extensions; sparse graphs leave
+        # most patterns at 0, so the zero rows fill many of the cuts
+        for seed in range(8):
+            kg = random_kg(seed, num_entities=7, num_predicates=3, edge_prob=0.15)
+            active = [q for q in range(kg.num_predicates) if kg.num_edges(q)]
+            gamma, delta = _saturation_scan(kg, OperatorSet(kg), max_len, active, True)
+            eta = gamma * delta
+            table = pattern_table(kg.num_predicates, 2, max_len)
+            want = []
+            for s, q in enumerate(active):
+                best = sorted(range(len(table)),
+                              key=lambda i: (-eta[i, s], -gamma[i, s], tuple(table[i])))
+                want += [(tuple(int(p) for p in table[i] if p >= 0), q, gamma[i, s],
+                          delta[i, s], eta[i, s]) for i in best[:top_n]]
+            got = saturation_report(kg, max_len=max_len, top_n=top_n)
+            assert [(r.pattern.hops, r.predicate, r.gamma, r.delta, r.eta)
+                    for r in got] == want
 
     def test_strong_rule_found_for_wife(self, family_data):
         kg, _, _ = family_data

@@ -12,7 +12,6 @@ from mplr.operators import (
     build_operators,
     count_paths,
     pattern_rows,
-    pattern_table,
     top_patterns,
 )
 
@@ -22,6 +21,7 @@ from conftest import (
     enumerate_patterns,
     operator_matrix,
     operators_of,
+    pattern_table,
     propagate,
     random_kg,
 )
@@ -342,10 +342,18 @@ class TestEnumeratePatterns:
 
     def test_saturation_scan_follows_the_order(self):
         kg = random_kg(1, num_entities=6, num_predicates=3, edge_prob=0.3)
-        hops, _, _ = _saturation_scan(kg, build_operators(kg), 3, [0], True)
-        rows = [tuple(int(p) for p in row if p >= 0) for row in hops]
-        assert rows == [p.hops for p in enumerate_patterns(3, 2, 3)]
-        # the shared table the scan and rule extraction both index
+        gamma, _ = _saturation_scan(kg, build_operators(kg), 3, [0], True)
+        # row i is the share of the predicate's triplets that the i-th
+        # pattern links by DFS, its own edge excluded
+        triplets = [tr for tr in kg.triples if tr[1] == 0]
+        patterns = list(enumerate_patterns(3, 2, 3))
+        assert gamma.shape == (len(patterns), 1)
+        for i, p in enumerate(patterns):
+            linked = sum(dfs_count_paths(kg, h, p.hops, t, excluded_edge=(h, q, t)) > 0
+                         for h, q, t in triplets)
+            assert gamma[i, 0] == linked / len(triplets), p.hops
+        # the order reference: the rows `pattern_rows` decodes for the scan
+        # and for rule extraction
         for min_len in (1, 2):
             table = pattern_table(3, min_len, 3)
             assert table.shape == (sum(3**m for m in range(min_len, 4)), 3)

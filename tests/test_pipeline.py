@@ -79,6 +79,29 @@ def test_checkpoint_round_trip_preserves_evaluation(trained_family, tmp_path):
     assert a.as_tsv() == b.as_tsv()
 
 
+def test_checkpoint_with_unread_cell_tensors_loads(trained_family, tmp_path):
+    # checkpoints once also held each backward cell's Wh, which no step
+    # reads at L = 2; loading reads only the tensors the settings build
+    kg, splits, params, _ = trained_family
+    assert params.max_len == 2
+    path = tmp_path / "ck.npz"
+    save_checkpoint(params, path)
+    with np.load(path) as data:
+        arrays = {k: data[k] for k in data.files}
+    rng = np.random.default_rng(0)
+    dh = params.hidden_dim
+    for r in range(params.rank):
+        key = f"cell{r}_bwd_Wh"
+        assert key not in arrays
+        arrays[key] = rng.uniform(-1.0, 1.0, size=(dh, 4 * dh))
+    np.savez(path, **arrays)
+    loaded = load_checkpoint(path)
+    assert loaded.tensors.keys() == params.tensors.keys()
+    a = evaluate(kg, loaded, splits.test, ks=(1, 3))
+    b = evaluate(kg, params, splits.test, ks=(1, 3))
+    assert a.as_tsv() == b.as_tsv()
+
+
 def test_saturation_agrees_with_kinship_structure(family_data):
     kg, _, _ = family_data
     records = saturation_report(kg, max_len=2, top_n=2)

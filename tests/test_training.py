@@ -81,6 +81,17 @@ class TestAdam:
                 assert np.array_equal(adam.v[k], ref.v[k]), k
                 assert np.array_equal(grads[k], kept[k]), k
 
+    @pytest.mark.parametrize("which", ["tensor", "gradient"])
+    def test_non_contiguous_arrays_are_refused(self, which):
+        # a flat view of a strided array would be a copy, and the update lost
+        arrays = {"tensor": np.zeros((4, 6)), "gradient": np.ones((4, 6))}
+        arrays[which] = arrays[which].T.copy().T
+        tensors = {"w": arrays["tensor"]}
+        adam = AdamOptimizer(tensors)
+        with pytest.raises(ValueError, match="'w' is not"):
+            adam.step(tensors, {"w": arrays["gradient"]})
+        assert not tensors["w"].any() and not adam.m["w"].any()
+
     def test_training_state_is_one_buffer_each(self, tmp_path):
         # parameters, gradients, both moments, a copy and a loaded checkpoint:
         # each a set of disjoint views that exactly covers one buffer
@@ -181,8 +192,9 @@ class TestTrain:
 
     @pytest.mark.parametrize("max_len", [1, 2, 3])
     def test_training_equals_adam_over_every_tensor(self, max_len):
-        # train steps only the tensors the unroll reads; the allocating Adam
-        # over every tensor, with every gradient scaled, gives the same bits
+        # the parameters hold only the cell tensors the unroll reads, and the
+        # allocating Adam over every tensor, with every gradient scaled, gives
+        # the same bits as train
         kg = random_kg(4, num_entities=9, num_predicates=3, edge_prob=0.3)
         splits = DatasetSplits(kg.triples, [], [], ("train",))
         config = TrainConfig(max_len=max_len, rank=2, embed_dim=6, hidden_dim=5,
@@ -203,14 +215,26 @@ class TestTrain:
                 for g in grads.values():
                     g *= 1.0 / len(batch)
                 adam_step_reference(ref, params.tensors, grads)
+        assert trained.tensors.keys() == params.tensors.keys()
         for key, t in params.tensors.items():
             assert np.array_equal(trained.tensors[key], t), key
-        unread = sorted(set(params.tensors) - set(params.unrolled_keys()))
-        per_rank = {1: ["bwd_Wh", "bwd_Wx", "bwd_b", "fwd_Wh"], 2: ["bwd_Wh"], 3: []}
-        assert unread == [f"cell{r}_{n}" for r in range(2) for n in per_rank[max_len]]
-        for key in unread:
-            assert np.array_equal(params.tensors[key], start.tensors[key]), key
-            assert not ref.m[key].any() and not ref.v[key].any(), key
+            assert not np.array_equal(t, start.tensors[key]), key
+        per_cell = {
+            1: ["fwd_Wx", "fwd_b"],
+            2: ["fwd_Wx", "fwd_Wh", "fwd_b", "bwd_Wx", "bwd_b"],
+            3: ["fwd_Wx", "fwd_Wh", "fwd_b", "bwd_Wx", "bwd_Wh", "bwd_b"],
+        }
+        cells = [f"cell{r}_{n}" for r in range(2) for n in per_cell[max_len]]
+        assert list(params.tensors) == ["query_emb", *cells, "proj_W", "proj_b"]
+
+    def test_kept_tensors_start_the_same_at_every_length(self):
+        # every cell weight is drawn from the seed whether it is kept or not
+        full = ModelParams(3, rank=2, max_len=3, embed_dim=6, hidden_dim=5, seed=2)
+        for max_len in (1, 2):
+            params = ModelParams(3, rank=2, max_len=max_len, embed_dim=6, hidden_dim=5,
+                                 seed=2)
+            for key, t in params.tensors.items():
+                assert np.array_equal(t, full.tensors[key]), (max_len, key)
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
