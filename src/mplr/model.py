@@ -90,16 +90,20 @@ class ModelParams:
 
     Tensors live in an ordered dict so optimizers and gradient checks can
     iterate them generically; they are views of one buffer (`packed`), as
-    are their gradients and Adam's moments. A cell holds only the tensors
-    some step of its unroll reads: the forward cell runs L steps and the
-    backward one L - 1 (`_rank_unroll`), and a cell reads Wx and b from one
-    step on and Wh from two, as step 0 starts from the zero state. So the
-    forward cell has Wx and b at every L and Wh from L = 2; the backward
-    cell has Wx and b from L = 2 and Wh from L = 3. Gate weights are fused
+    are their gradients and Adam's moments. Each cell tensor is stacked over
+    the R ranks: `fwd_Wx` has shape (R, embed, 4 * hidden), and its slice r
+    is rank r's forward Wx. A direction holds only the tensors some step of
+    its unroll reads: the forward cells run L steps and the backward ones
+    L - 1 (`_attention_forward`), and a cell reads Wx and b from one step on
+    and Wh from two, as step 0 starts from the zero state. So the forward
+    cells have Wx and b at every L and Wh from L = 2; the backward cells
+    have Wx and b from L = 2 and Wh from L = 3. Gate weights are fused
     (input, forget, candidate, output); forget biases start at 1.0,
     everything else from symmetric uniform ranges scaled by fan-in, all
-    drawn from the seed. Every cell weight is drawn whether it is kept or
-    not, so a seed gives a tensor the same values at every L.
+    drawn from the seed in the order query_emb, then per rank the forward
+    Wx and Wh and the backward Wx and Wh, then proj_W. Each kept tensor is
+    drawn straight into its slice; the generator is advanced past the draws
+    of each dropped one, so a seed gives a tensor the same values at every L.
     `predicates` optionally names the predicate vocabulary, in index order;
     checkpoints record it so a model is only ever applied to the vocabulary
     it was trained on.
@@ -139,33 +143,37 @@ class ModelParams:
 
         rng = np.random.default_rng(seed)
 
-        def uniform(shape, fan_in):
+        def uniform(out, fan_in):
+            # rng.uniform(-bound, bound) computes low + (high - low) * u
             bound = 1.0 / np.sqrt(fan_in)
-            return rng.uniform(-bound, bound, size=shape)
+            rng.random(out=out)
+            out *= bound - -bound
+            out += -bound
 
         dh, de = hidden_dim, embed_dim
         cell = {"Wx": (de, 4 * dh), "Wh": (dh, 4 * dh), "b": (4 * dh,)}
         reads_from = {"Wx": 1, "Wh": 2, "b": 1}  # the steps a cell runs before reading it
         shapes = {"query_emb": (num_predicates, de)}
-        for r in range(rank):
-            for direction, steps in (("fwd", max_len), ("bwd", max_len - 1)):
-                for name, shape in cell.items():
-                    if steps >= reads_from[name]:
-                        shapes[f"cell{r}_{direction}_{name}"] = shape
+        for direction, steps in (("fwd", max_len), ("bwd", max_len - 1)):
+            for name, shape in cell.items():
+                if steps >= reads_from[name]:
+                    shapes[f"{direction}_{name}"] = (rank, *shape)
         shapes["proj_W"] = (2 * dh, num_predicates + 1)
         shapes["proj_b"] = (num_predicates + 1,)
         t = self.tensors = packed(shapes, zero=True)
-        t["query_emb"][...] = uniform(shapes["query_emb"], de)
+        uniform(t["query_emb"], de)
         for r in range(rank):
             for direction in ("fwd", "bwd"):
-                key = f"cell{r}_{direction}_"
                 for name, fan_in in (("Wx", de), ("Wh", dh)):
-                    drawn = uniform(cell[name], fan_in)
-                    if key + name in t:
-                        t[key + name][...] = drawn
-                if key + "b" in t:
-                    t[key + "b"][dh : 2 * dh] = 1.0
-        t["proj_W"][...] = uniform(shapes["proj_W"], 2 * dh)
+                    key = f"{direction}_{name}"
+                    if key in t:
+                        uniform(t[key][r], fan_in)
+                    else:
+                        rng.bit_generator.advance(math.prod(cell[name]))
+        for key in ("fwd_b", "bwd_b"):
+            if key in t:
+                t[key][:, dh : 2 * dh] = 1.0
+        uniform(t["proj_W"], 2 * dh)
 
     @property
     def num_operators(self):
@@ -189,6 +197,19 @@ class ModelParams:
         return {key: getattr(self, key) for key in SETTINGS} | {"gate_order": GATE_ORDER}
 
 
+def _members(params):
+    """(name, array) of every checkpoint member, in the file's order: rank
+    r's slice of a cell tensor is the member cell{r}_{direction}_{name}."""
+    t = params.tensors
+    cells = [key for key in t if key[:4] in ("fwd_", "bwd_")]
+    yield "query_emb", t["query_emb"]
+    for r in range(params.rank):
+        for key in cells:
+            yield f"cell{r}_{key}", t[key][r]
+    yield "proj_W", t["proj_W"]
+    yield "proj_b", t["proj_b"]
+
+
 def save_checkpoint(params: ModelParams, path) -> None:
     """Self-describing container: hyperparameters plus every tensor, bit-exact."""
     meta = json.dumps(params.meta()).encode()
@@ -196,12 +217,12 @@ def save_checkpoint(params: ModelParams, path) -> None:
         np.savez(
             fh,
             __meta__=np.frombuffer(meta, dtype=np.uint8),
-            **params.tensors,
+            **dict(_members(params)),
         )
 
 
 def load_checkpoint(path) -> ModelParams:
-    """The model a checkpoint records. Only the tensors its settings build
+    """The model a checkpoint records. Only the members its settings build
     are read, so a file holding more (the cell tensors no step reads, which
     older checkpoints kept) loads too."""
     data = np.load(path)
@@ -230,7 +251,7 @@ def load_checkpoint(path) -> ModelParams:
                                       and all(isinstance(n, str) for n in names)):
             raise ValueError("not an mplr checkpoint: 'predicates' is not a list of names")
         params = ModelParams(**meta)
-        for key, built in params.tensors.items():
+        for key, built in _members(params):
             if key not in data.files:
                 raise ValueError(f"not an mplr checkpoint: missing {key!r}")
             tensor = data[key]
@@ -254,98 +275,102 @@ class AttentionTensor:
             raise ValueError("attention tensor must be rank x hops x operators")
 
 
-def _run_cell(params, r, direction, x, h, blocks, scratch):
-    """Unroll one direction of cell r over the (G, embed) inputs x, fed at every step.
+def _gate_major(a):
+    """The (4, R, n, hidden) view of a stacked (R, n, 4 * hidden) array:
+    block k holds gate k of every rank."""
+    R, n, fused = a.shape
+    return a.reshape(R, n, 4, fused // 4).transpose(2, 0, 1, 3)
 
-    h is a (steps, G, hidden) view that receives the state after each step.
-    The gate math runs in place in the direction's blocks: the activated
-    gates (steps, G, 4 * hidden), the cell states (steps + 1, G, hidden),
-    zero state first, and their tanh (steps, G, hidden). scratch is a
-    (G, 4 * hidden) and a (G, hidden) array that the call overwrites.
-    Returns the step cache (h, gates, c, tc) that `_cell_backward` reads;
-    with zero steps (the backward cell at L = 1, which has no tensors)
+
+def _run_cells(params, direction, x, h, blocks, product):
+    """Unroll one direction of all R cells over the (G, embed) inputs x, fed
+    at every step.
+
+    h is a (steps, R, G, hidden) view that receives the state after each
+    step. The gate math runs in place in the direction's blocks,
+    gate-major, so each activation is one call over a contiguous block: the
+    activated gates (steps, 4, R, G, hidden), the cell states (steps + 1, R,
+    G, hidden), zero state first, and their tanh (steps, R, G, hidden). The
+    input term x Wx + b is kept in the last step's gates, which that step
+    overwrites in place. The weight products keep the fused gate columns,
+    one per rank, in `product`, an (R, G, 4 * hidden) array that the call
+    overwrites: BLAS gives a column slice of a product other bits than the
+    whole product when G = 1.
+    Returns the step cache (h, gates, c, tc) that `_cells_backward` reads;
+    with zero steps (the backward cells at L = 1, which have no tensors)
     nothing is computed, and Wh is read from step 1 on.
     """
-    steps, G, dh = h.shape
-    key = f"cell{r}_{direction}_"
     gates, c, tc = blocks
-    zx, ig = scratch
-    if not steps:
+    if not len(h):
         return h, gates, c, tc
-    np.matmul(x, params.tensors[key + "Wx"], out=zx)
-    zx += params.tensors[key + "b"]
+    key = direction + "_"
+    zx = gates[-1]
+    np.matmul(x, params.tensors[key + "Wx"], out=product)
+    np.add(_gate_major(product), _gate_major(params.tensors[key + "b"][:, None]), out=zx)
     c[0] = 0.0
-    for step in range(steps):
+    for step in range(len(h)):
         z = gates[step]
         pre = zx  # h is the zero state at step 0
         if step:
-            pre = np.matmul(h[step - 1], params.tensors[key + "Wh"], out=z)
-            pre += zx
-        i, f, g, o = (z[:, k * dh : (k + 1) * dh] for k in range(4))
-        sigmoid(pre[:, : 2 * dh], out=z[:, : 2 * dh])  # i and f
-        np.tanh(pre[:, 2 * dh : 3 * dh], out=g)
-        sigmoid(pre[:, 3 * dh :], out=o)
+            np.matmul(h[step - 1], params.tensors[key + "Wh"], out=product)
+            pre = np.add(_gate_major(product), zx, out=z)
+        i, f, g, o = z
+        sigmoid(pre[:2], out=z[:2])  # i and f
+        np.tanh(pre[2], out=g)
+        sigmoid(pre[3], out=o)
         np.multiply(f, c[step], out=c[step + 1])
-        c[step + 1] += np.multiply(i, g, out=ig)
+        c[step + 1] += np.multiply(i, g, out=tc[step])
         np.tanh(c[step + 1], out=tc[step])
         np.multiply(o, tc[step], out=h[step])
     return h, gates, c, tc
 
 
-def _rank_unroll(params, r, x, blocks, k, scratch):
-    """Both directions of cell r over the (G, embed) inputs x, in the blocks
-    `blocks` holds under key k (see `_attention_forward`).
-
-    Returns the per-hop attention inputs, shape (L, G, 2 * hidden), and each
-    direction's step cache. Hop i (1-based) reads the forward state after i
-    steps concatenated with the backward state after L-i steps; "after 0
-    steps" is the zero initial state, so the deepest hop sees only the
-    forward direction, and no hop reads the backward state after L steps:
-    the backward cell runs L-1 steps. Both cells write their states straight
-    into the attention inputs.
-    """
-    L, dh = params.max_len, params.hidden_dim
-    att_in = blocks[k, "att_in"]
-    att_in[L - 1, :, dh:] = 0.0
-    fwd, bwd = [
-        _run_cell(params, r, d, x, h, [blocks[k, d, n] for n in ("gates", "c", "tc")],
-                  scratch)
-        for d, h in (("fwd", att_in[:, :, :dh]), ("bwd", att_in[: L - 1, :, dh:][::-1]))
-    ]
-    return att_in, fwd, bwd
+def _hop_views(a, dh):
+    """The forward and backward per-step views of an (R, L, G, 2 * hidden)
+    array of per-hop attention inputs (or their grads), each (steps, R, G,
+    hidden). Hop i (1-based) reads the forward state after i steps
+    concatenated with the backward state after L-i steps; "after 0 steps" is
+    the zero initial state, so the deepest hop sees only the forward
+    direction, and no hop reads the backward state after L steps: the
+    backward cells run L-1 steps."""
+    L = a.shape[1]
+    return (a[:, :, :, :dh].transpose(1, 0, 2, 3),
+            a[:, : L - 1, :, dh:][:, ::-1].transpose(1, 0, 2, 3))
 
 
 def _attention_forward(params: ModelParams, queries, caches=None):
     """Attention weights of shape (G, R, L, K) for G distinct query predicates.
 
-    Each rank is one matrix LSTM unroll per direction over all G rows. With a
-    `caches` list, each rank's unroll (attention inputs and both directions'
-    step caches) is appended to it for `_attention_backward`; without one,
-    only the weights are kept, and every rank unrolls in the same blocks.
-    The blocks are views of one buffer (`packed`), the scratch that no rank
-    keeps views of a second.
+    One matrix LSTM unroll per direction covers all R ranks and all G rows;
+    both directions write their states straight into the (R, L, G, 2 *
+    hidden) attention inputs, and one projection and softmax turn those into
+    the weights. With a `caches` list, the unroll (attention inputs and both
+    directions' step caches) is appended to it for `_attention_backward`.
+    The blocks are views of one buffer (`packed`).
     """
     x = params.tensors["query_emb"][np.asarray(queries, dtype=np.int64)]
     W, b = params.tensors["proj_W"], params.tensors["proj_b"]
-    G, L, dh, K = len(x), params.max_len, params.hidden_dim, params.num_operators
-    kept = params.rank if caches is not None else 1
-    shapes = {}
-    for k in range(kept):
-        shapes[k, "att_in"] = (L, G, 2 * dh)
-        for d, steps in (("fwd", L), ("bwd", L - 1)):
-            shapes[k, d, "gates"] = (steps, G, 4 * dh)
-            shapes[k, d, "c"] = (steps + 1, G, dh)
-            shapes[k, d, "tc"] = (steps, G, dh)
+    G, R, L = len(x), params.rank, params.max_len
+    dh, K = params.hidden_dim, params.num_operators
+    shapes = {"att_in": (R, L, G, 2 * dh)}
+    for d, steps in (("fwd", L), ("bwd", L - 1)):
+        shapes[d, "gates"] = (steps, 4, R, G, dh)
+        shapes[d, "c"] = (steps + 1, R, G, dh)
+        shapes[d, "tc"] = (steps, R, G, dh)
     blocks = packed(shapes)
-    scratch = packed({"zx": (G, 4 * dh), "ig": (G, dh), "logits": (L, G, K)})
-    weights = np.empty((G, params.rank, L, K))
-    for r in range(params.rank):
-        unroll = _rank_unroll(params, r, x, blocks, r % kept, (scratch["zx"], scratch["ig"]))
-        logits = np.matmul(unroll[0], W, out=scratch["logits"])
-        logits += b
-        weights[:, r] = softmax(logits).transpose(1, 0, 2)
-        if caches is not None:
-            caches.append(unroll)
+    product = np.empty((R, G, 4 * dh))
+    att_in = blocks["att_in"]
+    att_in[:, L - 1, :, dh:] = 0.0
+    fwd, bwd = [
+        _run_cells(params, d, x, h, [blocks[d, n] for n in ("gates", "c", "tc")], product)
+        for d, h in zip(("fwd", "bwd"), _hop_views(att_in, dh))
+    ]
+    weights = np.empty((G, R, L, K))
+    logits = np.matmul(att_in, W, out=weights.transpose(1, 2, 0, 3))
+    logits += b
+    softmax(logits)
+    if caches is not None:
+        caches.append((att_in, fwd, bwd))
     return weights
 
 
@@ -353,32 +378,35 @@ def attention_forward(params: ModelParams, query: int) -> AttentionTensor:
     return AttentionTensor(_attention_forward(params, [query])[0])
 
 
-def _cell_backward(params, r, direction, x, cache, dh_steps, grads):
-    """BPTT through one direction over all G rows, from the step cache
-    `_run_cell` returned; dh_steps[i] is the external grad on step i's h.
-    Adds the cell's weight grads to `grads`, returns dL/dx (0.0 for a cell
-    that ran no steps).
+def _cells_backward(params, direction, x, cache, dh_steps, grads):
+    """BPTT through one direction of all R cells over all G rows, from the
+    step cache `_run_cells` returned; dh_steps[i] is the external grad on
+    step i's h, (R, G, hidden). Adds the cells' weight grads to `grads`,
+    returns dL/dx per rank, (R, G, embed), or None for cells that ran no
+    steps.
 
     The input x is the same at every step, so its weight and input grads come
     from the summed gate grads: gWx = x^T sum_steps dZ. Step 0 reads the zero
     state, so it adds nothing to gWh and passes nothing further back; Wh and
     its grad are read from step 1 on. Each step writes its four gate grads in
-    place into one (G, 4 * hidden) dZ.
+    place, gate-major, and copies them once into the fused (R, G, 4 * hidden)
+    dZ that the products read.
     """
     h, gates, c, tc = cache
-    steps, G, dh = h.shape
-    if not steps:
-        return 0.0
-    key = f"cell{r}_{direction}_"
-    dz = np.empty((G, 4 * dh))
-    dz_i, dz_f, dz_g, dz_o = (dz[:, k * dh : (k + 1) * dh] for k in range(4))
-    dz_sum = np.zeros((G, 4 * dh))
-    dh_total = np.zeros((G, dh))  # holds the grad carried back from the step after
-    dc_carry = np.zeros((G, dh))
-    dc = np.empty((G, dh))
-    tmp = np.empty((G, dh))
-    for step in reversed(range(steps)):
-        i, f, g, o = (gates[step][:, k * dh : (k + 1) * dh] for k in range(4))
+    if not len(h):
+        return None
+    R, G, dh = h.shape[1:]
+    key = direction + "_"
+    dzg = np.empty((4, R, G, dh))
+    dz_i, dz_f, dz_g, dz_o = dzg
+    dz = np.empty((R, G, 4 * dh))
+    dz_sum = np.zeros((R, G, 4 * dh))
+    dh_total = np.zeros((R, G, dh))  # holds the grad carried back from the step after
+    dc_carry = np.zeros((R, G, dh))
+    dc = np.empty((R, G, dh))
+    tmp = np.empty((R, G, dh))
+    for step in reversed(range(len(h))):
+        i, f, g, o = gates[step]
         dh_total += dh_steps[step]
         # dz_o = do * o * (1 - o), with do = dh_total * tanh(c)
         np.multiply(dh_total, tc[step], out=dz_o)
@@ -398,40 +426,56 @@ def _cell_backward(params, r, direction, x, cache, dh_steps, grads):
         np.multiply(dc, i, out=dz_g)
         np.multiply(g, g, out=tmp)
         dz_g *= np.subtract(1.0, tmp, out=tmp)
+        dz.reshape(R, G, 4, dh)[...] = dzg.transpose(1, 2, 0, 3)
         dz_sum += dz
         if step == 0:
             break
-        grads[key + "Wh"] += h[step - 1].T @ dz
+        for r in range(R):  # one rank's product at a time bounds the temporaries
+            grads[key + "Wh"][r] += h[step - 1, r].T @ dz[r]
         np.multiply(dc, f, out=dc_carry)
-        np.matmul(dz, params.tensors[key + "Wh"].T, out=dh_total)
-    grads[key + "Wx"] += x.T @ dz_sum
-    grads[key + "b"] += dz_sum.sum(axis=0)
-    return dz_sum @ params.tensors[key + "Wx"].T
+        np.matmul(dz, params.tensors[key + "Wh"].transpose(0, 2, 1), out=dh_total)
+    for r in range(R):
+        grads[key + "Wx"][r] += x.T @ dz_sum[r]
+    grads[key + "b"] += dz_sum.sum(axis=1)
+    return np.matmul(dz_sum, params.tensors[key + "Wx"].transpose(0, 2, 1))
+
+
+def _projection_backward(params, att_in, weights, dA, grads):
+    """Add the projection's grads to `grads`, rank by rank, given the (R, L,
+    G, 2 * hidden) attention inputs, the (G, R, L, K) attention weights and
+    dL/d(weights); returns dL/d(att_in)."""
+    W = params.tensors["proj_W"]
+    _, R, _, K = weights.shape
+    dlogits = weights * (dA - np.sum(dA * weights, axis=3, keepdims=True))
+    # the bias grad sums each rank's (G, L) rows predicate by predicate, the
+    # weight grad and dL/d(att_in) read them hop-major
+    hop_major = np.ascontiguousarray(dlogits.transpose(1, 2, 0, 3))
+    for r in range(R):
+        grads["proj_W"] += att_in[r].reshape(-1, W.shape[0]).T @ hop_major[r].reshape(-1, K)
+        grads["proj_b"] += dlogits[:, r].sum(axis=(0, 1))
+    return np.matmul(hop_major, W.T)
 
 
 def _attention_backward(params, queries, weights, caches, dA, grads):
     """Accumulate parameter grads given the (G, R, L, K) attention weights of
-    `queries`, the per-rank unrolls `_attention_forward` kept in `caches`,
-    and dL/d(weights).
+    `queries`, the unroll `_attention_forward` kept in `caches`, and
+    dL/d(weights).
 
-    One pass per rank and direction covers all G predicates; the projection's
-    grads are one matmul over every (hop, predicate) row.
+    One pass per direction covers all R ranks and all G predicates. The
+    projection's grads and the input grads are added rank by rank.
     """
-    L, dh = params.max_len, params.hidden_dim
-    W = params.tensors["proj_W"]
     queries = np.asarray(queries, dtype=np.int64)
     x = params.tensors["query_emb"][queries]
+    ((att_in, fwd, bwd),) = caches
+    datt_in = _projection_backward(params, att_in, weights, dA, grads)
+    dfwd, dbwd = _hop_views(datt_in, params.hidden_dim)
+    dx_fwd = _cells_backward(params, "fwd", x, fwd, dfwd, grads)
+    dx_bwd = _cells_backward(params, "bwd", x, bwd, dbwd, grads)
     dx = np.zeros_like(x)
-    for r, (att_in, fwd, bwd) in enumerate(caches):
-        a = weights[:, r].transpose(1, 0, 2)  # (L, G, K)
-        dAr = dA[:, r].transpose(1, 0, 2)
-        dlogits = a * (dAr - np.sum(dAr * a, axis=2, keepdims=True))
-        grads["proj_W"] += att_in.reshape(-1, 2 * dh).T @ dlogits.reshape(-1, W.shape[1])
-        grads["proj_b"] += dlogits.sum(axis=(0, 1))
-        dhid = dlogits @ W.T
-        dx += _cell_backward(params, r, "fwd", x, fwd, dhid[:, :, :dh], grads)
-        # hop l reads backward step L-2-l
-        dx += _cell_backward(params, r, "bwd", x, bwd, dhid[: L - 1, :, dh:][::-1], grads)
+    for r in range(params.rank):
+        dx += dx_fwd[r]
+        if dx_bwd is not None:
+            dx += dx_bwd[r]
     grads["query_emb"][queries] += dx
 
 
@@ -782,12 +826,13 @@ def rules_from_attention(
             prod_{j in S} a[r, j, p(j)] * prod_{j not in S} a[r, j, 0],
 
     where p(j) is the predicate that S puts at hop j, in order. Each length m
-    is computed for all |P|^m rules at once: per subset and rank, an outer
-    product of the predicate weights on S, times the identity weight on the
-    other hops, multiplied in hop order. The subsets run in reversed
-    `itertools.combinations` order: a sequence with its identity hops earlier
-    sorts first, so this is the lexicographic order of the sequences, and the
-    sums add up bit for bit as a walk over all (|P|+1)^L sequences would.
+    is computed for all |P|^m rules and all R ranks at once: per subset, an
+    outer product of the predicate weights on S, times the identity weight
+    on the other hops, multiplied in hop order, then summed over the ranks
+    in rank order. The subsets run in reversed `itertools.combinations`
+    order: a sequence with its identity hops earlier sorts first, so this is
+    the lexicographic order of the sequences, and the sums add up bit for
+    bit as a walk over all (|P|+1)^L sequences would.
     Rules of confidence 0 are dropped (attention weights are non-negative,
     so those are the rules no sequence reaches); ties go to the
     lexicographically smaller hop tuple.
@@ -806,16 +851,11 @@ def rules_from_attention(
     for m in range(1, L + 1):
         total = np.zeros((P,) * m)
         for S in reversed(list(itertools.combinations(range(L), m))):
-            seq = np.zeros((P,) * m)  # the sequences S stands for, summed over ranks
-            for r in range(R):
-                v = np.ones(())
-                for j in range(L):
-                    if j in S:
-                        v = v[..., None] * weights[r, j, 1:]
-                    else:
-                        v = v * weights[r, j, 0]
-                seq += v
-            total += seq
+            v = np.ones(R)  # per rank, the sequences S stands for
+            for j in range(L):
+                w = weights[:, j].reshape(R, *(1,) * (v.ndim - 1), K)
+                v = v[..., None] * w[..., 1:] if j in S else v * w[..., 0]
+            total += v.sum(axis=0)
         conf.append(total.ravel())
     conf = np.concatenate(conf)
     kept = np.flatnonzero(conf)

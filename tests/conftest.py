@@ -490,15 +490,51 @@ def backward(ops, params, query):
 # ---------------------------------------------------------------------------
 # training step references: every product and temporary written out
 
+def model_params_reference(num_predicates, rank, max_len, embed_dim, hidden_dim, seed):
+    """The starting tensors `ModelParams` documents, drawn with rng.uniform
+    in its order: query_emb, then per rank the forward Wx and Wh and the
+    backward Wx and Wh, then proj_W. Every cell weight is drawn; the ones no
+    step reads are then left out, and the kept ones are stacked over ranks."""
+    rng = np.random.default_rng(seed)
+    de, dh = embed_dim, hidden_dim
+
+    def uniform(shape, fan_in):
+        bound = 1.0 / np.sqrt(fan_in)
+        return rng.uniform(-bound, bound, size=shape)
+
+    query_emb = uniform((num_predicates, de), de)
+    drawn = {}
+    for r in range(rank):
+        for direction in ("fwd", "bwd"):
+            drawn[r, direction, "Wx"] = uniform((de, 4 * dh), de)
+            drawn[r, direction, "Wh"] = uniform((dh, 4 * dh), dh)
+    proj_W = uniform((2 * dh, num_predicates + 1), 2 * dh)
+    bias = np.zeros(4 * dh)
+    bias[dh : 2 * dh] = 1.0  # the forget gate
+    tensors = {"query_emb": query_emb}
+    for direction, steps in (("fwd", max_len), ("bwd", max_len - 1)):
+        if steps >= 1:
+            tensors[f"{direction}_Wx"] = np.stack(
+                [drawn[r, direction, "Wx"] for r in range(rank)])
+        if steps >= 2:
+            tensors[f"{direction}_Wh"] = np.stack(
+                [drawn[r, direction, "Wh"] for r in range(rank)])
+        if steps >= 1:
+            tensors[f"{direction}_b"] = np.stack([bias] * rank)
+    tensors["proj_W"] = proj_W
+    tensors["proj_b"] = np.zeros(num_predicates + 1)
+    return tensors
+
+
 def _cell_tensors(params, tensors, r, direction):
     """Wx, Wh and b of one direction of cell r, read from `tensors` (the
     parameters or their gradients). A cell tensor the parameters lack reads
     as a fresh zero array: its products reach only states that no hop reads,
     and a gradient written to it is thrown away."""
     de, dh = params.embed_dim, params.hidden_dim
-    key = f"cell{r}_{direction}_"
+    key = f"{direction}_"
     shapes = {"Wx": (de, 4 * dh), "Wh": (dh, 4 * dh), "b": (4 * dh,)}
-    return [tensors[key + n] if key + n in tensors else np.zeros(shape)
+    return [tensors[key + n][r] if key + n in tensors else np.zeros(shape)
             for n, shape in shapes.items()]
 
 

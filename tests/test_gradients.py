@@ -55,7 +55,10 @@ def check_all_tensors(params, ops, queries, coords_per_tensor=6, rel_tol=1e-4):
     worst = 0.0
     for key, tensor in params.tensors.items():
         n = tensor.size
-        picks = rng.choice(n, size=min(coords_per_tensor, n), replace=False)
+        # a cell tensor stacks one tensor per rank, and each gets its share
+        per_rank = key.startswith(("fwd_", "bwd_"))
+        count = coords_per_tensor * (params.rank if per_rank else 1)
+        picks = rng.choice(n, size=min(count, n), replace=False)
         for idx in picks:
             fd = finite_difference(ops, params, queries, key, idx)
             an = grads[key].ravel()[idx]
@@ -306,28 +309,48 @@ def test_batch_of_three_predicates_is_sum_of_single_queries():
 # ---------------------------------------------------------------------------
 # the training step against its written-out reference, bit for bit
 
-def reference_setup(max_len, epsilon_mode="corrected", normalize="l2"):
+def reference_setup(max_len, epsilon_mode="corrected", normalize="l2", rank=2):
     kg = random_kg(5, num_entities=9, num_predicates=3, edge_prob=0.3)
     queries = group_queries(kg.triples)[:8]
     assert max(len(q.targets) for q in queries) > 1
     params = ModelParams(
-        kg.num_predicates, rank=2, max_len=max_len, embed_dim=6, hidden_dim=7,
+        kg.num_predicates, rank=rank, max_len=max_len, embed_dim=6, hidden_dim=7,
         seed=19, normalize=normalize, epsilon_mode=epsilon_mode,
     )
     return build_operators(kg), params, queries
 
 
-@pytest.mark.parametrize("max_len", [1, 2, 3])
+# rank 2 keeps the bare max_len id; rank 1 is a stack of one, rank 3 the paper's
+@pytest.mark.parametrize("max_len, rank", [
+    pytest.param(L, R, id=str(L) if R == 2 else f"{L}-rank{R}")
+    for R in (2, 1, 3) for L in (1, 2, 3)
+])
 @pytest.mark.parametrize("epsilon_mode", ["corrected", "literal"])
 @pytest.mark.parametrize("normalize", [None, "l2", "l1"])
-def test_gradients_equal_the_unrolled_again_reference(max_len, epsilon_mode, normalize):
+def test_gradients_equal_the_unrolled_again_reference(max_len, rank, epsilon_mode,
+                                                      normalize):
     # the reference multiplies by the zero initial state, unrolls every cell
-    # again for the backward pass and allocates fresh gradients
-    ops, params, queries = reference_setup(max_len, epsilon_mode, normalize)
+    # again, rank by rank, for the backward pass and allocates fresh gradients
+    ops, params, queries = reference_setup(max_len, epsilon_mode, normalize, rank)
     loss, grads = loss_and_gradients(ops, params, queries)
     ref_loss, ref_grads = loss_and_gradients_reference(ops, params, queries)
     assert loss == ref_loss
     assert grads.keys() == ref_grads.keys()
+    for key in grads:
+        assert np.array_equal(grads[key], ref_grads[key]), key
+
+
+@pytest.mark.parametrize("max_len", [1, 2, 3])
+def test_gradients_equal_the_reference_over_several_predicates(max_len):
+    # the batches above hold one predicate; here the projection's grads sum
+    # over several (hop, predicate) rows, in the reference's order
+    ops, params, _ = reference_setup(max_len, rank=3)
+    queries = group_queries(random_kg(5, num_entities=9, num_predicates=3,
+                                      edge_prob=0.3).triples)
+    assert len({q.query for q in queries}) == 3
+    loss, grads = loss_and_gradients(ops, params, queries)
+    ref_loss, ref_grads = loss_and_gradients_reference(ops, params, queries)
+    assert loss == ref_loss
     for key in grads:
         assert np.array_equal(grads[key], ref_grads[key]), key
 
@@ -338,10 +361,10 @@ def test_unread_cell_tensors_are_absent_at_one_hop():
     ops, params, queries = reference_setup(max_len=1)
     _, grads = loss_and_gradients(ops, params, queries)
     assert grads.keys() == params.tensors.keys()
+    for name in ("fwd_Wh", "bwd_Wx", "bwd_Wh", "bwd_b"):
+        assert name not in params.tensors
     for r in range(params.rank):
-        for name in ("fwd_Wh", "bwd_Wx", "bwd_Wh", "bwd_b"):
-            assert f"cell{r}_{name}" not in params.tensors
-        assert grads[f"cell{r}_fwd_Wx"].any() and grads[f"cell{r}_fwd_b"].any()
+        assert grads["fwd_Wx"][r].any() and grads["fwd_b"][r].any()
 
 
 def test_out_buffer_is_zero_filled_and_returned():

@@ -83,12 +83,18 @@ class TestAttention:
         b = attention_forward(params, 1)
         assert not np.allclose(a.weights, b.weights)
 
-    @pytest.mark.parametrize("max_len", [1, 2, 3, 4])
+    # rank 2 keeps the bare max_len id
+    @pytest.mark.parametrize("max_len, rank", [
+        pytest.param(L, R, id=str(L) if R == 2 else f"{L}-rank{R}")
+        for R in (2, 1, 3) for L in (1, 2, 3, 4)
+    ])
     @pytest.mark.parametrize("preds", [[3], [5, 0, 3, 6, 1, 2, 4]], ids=["one", "all"])
-    def test_equals_the_written_out_unroll(self, max_len, preds):
+    def test_equals_the_written_out_unroll(self, max_len, rank, preds):
         # the path evaluation and rule extraction take, without caches; the
-        # reference runs all L backward steps and multiplies in the zero state
-        params = ModelParams(7, rank=2, max_len=max_len, embed_dim=8, hidden_dim=6, seed=11)
+        # reference unrolls rank by rank, runs all L backward steps and
+        # multiplies in the zero state
+        params = ModelParams(7, rank=rank, max_len=max_len, embed_dim=8, hidden_dim=6,
+                             seed=11)
         x = params.tensors["query_emb"][preds]
         W, b = params.tensors["proj_W"], params.tensors["proj_b"]
         want = np.empty((len(preds), params.rank, max_len, params.num_operators))
@@ -114,8 +120,8 @@ class TestAttention:
     def test_unroll_memory_is_bounded(self):
         # 192 predicates at the default sizes; the kept unroll held 21.2 MB
         # (peak 25.7 MB) when every step kept seven fresh arrays and the
-        # backward cell ran L steps, and holds 14.2 MB (peak 17.8 MB) in
-        # per-direction blocks
+        # backward cell ran L steps, and holds 14.2 MB (peak 18.6 MB) in
+        # per-direction blocks over every rank
         params = ModelParams(192, max_len=2)
         caches = []
         tracemalloc.start()
@@ -440,6 +446,31 @@ class TestCheckpoint:
         assert set(loaded.tensors) == set(params.tensors)
         for key, tensor in params.tensors.items():
             assert np.array_equal(loaded.tensors[key], tensor)
+
+    @pytest.mark.parametrize("max_len", [1, 2, 3])
+    def test_members_are_per_rank_cell_tensors(self, tmp_path, max_len):
+        # the file keeps one member per rank and cell tensor, so checkpoints
+        # from before the cells were stacked load unchanged
+        params = ModelParams(4, rank=2, max_len=max_len, embed_dim=5, hidden_dim=3, seed=6)
+        path = tmp_path / "model.npz"
+        save_checkpoint(params, path)
+        cell = {"Wx": (5, 12), "Wh": (3, 12), "b": (12,)}
+        kept = {1: ["fwd_Wx", "fwd_b"],
+                2: ["fwd_Wx", "fwd_Wh", "fwd_b", "bwd_Wx", "bwd_b"],
+                3: ["fwd_Wx", "fwd_Wh", "fwd_b", "bwd_Wx", "bwd_Wh", "bwd_b"]}[max_len]
+        want = {"__meta__": None, "query_emb": (4, 5)}
+        for r in range(2):
+            for key in kept:
+                want[f"cell{r}_{key}"] = cell[key[4:]]
+        want |= {"proj_W": (6, 5), "proj_b": (5,)}
+        with np.load(path) as data:
+            assert data.files == list(want)
+            for name, shape in want.items():
+                if shape is not None:
+                    assert data[name].shape == shape, name
+            for r in range(2):
+                for key in kept:
+                    assert np.array_equal(data[f"cell{r}_{key}"], params.tensors[key][r])
 
     def test_loaded_model_scores_identically(self, toy, tmp_path):
         kg, ops = toy

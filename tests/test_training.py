@@ -29,7 +29,7 @@ from mplr.training import (
     train,
 )
 
-from conftest import adam_step_reference, random_kg
+from conftest import adam_step_reference, model_params_reference, random_kg
 
 
 class TestAdam:
@@ -224,17 +224,29 @@ class TestTrain:
             2: ["fwd_Wx", "fwd_Wh", "fwd_b", "bwd_Wx", "bwd_b"],
             3: ["fwd_Wx", "fwd_Wh", "fwd_b", "bwd_Wx", "bwd_Wh", "bwd_b"],
         }
-        cells = [f"cell{r}_{n}" for r in range(2) for n in per_cell[max_len]]
-        assert list(params.tensors) == ["query_emb", *cells, "proj_W", "proj_b"]
+        want = ["query_emb", *per_cell[max_len], "proj_W", "proj_b"]
+        assert list(params.tensors) == want
 
     def test_kept_tensors_start_the_same_at_every_length(self):
-        # every cell weight is drawn from the seed whether it is kept or not
+        # the generator is advanced past the draws of every dropped cell weight
         full = ModelParams(3, rank=2, max_len=3, embed_dim=6, hidden_dim=5, seed=2)
         for max_len in (1, 2):
             params = ModelParams(3, rank=2, max_len=max_len, embed_dim=6, hidden_dim=5,
                                  seed=2)
             for key, t in params.tensors.items():
                 assert np.array_equal(t, full.tensors[key]), (max_len, key)
+
+    @pytest.mark.parametrize("max_len", [1, 2, 3])
+    def test_starting_tensors_equal_the_uniform_draws(self, max_len):
+        # drawn in place and advanced past the dropped tensors, bit for bit
+        # what rng.uniform draws in the documented order
+        sizes = dict(num_predicates=5, rank=3, max_len=max_len, embed_dim=6,
+                     hidden_dim=7, seed=4)
+        params = ModelParams(**sizes)
+        want = model_params_reference(**sizes)
+        assert list(params.tensors) == list(want)
+        for key, t in want.items():
+            assert np.array_equal(params.tensors[key], t), key
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
