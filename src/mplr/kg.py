@@ -8,7 +8,8 @@ and finds repeated lines and triples shared between splits by one integer key
 per triple. A loaded graph is one read-only (n, 3) int64 triple array, which
 `KnowledgeGraph` accepts as it is; every other view of it (per-predicate edge
 lists, successors, edge counts, membership, and the tuple list `triples`,
-built on first use) is derived from that array.
+built on first use) is derived from that array, in input order, or from
+its sorted triple keys, in (predicate, head, tail) order.
 
 `group_queries` turns a split into multi-target queries, one per (head,
 predicate) pair with all of its tails. Each is a `MultiTargetQuery`, a
@@ -56,11 +57,11 @@ class KnowledgeGraph:
     iterable of (head, predicate, tail) index triples, and refuses
     out-of-range indices and repeated triples. `triple_array` is the
     read-only (n, 3) int64 copy of the distinct triples, in input order;
-    `triples`, the same rows as int tuples, is built from it on first use. `per_predicate[p]` is the (n_p, 2)
-    (head, tail) edge list of the subgraph of predicate p, in input order: a
-    read-only view into one predicate-sorted copy. `successors` and
-    `has_triple` search the keys predicate * |E| + head, stable-sorted so each
-    key's tails keep input order.
+    `triples`, the same rows as int tuples, is built from it on first use.
+    The one index is the sorted keys (predicate * |E| + head) * |E| + tail:
+    `per_predicate[p]`, the (n_p, 2) (head, tail) edge list of predicate p in
+    (head, tail) order, is a read-only view into the key-sorted rows, and
+    `successors` (tails in ascending order) and `has_triple` search the keys.
     """
 
     def __init__(self, entities, predicates, triples):
@@ -103,12 +104,10 @@ class KnowledgeGraph:
 
         array.flags.writeable = False
         self.triple_array = array
-        heads = p * ne + h  # one key per (predicate, head) pair
-        by_head = np.argsort(heads, kind="stable")
-        self._heads, self._tails = heads[by_head], t[by_head]
-        edges = array[np.argsort(p, kind="stable")][:, [0, 2]]
+        self._keys = keys  # every triple's key, sorted: the graph's one index
+        edges = array[order][:, [0, 2]]
         edges.flags.writeable = False
-        bounds = np.concatenate([[0], np.cumsum(np.bincount(p, minlength=np_))])
+        bounds = keys.searchsorted(np.arange(np_ + 1) * ne**2)
         self.per_predicate: dict[int, np.ndarray] = {
             q: edges[bounds[q] : bounds[q + 1]] for q in range(np_)
         }
@@ -130,16 +129,20 @@ class KnowledgeGraph:
         return len(self.per_predicate[predicate])
 
     def successors(self, predicate: int, v: int) -> list[int]:
-        """Tails of the `predicate` edges leaving v, in input order."""
+        """Tails of the `predicate` edges leaving v, in ascending order."""
         ne = self.num_entities
         if not (0 <= predicate < self.num_predicates and 0 <= v < ne):
             return []
-        key = predicate * ne + v
-        lo, hi = self._heads.searchsorted(key), self._heads.searchsorted(key + 1)
-        return self._tails[lo:hi].tolist()
+        lo, hi = self._keys.searchsorted([(predicate * ne + v) * ne,
+                                          (predicate * ne + v + 1) * ne])
+        return (self._keys[lo:hi] % ne).tolist()
 
     def has_triple(self, h: int, p: int, t: int) -> bool:
-        return t in self.successors(p, h)
+        ne = self.num_entities
+        if not (0 <= p < self.num_predicates and 0 <= h < ne and 0 <= t < ne):
+            return False
+        key = (p * ne + h) * ne + t
+        return key in self._keys[self._keys.searchsorted(key) :][:1]
 
 
 @dataclass

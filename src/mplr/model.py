@@ -517,7 +517,7 @@ def _lookup(keys, wanted):
 
 
 class _Propagation:
-    """Rows pushed through hops first..L of the attention-weighted operators.
+    """Rows pushed through hops 1..L of the attention-weighted operators.
 
     Row b starts as e_{starts[b]} and is weighted by weights[groups[b]], a
     (R, L, K) slice of the (G, R, L, K) attention. Every operator, the identity
@@ -533,8 +533,7 @@ class _Propagation:
     (operator -1: none).
     """
 
-    def __init__(self, ops, weights, groups, starts, *, first=1, extra_keys=None,
-                 excluded=None):
+    def __init__(self, ops, weights, groups, starts, *, extra_keys=None, excluded=None):
         G, R, L, K = weights.shape
         if K != len(ops):
             raise ValueError(f"attention over {K} operators does not match graph "
@@ -542,13 +541,13 @@ class _Propagation:
         E = ops.num_entities
         starts = np.asarray(starts, dtype=np.int64)
         groups = np.asarray(groups, dtype=np.int64)
-        self.num_rows, self.num_slots, self.first = len(starts), G * K, first
+        self.num_rows, self.num_slots = len(starts), G * K
         keys = np.arange(len(starts)) * E + starts
         self.keys = [keys]
         self.edges = []  # per hop: (src, dst, slot, (R, n) weights)
         flat = weights.reshape(-1)  # C order: (g, r, l, k) at ((g*R + r)*L + l)*K + k
         rank_offsets = (np.arange(R) * (L * K))[:, None]
-        for hop in range(first, L + 1):
+        for hop in range(1, L + 1):
             row = keys // E
             drop = None if excluded is None else (starts[row], *(x[row] for x in excluded))
             src, ent, op = ops.out_edges(keys % E, drop)
@@ -582,7 +581,7 @@ class _Propagation:
         for i in reversed(range(len(self.edges))):
             src, dst, slot, w = self.edges[i]
             g = dU[dst]
-            dA[:, r, self.first + i - 1] += np.bincount(
+            dA[:, r, i] += np.bincount(
                 slot, weights=U[i][src] * g, minlength=self.num_slots
             ).reshape(G, -1)
             if i == 0:
@@ -637,7 +636,7 @@ class _BatchForward:
         c_key, self.c_slot = np.unique(self.t_grp * E + t_ent, return_inverse=True)
         c_ent = c_key % E
         self.chains = [
-            _Propagation(ops, weights, c_key // E, c_ent, first=l + 1)
+            _Propagation(ops, weights[:, :, l:], c_key // E, c_ent)
             for l in range(1, L)
         ]
         self.c_read = [
@@ -702,7 +701,7 @@ class _BatchForward:
                     dY[read] = np.bincount(
                         self.c_slot, weights=dCorr * a_q * base, minlength=len(read)
                     )
-                    chain.backward(r, self.chain_U[r][l], dY, dA)
+                    chain.backward(r, self.chain_U[r][l], dY, dA[:, :, l + 1:])
             self.prop.backward(r, self.U[r], dU, dA, inject)
         return dA
 

@@ -6,7 +6,9 @@ the validation MRR decides early stopping; the best-validation checkpoint is
 returned. Evaluation follows the filtered protocol: one (h, q, ?) query per
 test triplet with the queried edge excluded from propagation, the head removed
 from the candidate list, and ties resolved by the mean rank among tied scores
-(a hit at k requires that fractional rank to be <= k).
+(a hit at k requires that fractional rank to be <= k). A head's other known
+answers stay candidates, unlike in the filtered protocol of Bordes et al.
+(2013) that Neural LP and DRUM report.
 """
 
 from __future__ import annotations
@@ -83,9 +85,10 @@ class AdamOptimizer:
     flat views write through.
     """
 
-    def __init__(self, tensors, lr=0.001, beta1=0.9, beta2=0.999, eps=1e-8):
-        self.lr, self.beta1, self.beta2, self.eps = lr, beta1, beta2, eps
-        self.t = 0
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
+
+    def __init__(self, tensors, lr=0.001):
+        self.lr, self.t = lr, 0
         shapes = {k: v.shape for k, v in tensors.items()}
         self.m = packed(shapes, zero=True)
         self.v = packed(shapes, zero=True)
@@ -225,32 +228,25 @@ class EvalReport:
     hit_at: dict[int, float]
     per_predicate: dict[str, PredicateEval] = field(default_factory=dict)
     num_queries: int = 0
-    tie_rule: str = TIE_RULE
+
+    def _rows(self):
+        """("ALL", the overall metrics), then each predicate's (name, metrics)."""
+        overall = PredicateEval(self.mrr, self.hit_at, self.num_queries)
+        return [("ALL", overall), *self.per_predicate.items()]
 
     def as_tsv(self) -> str:
         ks = sorted(self.hit_at)
         header = "predicate\tqueries\tmrr\t" + "\t".join(f"hit@{k}" for k in ks)
-        lines = [f"# tie_rule = {self.tie_rule}", header]
-        row = [
-            "ALL",
-            str(self.num_queries),
-            repr(self.mrr),
-            *[repr(self.hit_at[k]) for k in ks],
-        ]
-        lines.append("\t".join(row))
-        for name, pe in self.per_predicate.items():
-            lines.append(
-                "\t".join(
-                    [name, str(pe.num_queries), repr(pe.mrr)]
-                    + [repr(pe.hit_at[k]) for k in ks]
-                )
-            )
+        lines = [f"# tie_rule = {TIE_RULE}", header]
+        for name, pe in self._rows():
+            lines.append("\t".join([name, str(pe.num_queries), repr(pe.mrr),
+                                    *(repr(pe.hit_at[k]) for k in ks)]))
         return "\n".join(lines) + "\n"
 
     def as_text(self) -> str:
         ks = sorted(self.hit_at)
         width = max([len("ALL")] + [len(n) for n in self.per_predicate])
-        lines = [f"tie rule: {self.tie_rule}"]
+        lines = [f"tie rule: {TIE_RULE}"]
         header = f"{'':<{width}}  queries     MRR" + "".join(
             f"   Hit@{k:<3}" for k in ks
         )
@@ -262,9 +258,7 @@ class EvalReport:
                 + "".join(f"  {100 * pe.hit_at[k]:7.2f}%" for k in ks)
             )
 
-        lines.append(fmt("ALL", PredicateEval(self.mrr, self.hit_at, self.num_queries)))
-        for name, pe in self.per_predicate.items():
-            lines.append(fmt(name, pe))
+        lines.extend(fmt(name, pe) for name, pe in self._rows())
         return "\n".join(lines) + "\n"
 
 
@@ -370,10 +364,12 @@ def hit_upper_bound(record: BifurcationRecord, k: int) -> float:
     """Best attainable Hit@k given the head-side target-multiplicity profile.
 
     A head with d targets can place at most min(d, k) of them in the top k, so
-    its triplets contribute at most min(d, k)/d. The multiplicity distribution
-    comes from consecutive differences of the bifurcation curve; heads beyond
-    the last lambda are treated as having exactly that many targets, which
-    keeps the result an upper bound.
+    its triplets contribute at most min(d, k)/d, when all d are ranked on one
+    score vector. `evaluate` ranks each answer on its own vector, with that
+    answer's edge dropped, so its Hit@k may pass this. The multiplicity
+    distribution comes from consecutive differences of the bifurcation
+    curve; heads beyond the last lambda are treated as having exactly that
+    many targets, which keeps the result an upper bound.
     """
     if record.direction != FORWARD:
         raise ValueError("hit upper bound needs a forward bifurcation record")

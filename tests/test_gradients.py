@@ -255,12 +255,13 @@ def test_stored_edge_weights_are_per_edge_lookups(L, kind, first):
     groups = rng.integers(0, G, size=B)
     # eval-style rows start at the heads of graph triples and may drop them
     h, p, t = kg.triple_array[rng.choice(len(kg.triple_array), size=B)].T
-    kwargs = {"first": first}
+    kwargs = {}
     if kind == "excluded":
         kwargs["excluded"] = (np.where(np.arange(B) % 4 == 3, -1, p + 1), t)
     elif kind == "extra-keys":
         kwargs["extra_keys"] = np.arange(B) * E + rng.integers(0, E, size=B)
-    prop = _Propagation(ops, weights, groups, h, **kwargs)
+    # a correction chain propagates over the hops from `first` on
+    prop = _Propagation(ops, weights[:, :, first - 1:], groups, h, **kwargs)
     assert len(prop.edges) == L - first + 1
     for i, (src, _, slot, w) in enumerate(prop.edges):
         g, op = np.divmod(slot, K)

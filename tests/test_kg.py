@@ -349,10 +349,10 @@ class TestIndex:
         for p in range(kg.num_predicates):
             rows = [(h, t) for h, q, t in kg.triples if q == p]
             assert kg.per_predicate[p].shape == (len(rows), 2)
-            assert list(map(tuple, kg.per_predicate[p].tolist())) == rows
+            assert list(map(tuple, kg.per_predicate[p].tolist())) == sorted(rows)
             assert kg.num_edges(p) == len(rows)
             for v in range(n):
-                assert kg.successors(p, v) == out[p].get(v, [])
+                assert kg.successors(p, v) == sorted(out[p].get(v, []))
                 for t in range(n):
                     assert kg.has_triple(v, p, t) == ((v, p, t) in stored)
             assert kg.successors(p, n) == [] and kg.successors(p, -1) == []

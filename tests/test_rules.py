@@ -9,9 +9,11 @@ from mplr.model import (
     rules_from_attention,
     rules_table,
     rules_tsv,
+    score_entities,
 )
+from mplr.operators import build_operators
 
-from conftest import rules_reference
+from conftest import dfs_count_paths, random_kg, rules_reference
 
 
 def attn(per_hop_rows, rank=1):
@@ -107,6 +109,31 @@ class TestMatchesSequenceWalk:
         for q in range(5):
             a = mplr.model.attention_forward(params, q)
             assert rules_from_attention(a, q, 50) == rules_reference(a, q, 50)
+
+
+class TestRulesAccountForScores:
+    """Every rule, weighted by its confidence and counted along the graph's
+    paths, adds up to the plain scores; the all-identity sequence scores the
+    head itself."""
+
+    @pytest.mark.parametrize("L", [1, 2, 3])
+    @pytest.mark.parametrize("R", [1, 3])
+    def test_scores_are_confidence_weighted_path_counts(self, L, R):
+        kg = random_kg(L + R, num_entities=8, num_predicates=3, edge_prob=0.2)
+        ops = build_operators(kg)
+        w = np.random.default_rng(10 * L + R).random((R, L, len(ops)))
+        a = AttentionTensor(w / w.sum(axis=2, keepdims=True))
+        rules = rules_from_attention(a, query=0, top_n=10**6)
+        assert len(rules) == sum(3**m for m in range(1, L + 1))
+        stay = a.weights[:, :, 0].prod(axis=1).sum()
+        for h in range(kg.num_entities):
+            got = score_entities(ops, a, [h])[0]
+            want = [
+                sum(r.confidence * dfs_count_paths(kg, h, r.hops.hops, t) for r in rules)
+                + (stay if t == h else 0.0)
+                for t in range(kg.num_entities)
+            ]
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
 
 class TestExtractRules:
