@@ -16,8 +16,12 @@ middle. It walks the first half of every pattern forward from each scanned
 triplet's head (`OperatorSet.out_edges`, the edge list the reasoner
 propagates over) and the second half backward from its tail
 (`OperatorSet.in_edges`), and joins the two walks on the entity where they
-meet. Under the exclusion, both walks drop the triplet's own edge.
-`operators.count_paths` stays the per-triplet reference.
+meet. Under the exclusion, both walks drop the triplet's own edge. The
+scan keeps only the (predicate, pattern) pairs it finds, and the report
+ranks every predicate's candidates at once, decoding hop tuples only for
+the patterns that can make the cut. The scan walks the graph's one
+operator set (`KnowledgeGraph.operators`), built on first use. Bifurcation
+reads a predicate's degree profile from one count of its end degrees.
 """
 
 from __future__ import annotations
@@ -29,15 +33,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .kg import KnowledgeGraph
-from .operators import (
-    OperatorSet,
-    RulePattern,
-    concat_ranges,
-    pattern_rows,
-    reaching_top,
-    top_patterns,
-)
-# the per-triplet reference count; bench/tracing.py hooks it under this name
+from .operators import RulePattern, build_operators, concat_ranges, pattern_rows
+# the per-triplet path count, which the scan does not call; bench/tracing.py
+# hooks it under this name
 from .operators import count_paths  # noqa: F401
 
 log = logging.getLogger(__name__)
@@ -90,10 +88,13 @@ def estimate_cost(kg: KnowledgeGraph, max_len: int, predicates=None) -> float:
 
 
 def _saturation_scan(kg, ops, max_len, active, exclude):
-    """Exact gamma and delta of every pattern of length 2..max_len per active predicate.
+    """Exact gamma and delta of the patterns of length 2..max_len that link
+    some triplet of an active predicate.
 
-    Returns (gamma, delta), each (num_patterns, len(active)), one row per
-    pattern of length 2..max_len in `pattern_rows` order.
+    Returns (slot, row, gamma, delta), one entry per (active predicate,
+    pattern) pair of nonzero gamma, sorted by slot (the position in
+    `active`), then row (the pattern's row in `pattern_rows` order); every
+    pair left out has gamma and delta 0.
 
     The scan meets in the middle. Row n is triplet n. A pattern of length k
     is ceil(k/2) hops walked forward from the row's head over
@@ -104,11 +105,12 @@ def _saturation_scan(kg, ops, max_len, active, exclude):
     `exclude`, neither walk takes the row's own edge (h_n, q_n, t_n). The
     scan runs SCAN_CHUNK triplets at a time, in graph order, and each chunk
     lists its counts by pattern, then row, so each (pattern, predicate) sums
-    its shares in triplet order.
+    its shares in triplet order. The sums run over the patterns found only,
+    so the scan's memory follows its counts, not the number of patterns.
     """
     num_preds = ops.num_predicates
     width = len(active)
-    slot = np.full(num_preds, -1, dtype=np.int64)  # column of each active predicate
+    slot = np.full(num_preds, -1, dtype=np.int64)  # position of each active predicate
     slot[active] = np.arange(width)
     hs, qs, ts = kg.triple_array[slot[kg.triple_array[:, 1]] >= 0].T
     pattern_ids, triplet_ids, counts = [], [], []
@@ -122,18 +124,31 @@ def _saturation_scan(kg, ops, max_len, active, exclude):
         triplet_ids.append(lo + row)
         counts.append(cnt)
 
-    num_patterns = sum(num_preds**k for k in range(2, max_len + 1))
     pid, trip, cnt = (np.concatenate(a) for a in (pattern_ids, triplet_ids, counts))
     totals = np.bincount(trip, weights=cnt, minlength=len(hs))
     shares = cnt / totals[trip]  # every stored count is positive
-    key = pid * width + slot[qs[trip]]
-    nq = np.bincount(slot[qs], minlength=width).astype(np.float64)
-    size = num_patterns * width
-    gamma = np.bincount(key, minlength=size).reshape(num_patterns, width) / nq
-    delta = np.bincount(key, weights=shares, minlength=size).reshape(
-        num_patterns, width
-    ) / nq
-    return gamma, delta
+    # each chunk lists a pattern's counts in one run, so the patterns found
+    # are the runs' patterns and each count's column is its run's
+    run = _run_starts(pid)
+    found = np.sort(pid[run], kind="stable")  # merges the chunks' sorted runs
+    found = found[_run_starts(found)]
+    key = slot[qs][trip]
+    key *= len(found)
+    key += np.repeat(np.searchsorted(found, pid[run]), np.diff(run, append=len(pid)))
+    size = width * len(found)
+    hits = np.bincount(key, minlength=size)
+    sums = np.bincount(key, weights=shares, minlength=size)
+    cells = np.flatnonzero(hits)
+    slots, column = np.divmod(cells, len(found))
+    nq = np.bincount(slot[qs], minlength=width).astype(np.float64)[slots]
+    return slots, found[column], hits[cells] / nq, sums[cells] / nq
+
+
+def _run_starts(a):
+    """Positions where a value of `a` differs from the one before, 0 included."""
+    opens = np.ones(len(a), dtype=bool)
+    np.not_equal(a[1:], a[:-1], out=opens[1:])
+    return np.flatnonzero(opens)
 
 
 def _chain_levels(ops, start, excluded, depth, forward):
@@ -209,10 +224,11 @@ def bifurcation(
     if kg.num_edges(predicate) == 0:
         raise EmptySubgraphError(f"empty subgraph for predicate {predicate}")
     ends = kg.per_predicate[predicate][:, 0 if direction == FORWARD else 1]
-    _, degs = np.unique(ends, return_counts=True)
+    # at_least[d]: the ends of degree d or more, from one count of the degrees
+    at_least = np.cumsum(np.bincount(np.bincount(ends))[::-1])[::-1].tolist()
+    at_least += [0] * (lambda_max + 1 - len(at_least))
     proportions = {
-        lam: float(np.count_nonzero(degs >= lam)) / len(degs)
-        for lam in range(1, lambda_max + 1)
+        lam: float(at_least[lam]) / at_least[1] for lam in range(1, lambda_max + 1)
     }
     return BifurcationRecord(predicate, direction, proportions)
 
@@ -262,31 +278,46 @@ def saturation_report(
             log.warning("skipping predicate %s: empty subgraph", kg.predicates[q])
         else:
             active.append(q)
-    if not active:
+    if not active or top_n < 1:
         return []
 
-    gamma, delta = _saturation_scan(
-        kg, OperatorSet(kg), max_len, active, exclude_direct_edge
+    slots, rows, gamma, delta = _saturation_scan(
+        kg, build_operators(kg), max_len, active, exclude_direct_edge
     )
-    eta = gamma * delta
-    # a row of gamma 0 has eta 0 as well, so it ranks below every row of
-    # nonzero gamma and then by hop tuple, which within one length is row
-    # order: the rows that can make the cut are the best ones of nonzero
-    # gamma and the first top_n of each length
+    # a pattern of gamma 0 has eta 0 as well, so it ranks below every stored
+    # one and then by hop tuple, which within one length is row order: the
+    # candidates are the stored patterns and the first top_n of each length
     sizes = [kg.num_predicates**k for k in range(2, max_len + 1)]
     firsts = np.concatenate([start + np.arange(min(size, top_n))
                              for start, size in zip(np.cumsum([0, *sizes]), sizes)])
+    num_patterns = sum(sizes)
+    stored = slots * num_patterns + rows  # sorted
+    extra = (np.arange(len(active))[:, None] * num_patterns + firsts).ravel()
+    # the first rows that are not stored already; -1 matches no key
+    extra = extra[np.append(stored, -1)[np.searchsorted(stored, extra)] != extra]
+    slots = np.concatenate([slots, extra // num_patterns])
+    rows = np.concatenate([rows, extra % num_patterns])
+    gamma, delta = (np.concatenate([a, np.zeros(len(extra))]) for a in (gamma, delta))
+    eta = gamma * delta
+
+    # one ranking by slot, then eta: the candidates that reach their slot's
+    # top_n-th eta, ties included, are the only ones that can make the cut
+    order = np.lexsort((-eta, slots))
+    counts = np.bincount(slots, minlength=len(active))
+    ends = np.cumsum(counts)
+    cut = eta[order[np.minimum(ends - counts + top_n, ends) - 1]]
+    kept = np.flatnonzero(eta >= cut[slots])
+    hops = pattern_rows(kg.num_predicates, 2, max_len, rows[kept])
+    keys = tuple(hops[:, j] for j in reversed(range(max_len)))
+    ranked = np.lexsort(keys + (-gamma[kept], -eta[kept], slots[kept]))
+    ranked_slots = slots[kept[ranked]]
+    rank = np.arange(len(ranked)) - np.searchsorted(ranked_slots, ranked_slots)
     out: list[SaturationRecord] = []
-    for s, q in enumerate(active):
-        scored = np.flatnonzero(gamma[:, s])
-        kept = np.union1d(scored[reaching_top(eta[scored, s], top_n)], firsts)
-        hops = pattern_rows(kg.num_predicates, 2, max_len, kept)
-        for j in top_patterns(hops, (eta[kept, s], gamma[kept, s]), top_n):
-            i = kept[j]
-            pattern = RulePattern(tuple(int(p) for p in hops[j] if p >= 0))
-            out.append(SaturationRecord(
-                pattern, q, float(gamma[i, s]), float(delta[i, s]), float(eta[i, s])
-            ))
+    for j in ranked[rank < top_n].tolist():
+        i = kept[j]
+        pattern = RulePattern(tuple(p for p in hops[j].tolist() if p >= 0))
+        out.append(SaturationRecord(pattern, active[slots[i]], float(gamma[i]),
+                                    float(delta[i]), float(eta[i])))
     return out
 
 

@@ -7,9 +7,10 @@ files are reproducible. The loader turns each split into an (n, 3) index array
 and finds repeated lines and triples shared between splits by one integer key
 per triple. A loaded graph is one read-only (n, 3) int64 triple array, which
 `KnowledgeGraph` accepts as it is; every other view of it (per-predicate edge
-lists, successors, edge counts, membership, and the tuple list `triples`,
-built on first use) is derived from that array, in input order, or from
-its sorted triple keys, in (predicate, head, tail) order.
+lists, successors, edge counts, membership, and the tuple list `triples`
+and the read-only operator set `operators`, each built on first use) is
+derived from that array, in input order, or from its sorted triple keys, in
+(predicate, head, tail) order.
 
 `group_queries` turns a split into multi-target queries, one per (head,
 predicate) pair with all of its tails. Each is a `MultiTargetQuery`, a
@@ -62,6 +63,8 @@ class KnowledgeGraph:
     `per_predicate[p]`, the (n_p, 2) (head, tail) edge list of predicate p in
     (head, tail) order, is a read-only view into the key-sorted rows, and
     `successors` (tails in ascending order) and `has_triple` search the keys.
+    `operators`, the graph's one read-only `OperatorSet`, is built on first
+    use and shared by every caller.
     """
 
     def __init__(self, entities, predicates, triples):
@@ -116,6 +119,12 @@ class KnowledgeGraph:
     def triples(self) -> list[Triple]:
         return list(map(tuple, self.triple_array.tolist()))
 
+    @functools.cached_property
+    def operators(self):
+        from .operators import OperatorSet
+
+        return OperatorSet(self)
+
     @property
     def num_entities(self) -> int:
         return len(self.entities)
@@ -125,8 +134,14 @@ class KnowledgeGraph:
         return len(self.predicates)
 
     def num_edges(self, predicate: int) -> int:
-        """Edge count of the predicate subgraph (n^q)."""
-        return len(self.per_predicate[predicate])
+        """Edge count of the predicate subgraph (n^q); ValueError for an
+        index that names no predicate."""
+        edges = self.per_predicate.get(predicate)
+        if edges is None:
+            n = self.num_predicates
+            raise ValueError(f"predicate index {predicate} out of range: "
+                             f"the graph has {n} predicates, 0..{n - 1}")
+        return len(edges)
 
     def successors(self, predicate: int, v: int) -> list[int]:
         """Tails of the `predicate` edges leaving v, in ascending order."""

@@ -8,7 +8,9 @@ stored: one edge list (row, col, operator), built with numpy from the
 graph's triple array, and kept both in row order and in column order. The
 reasoner and the saturation scan propagate over it, forward from an entity's
 out-edges or backward from its in-edges, with an optional excluded edge per
-entity. CSR views, built on call, serve reference code and are the only use
+entity. Each graph has one such set, `KnowledgeGraph.operators`, built on
+first use, read-only and shared by the reasoner, the scan and the path
+counts. CSR views, built on call, serve reference code and are the only use
 of scipy.
 """
 
@@ -91,6 +93,9 @@ class OperatorSet:
     included, by row, operator, then column. Row e is indptr[e]:indptr[e + 1].
     The same edges are also kept by column, operator, then row, so that
     `out_edges` and `in_edges` each cost the number of edges they return.
+    Every array is read-only: a graph builds its one set on first use
+    (`KnowledgeGraph.operators`, `build_operators`) and every caller shares
+    it.
     """
 
     def __init__(self, kg: KnowledgeGraph):
@@ -107,6 +112,8 @@ class OperatorSet:
             keys = np.sort(np.concatenate([loops, (own * K + p + 1) * n + other]))
             own_op, other = np.divmod(keys, n)
             own, ops = np.divmod(own_op, K)
+            for a in (own, other, ops, indptr):
+                a.flags.writeable = False
             return own, other, ops, indptr
 
         rows, cols, ops, self.indptr = ordered_by(h, t)
@@ -197,8 +204,9 @@ def _gather(indptr, others, ops, entities, excluded, identity):
 
 
 def build_operators(kg: KnowledgeGraph) -> OperatorSet:
-    """One operator per predicate plus the identity at operator index 0."""
-    return OperatorSet(kg)
+    """One operator per predicate plus the identity at operator index 0: the
+    graph's one read-only set, built on its first use and then shared."""
+    return kg.operators
 
 
 def count_paths(ops, h: int, pattern: RulePattern, t: int, excluded_edge=None) -> int:
@@ -208,10 +216,10 @@ def count_paths(ops, h: int, pattern: RulePattern, t: int, excluded_edge=None) -
     per hop. `excluded_edge` is an (h, q, t) triple whose exact labeled edge
     paths may not traverse (used for the direct-edge convention and filtered
     evaluation); an edge absent from the graph excludes nothing. Accepts a
-    KnowledgeGraph or a prebuilt OperatorSet.
+    KnowledgeGraph, whose one operator set it reads, or an OperatorSet.
     """
     if isinstance(ops, KnowledgeGraph):
-        ops = OperatorSet(ops)
+        ops = ops.operators
     rows, cols, op = ops.edges
     live = np.ones(len(op), dtype=bool)
     if excluded_edge is not None:

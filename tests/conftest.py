@@ -31,7 +31,7 @@ from mplr.model import (
     sigmoid,
     softmax,
 )
-from mplr.operators import IDENTITY_OP, OperatorSet, RulePattern
+from mplr.operators import IDENTITY_OP, RulePattern
 
 # ---------------------------------------------------------------------------
 # six-entity toy graph reproducing the worked adjacency/product matrices
@@ -464,6 +464,20 @@ def saturation_scan_reference(kg, ops, max_len, active, exclude, chunk=1024):
     return gamma, delta
 
 
+def dense_scan(kg, ops, max_len, active, exclude):
+    """`_saturation_scan` as dense (gamma, delta), each (patterns, len(active)),
+    zero where the scan stores nothing: the layout of
+    `saturation_scan_reference`. Checks that the stored entries run by slot,
+    then row, each pair once, and that none has gamma 0."""
+    slots, rows, gamma, delta = _saturation_scan(kg, ops, max_len, active, exclude)
+    num_patterns = sum(kg.num_predicates**k for k in range(2, max_len + 1))
+    assert np.all(np.diff(slots * num_patterns + rows) > 0)
+    assert np.all(gamma > 0)
+    dense = np.zeros((2, num_patterns, len(active)))
+    dense[:, rows, slots] = gamma, delta
+    return dense[0], dense[1]
+
+
 def operator_grads_reference(ops, x, g):
     """<x M_k, g> for every operator k (identity first): one sparse product
     per operator, over the transposed CSR matrices."""
@@ -773,7 +787,7 @@ def pattern_saturation(kg, pattern, predicate, max_len, exclude):
         raise ValueError(f"not a saturation pattern: {pattern.hops}")
     if kg.num_edges(predicate) == 0:
         raise EmptySubgraphError(f"empty subgraph for predicate {predicate}")
-    gamma, delta = _saturation_scan(kg, OperatorSet(kg), max_len, [predicate], exclude)
+    gamma, delta = dense_scan(kg, kg.operators, max_len, [predicate], exclude)
     row = sum(kg.num_predicates**m for m in range(2, len(pattern))) + _chain_index(
         pattern.hops, kg.num_predicates
     )

@@ -27,6 +27,7 @@ from conftest import (
     adjacency_reference,
     bw_degree,
     comprehensive_saturation,
+    dense_scan,
     dfs_count_paths,
     fw_degree,
     macro_saturation,
@@ -203,7 +204,7 @@ class TestSaturation:
         for chunk in (1, 2, 5):
             monkeypatch.setattr(mplr.indicators, "SCAN_CHUNK", chunk)
             got = _saturation_scan(kg, ops, max_len, active, exclude)
-            for want, have in zip(expected, got):
+            for want, have in zip(expected, got, strict=True):
                 assert np.array_equal(want, have)
 
     @pytest.mark.parametrize("chunk", [1, 2, 5, None], ids=["1", "2", "5", "default"])
@@ -224,7 +225,7 @@ class TestSaturation:
             for active in ([q for q in range(kg.num_predicates) if kg.num_edges(q)],
                            [kg.triples[0][1]]):
                 want = saturation_scan_reference(kg, ops, max_len, active, exclude)
-                got = _saturation_scan(kg, ops, max_len, active, exclude)
+                got = dense_scan(kg, ops, max_len, active, exclude)
                 for a, b in zip(want, got, strict=True):
                     assert np.array_equal(a, b)
         assert loops and parallel
@@ -238,7 +239,7 @@ class TestSaturation:
         ops = OperatorSet(kg)
         active = list(range(kg.num_predicates))
         want = saturation_scan_reference(kg, ops, max_len, active, exclude)
-        got = _saturation_scan(kg, ops, max_len, active, exclude)
+        got = dense_scan(kg, ops, max_len, active, exclude)
         for a, b in zip(want, got, strict=True):
             assert np.array_equal(a, b)
 
@@ -308,6 +309,24 @@ class TestBifurcation:
                         for lam in range(1, 7)
                     }
 
+    def test_profile_equals_independent_degree_count(self):
+        # lambda_max 1, 0 (an empty profile) and above every degree
+        for seed in range(6):
+            kg = random_kg(seed, num_entities=9, num_predicates=3, edge_prob=0.35)
+            for q in range(kg.num_predicates):
+                if kg.num_edges(q) == 0:
+                    continue
+                for direction, degree in ((FORWARD, fw_degree), (BACKWARD, bw_degree)):
+                    degs = [degree(kg, q, v) for v in range(kg.num_entities)]
+                    degs = [d for d in degs if d]
+                    for lambda_max in (1, 0, max(degs) + 3):
+                        rec = bifurcation(kg, q, direction, lambda_max)
+                        assert rec.proportions == {
+                            lam: sum(d >= lam for d in degs) / len(degs)
+                            for lam in range(1, lambda_max + 1)
+                        }
+                    assert bifurcation(kg, q, direction, 0).proportions == {}
+
     def test_unknown_direction(self, toy_kg):
         with pytest.raises(ValueError):
             bifurcation(toy_kg, 0, "sideways")
@@ -363,7 +382,7 @@ class TestReport:
         for seed in range(8):
             kg = random_kg(seed, num_entities=7, num_predicates=3, edge_prob=0.15)
             active = [q for q in range(kg.num_predicates) if kg.num_edges(q)]
-            gamma, delta = _saturation_scan(kg, OperatorSet(kg), max_len, active, True)
+            gamma, delta = dense_scan(kg, OperatorSet(kg), max_len, active, True)
             eta = gamma * delta
             table = pattern_table(kg.num_predicates, 2, max_len)
             want = []
@@ -438,6 +457,47 @@ class TestReport:
             tracemalloc.stop()
         assert records[0].pattern.hops == (0, 1) and records[0].gamma == 1.0
         assert peak <= 5e6
+
+    def test_scan_memory_follows_what_the_scan_finds(self):
+        # 150 predicates at L = 3 are 150**2 + 150**3 = 3.4M pattern rows, and
+        # one dense float64 column over them is 27 MB; on this sparse graph
+        # the scanned predicate's triplets meet few of those patterns
+        kg = random_kg(0, num_entities=100, num_predicates=150, edge_prob=0.002)
+        q = max(range(kg.num_predicates), key=kg.num_edges)
+        tracemalloc.start()
+        try:
+            records = saturation_report(kg, max_len=3, predicates=[q])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(records) == 5 and records[0].gamma > 0
+        assert peak < 10e6
+
+    @pytest.mark.parametrize("call, index", [
+        (lambda kg: saturation_report(kg, predicates=[5]), 5),
+        (lambda kg: estimate_cost(kg, 2, [7]), 7),
+        (lambda kg: bifurcation(kg, -1), -1),
+    ], ids=["saturation_report", "estimate_cost", "bifurcation"])
+    def test_out_of_range_predicate_is_refused(self, toy_kg, call, index):
+        with pytest.raises(ValueError,
+                           match=rf"^predicate index {index} out of range: .* 0\.\.2$"):
+            call(toy_kg)
+
+    def test_second_report_builds_no_operators(self, monkeypatch):
+        kg = random_kg(3, num_entities=8, num_predicates=3, edge_prob=0.3)
+        built = []
+        init = OperatorSet.__init__
+
+        def counting_init(self, graph):
+            built.append(graph)
+            init(self, graph)
+
+        monkeypatch.setattr(OperatorSet, "__init__", counting_init)
+        first = saturation_report(kg, max_len=3)
+        assert built == [kg]
+        assert saturation_report(kg, max_len=3) == first
+        assert build_operators(kg) is kg.operators
+        assert built == [kg]
 
     def test_empty_predicate_warned_and_skipped(self, caplog):
         kg = KnowledgeGraph(["a", "b"], ["r", "unused"], [(0, 0, 1)])

@@ -3,7 +3,6 @@ import itertools
 import numpy as np
 import pytest
 
-from mplr.indicators import _saturation_scan
 from mplr.kg import KnowledgeGraph
 from mplr.operators import (
     IDENTITY_OP,
@@ -16,6 +15,7 @@ from mplr.operators import (
 )
 
 from conftest import (
+    dense_scan,
     dfs_count_paths,
     edge_list_reference,
     enumerate_patterns,
@@ -70,6 +70,26 @@ class TestBuildOperators:
         ops = build_operators(kg)
         total = sum(ops.predicate_matrix(p).nnz for p in range(kg.num_predicates))
         assert total == len(kg.triples)
+
+
+class TestSharedOperatorSet:
+    def test_one_set_per_graph(self, toy_kg):
+        ops = build_operators(toy_kg)
+        assert build_operators(toy_kg) is ops
+        assert toy_kg.operators is ops
+        pattern = RulePattern((0, 1))
+        assert count_paths(toy_kg, 0, pattern, 1) == count_paths(ops, 0, pattern, 1)
+        assert toy_kg.operators is ops
+
+    def test_arrays_are_read_only(self, toy_kg):
+        ops = build_operators(toy_kg)
+        arrays = (*ops.edges, ops.indptr, *ops._in_edges, ops._in_indptr)
+        assert len(arrays) == 7
+        for a in arrays:
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = 1
+            with pytest.raises(ValueError, match="read-only"):
+                a += 1
 
 
 class TestEdgeList:
@@ -342,7 +362,7 @@ class TestEnumeratePatterns:
 
     def test_saturation_scan_follows_the_order(self):
         kg = random_kg(1, num_entities=6, num_predicates=3, edge_prob=0.3)
-        gamma, _ = _saturation_scan(kg, build_operators(kg), 3, [0], True)
+        gamma, _ = dense_scan(kg, build_operators(kg), 3, [0], True)
         # row i is the share of the predicate's triplets that the i-th
         # pattern links by DFS, its own edge excluded
         triplets = [tr for tr in kg.triples if tr[1] == 0]
