@@ -28,7 +28,7 @@ from .model import (
     rules_tsv,
     save_checkpoint,
 )
-from .training import TIE_RULE, TrainConfig, evaluate, train
+from .training import TIE_RULE, TrainConfig, TrainingDivergedError, evaluate, train
 
 SPLIT_FILES = ("train.txt", "valid.txt", "test.txt")
 
@@ -351,7 +351,7 @@ def main(argv=None) -> int:
     except ind.CostBudgetError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (CliError, OSError, ValueError) as exc:
+    except (CliError, OSError, ValueError, TrainingDivergedError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

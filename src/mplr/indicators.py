@@ -262,6 +262,9 @@ def saturation_report(
     the budget for large inputs. `budget` None or inf lifts the guard; NaN is
     refused.
     """
+    if max_len < 2:
+        raise ValueError(f"max_len must be at least 2 (patterns have 2 or more hops), "
+                         f"not {max_len}")
     if budget is not None and math.isnan(budget):
         # cost > nan is false, so a NaN budget would pass every scan
         raise ValueError("budget must be a number or inf, not nan")

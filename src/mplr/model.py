@@ -63,21 +63,26 @@ def softmax(x):
     return x
 
 
-def packed(shapes, zero=False):
-    """Arrays of the given shapes, by key, as consecutive views of one buffer.
+def packed(shapes, flat=None):
+    """Arrays of the given shapes, by key, as consecutive views of one 1-D
+    buffer: `flat`, whose length must be their total size, or a fresh
+    uninitialised one.
 
     One allocation in place of one per array, so that a call which builds
-    and drops large state (a training run: the parameters, their gradients
-    and Adam's moments) costs the same every time. glibc hands a few large
+    and drops large state (a training run's parameters and gradient, an
+    unroll's blocks) costs the same every time. glibc hands a few large
     freed buffers back to the system at the end of every such call, where
     it kept the pages of dozens of separate arrays after some calls and
     handed them back after others, depending on what else lay on the heap;
     and numpy asks the kernel to back a buffer of 4 MB or more with huge
-    pages, which makes touching fresh pages cheaper. With `zero` the arrays
-    start at zero; otherwise they are uninitialised.
+    pages, which makes touching fresh pages cheaper.
     """
     sizes = [math.prod(shape) for shape in shapes.values()]
-    flat = (np.zeros if zero else np.empty)(sum(sizes))
+    if flat is None:
+        flat = np.empty(sum(sizes))
+    elif flat.shape != (sum(sizes),):
+        raise ValueError(f"a vector of shape {flat.shape} does not hold "
+                         f"{sum(sizes)} values")
     views, start = {}, 0
     for (key, shape), size in zip(shapes.items(), sizes):
         views[key] = flat[start : start + size].reshape(shape)
@@ -88,9 +93,9 @@ def packed(shapes, zero=False):
 class ModelParams:
     """All trainable state: query embeddings, R bidirectional cells, shared projection.
 
-    Tensors live in an ordered dict so optimizers and gradient checks can
-    iterate them generically; they are views of one buffer (`packed`), as
-    are their gradients and Adam's moments. Each cell tensor is stacked over
+    `vector` holds every parameter, and `tensors` is an ordered dict of
+    views of it by name (`packed`); a gradient is a vector of the same
+    layout, and Adam steps the one vector. Each cell tensor is stacked over
     the R ranks: `fwd_Wx` has shape (R, embed, 4 * hidden), and its slice r
     is rank r's forward Wx. A direction holds only the tensors some step of
     its unroll reads: the forward cells run L steps and the backward ones
@@ -127,6 +132,8 @@ class ModelParams:
             raise ValueError(f"epsilon_mode must be one of {EPSILON_MODES}")
         if min(num_predicates, rank, max_len, embed_dim, hidden_dim) < 1:
             raise ValueError("all model dimensions must be positive")
+        if seed < 0:
+            raise ValueError(f"seed must be at least 0, not {seed}")
         if predicates is not None and len(predicates) != num_predicates:
             raise ValueError(
                 f"{len(predicates)} predicate names for {num_predicates} predicates"
@@ -160,7 +167,8 @@ class ModelParams:
                     shapes[f"{direction}_{name}"] = (rank, *shape)
         shapes["proj_W"] = (2 * dh, num_predicates + 1)
         shapes["proj_b"] = (num_predicates + 1,)
-        t = self.tensors = packed(shapes, zero=True)
+        self.vector = np.zeros(sum(math.prod(shape) for shape in shapes.values()))
+        t = self.tensors = packed(shapes, self.vector)
         uniform(t["query_emb"], de)
         for r in range(rank):
             for direction in ("fwd", "bwd"):
@@ -182,15 +190,11 @@ class ModelParams:
     def shapes(self):
         return {k: v.shape for k, v in self.tensors.items()}
 
-    def zero_grads(self):
-        return packed(self.shapes(), zero=True)
-
     def copy(self):
         dup = ModelParams.__new__(ModelParams)
         dup.__dict__.update(self.__dict__)
-        dup.tensors = packed(self.shapes())
-        for k, v in self.tensors.items():
-            dup.tensors[k][...] = v
+        dup.vector = self.vector.copy()
+        dup.tensors = packed(self.shapes(), dup.vector)
         return dup
 
     def meta(self):
@@ -490,6 +494,11 @@ def logit_loss(s, v):
         raise ValueError(f"shape mismatch {s.shape} vs {v.shape}")
     if not (np.isfinite(s).all() and np.isfinite(v).all()):
         raise ValueError("non-finite input to loss")
+    return _logit_loss_sum(s, v)
+
+
+def _logit_loss_sum(s, v):
+    """`logit_loss` of float arrays, unchecked: inf or nan in, inf or nan out."""
     return float(np.sum(np.maximum(s, 0.0) - v * s + np.log1p(np.exp(-np.abs(s)))))
 
 
@@ -666,7 +675,7 @@ class _BatchForward:
         self.s = s
 
     def loss(self):
-        stored = logit_loss(self.s, self.v)
+        stored = _logit_loss_sum(self.s, self.v)
         return stored + (self.num_cells - len(self.s)) * np.log(2.0)
 
     def backward(self, ds):
@@ -761,17 +770,17 @@ def loss_and_gradients(ops: OperatorSet, params: ModelParams, queries, *, out=No
     One matrix LSTM unroll gives the attention of the batch's G distinct
     predicates; one support-restricted forward/backward covers every query,
     and the (G, R, L, K) attention grads go back through the LSTM's kept
-    unroll in one pass. The returned grads are plain sums; callers rescale
-    for mean reduction. `out`, a dict shaped like `params.zero_grads()`, is
-    zero-filled, receives the grads and is returned; without it the grads
-    are fresh arrays.
+    unroll in one pass. The gradient, a plain sum that callers rescale for
+    mean reduction, fills `out` (a vector laid out like `params.vector`,
+    zero-filled first) or a fresh vector; its views by tensor name are
+    returned with the loss, which may be non-finite, for the caller to report.
     """
     index: dict[int, int] = {}
     groups = [index.setdefault(q.query, len(index)) for q in queries]
     preds = list(index)
     caches = []
-    # parameters blown up by a huge step overflow to inf and nan here; the
-    # loss's finite check then reports them in one error, with no warnings
+    # parameters blown up by a huge step overflow to inf and nan here, with
+    # no warnings; the caller's finite check of the loss reports them
     with np.errstate(over="ignore", invalid="ignore"):
         weights = _attention_forward(params, preds, caches)
         fwd = _BatchForward(
@@ -779,12 +788,9 @@ def loss_and_gradients(ops: OperatorSet, params: ModelParams, queries, *, out=No
             [q.head for q in queries], [q.targets for q in queries],
             epsilon_mode=params.epsilon_mode, normalize=params.normalize,
         )
-        if out is None:
-            grads = params.zero_grads()
-        else:
-            grads = out
-            for g in grads.values():
-                g.fill(0.0)
+        grad = np.empty_like(params.vector) if out is None else out
+        grads = packed(params.shapes(), grad)
+        grad.fill(0.0)
         dA = fwd.backward(logit_loss_grad(fwd.s, fwd.v))
         _attention_backward(params, preds, weights, caches, dA, grads)
         return fwd.loss(), grads

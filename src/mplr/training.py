@@ -23,13 +23,10 @@ from .operators import OperatorSet, build_operators
 from .indicators import BifurcationRecord, FORWARD
 from .model import (
     CORRECTED,
-    EPSILON_MODES,
-    NORMALIZE_MODES,
     ModelParams,
     _attention_forward,
     _lookup,
     loss_and_gradients,
-    packed,
     support_scores,
 )
 # not called here; bench/tracing.py hooks them under these names
@@ -59,7 +56,8 @@ class TrainConfig:
     epsilon_mode: str = CORRECTED
 
     def validate(self):
-        """Refuse settings outside their ranges, in the CLI's message form."""
+        """Refuse settings outside their ranges, in the CLI's message form;
+        `ModelParams` refuses an unknown normalize or epsilon_mode."""
         for name in ("max_len", "rank", "embed_dim", "hidden_dim", "batch_size",
                      "max_epochs", "patience"):
             if getattr(self, name) < 1:
@@ -68,57 +66,50 @@ class TrainConfig:
             raise ValueError(
                 f"learning_rate must be above 0 and finite, not {self.learning_rate}"
             )
-        if self.normalize not in NORMALIZE_MODES:
-            raise ValueError(f"normalize must be one of {NORMALIZE_MODES}")
-        if self.epsilon_mode not in EPSILON_MODES:
-            raise ValueError(f"epsilon_mode must be one of {EPSILON_MODES}")
         return self
 
 
 class AdamOptimizer:
-    """Adam over a dict of named tensors; updates in place, deterministically.
+    """Adam over one parameter vector; updates it in place, deterministically.
 
-    The moments and the tensors are updated by in-place ufuncs ADAM_BLOCK
-    flat elements at a time, through two scratch buffers allocated here: a
-    step allocates nothing the size of a tensor, and a block's passes stay
-    in cache. The tensors and gradients must be C-contiguous, so that their
-    flat views write through.
+    The moments m and v are vectors of the parameter vector's size. A step
+    updates them and the parameters by in-place ufuncs ADAM_BLOCK elements
+    at a time, through two scratch rows allocated here: a step allocates
+    nothing the size of the vector, and a block's passes stay in cache. A
+    vector or gradient of another shape than the moments is refused.
     """
 
     beta1, beta2, eps = 0.9, 0.999, 1e-8
 
-    def __init__(self, tensors, lr=0.001):
+    def __init__(self, vector, lr=0.001):
         self.lr, self.t = lr, 0
-        shapes = {k: v.shape for k, v in tensors.items()}
-        self.m = packed(shapes, zero=True)
-        self.v = packed(shapes, zero=True)
-        size = min(max((v.size for v in tensors.values()), default=0), ADAM_BLOCK)
-        self._scratch = np.empty((2, size))
+        self.m = np.zeros(vector.size)
+        self.v = np.zeros(vector.size)
+        self._scratch = np.empty((2, min(vector.size, ADAM_BLOCK)))
 
-    def step(self, tensors, grads):
+    def step(self, vector, grad):
+        if not vector.shape == grad.shape == self.m.shape:
+            raise ValueError(f"Adam steps vectors of shape {self.m.shape}, not "
+                             f"{vector.shape} and {grad.shape}")
         self.t += 1
         b1, b2, lr, eps = self.beta1, self.beta2, self.lr, self.eps
         bc1 = 1.0 - b1**self.t
         bc2 = 1.0 - b2**self.t
-        for k, g in grads.items():
-            if not (tensors[k].flags.c_contiguous and g.flags.c_contiguous):
-                raise ValueError(f"Adam steps C-contiguous arrays only; {k!r} is not")
-            flat = [a.reshape(-1) for a in (tensors[k], self.m[k], self.v[k], g)]
-            for start in range(0, g.size, ADAM_BLOCK):
-                x, m, v, gi = (f[start : start + ADAM_BLOCK] for f in flat)
-                a, b = (s[: gi.size] for s in self._scratch)
-                # the allocating form's operation order, so the results equal
-                # it bit for bit: m = b1 m + (1 - b1) g, v = b2 v + ((1 - b2) g) g
-                m *= b1
-                m += np.multiply(gi, 1 - b1, out=a)
-                v *= b2
-                np.multiply(gi, 1 - b2, out=a)
-                v += np.multiply(a, gi, out=a)
-                # x -= (lr (m / bc1)) / (sqrt(v / bc2) + eps)
-                np.multiply(np.divide(m, bc1, out=a), lr, out=a)
-                np.sqrt(np.divide(v, bc2, out=b), out=b)
-                b += eps
-                x -= np.divide(a, b, out=a)
+        for i in range(0, grad.size, ADAM_BLOCK):
+            x, m, v, g = (f[i : i + ADAM_BLOCK] for f in (vector, self.m, self.v, grad))
+            a, b = (s[: g.size] for s in self._scratch)
+            # the allocating form's operation order, so the results equal
+            # it bit for bit: m = b1 m + (1 - b1) g, v = b2 v + ((1 - b2) g) g
+            m *= b1
+            m += np.multiply(g, 1 - b1, out=a)
+            v *= b2
+            np.multiply(g, 1 - b2, out=a)
+            v += np.multiply(a, g, out=a)
+            # x -= (lr (m / bc1)) / (sqrt(v / bc2) + eps)
+            np.multiply(np.divide(m, bc1, out=a), lr, out=a)
+            np.sqrt(np.divide(v, bc2, out=b), out=b)
+            b += eps
+            x -= np.divide(a, b, out=a)
 
 
 @dataclass
@@ -161,7 +152,7 @@ def train(
         epsilon_mode=config.epsilon_mode,
         predicates=kg.predicates,
     )
-    adam = AdamOptimizer(params.tensors, lr=config.learning_rate)
+    adam = AdamOptimizer(params.vector, lr=config.learning_rate)
     rng = np.random.default_rng(config.seed)
     stats: list[EpochStats] = []
     # without a validation split the final parameters are returned
@@ -169,22 +160,20 @@ def train(
     best_mrr = -np.inf
     best_loss = np.inf
     bad_epochs = 0
-    grads = params.zero_grads()  # every batch's gradients, filled in place
+    grad = np.empty_like(params.vector)  # every batch's gradient, filled in place
     for epoch in range(1, config.max_epochs + 1):
         order = rng.permutation(len(queries))
         epoch_loss = 0.0
         for start in range(0, len(order), config.batch_size):
             batch = [queries[i] for i in order[start : start + config.batch_size]]
-            loss, _ = loss_and_gradients(ops, params, batch, out=grads)
+            loss, _ = loss_and_gradients(ops, params, batch, out=grad)
             if not np.isfinite(loss):
                 raise TrainingDivergedError(
                     f"non-finite loss at epoch {epoch}, "
                     f"batch starting at {start} (loss={loss})"
                 )
-            scale = 1.0 / len(batch)
-            for g in grads.values():
-                g *= scale
-            adam.step(params.tensors, grads)
+            grad *= 1.0 / len(batch)
+            adam.step(params.vector, grad)
             epoch_loss += loss
         epoch_loss /= len(queries)
         valid_mrr = None
@@ -345,7 +334,7 @@ def evaluate(
     per_pred: dict[str, PredicateEval] = {}
     for g, pred in enumerate(index):
         part = slice(bounds[g], bounds[g + 1])
-        n = part.stop - part.start
+        n = int(part.stop - part.start)
         # np.mean's own pairwise sum and division, without its per-call overhead
         per_pred[kg.predicates[pred]] = PredicateEval(
             mrr=float(np.add.reduce(rr[part]) / n),

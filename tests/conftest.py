@@ -652,18 +652,17 @@ def loss_and_gradients_reference(ops, params, queries):
     return fwd.loss(), grads
 
 
-def adam_step_reference(adam, tensors, grads):
+def adam_step_reference(adam, vector, grad):
     """One Adam step of `adam` (an AdamOptimizer) with a fresh array for every
-    intermediate: m and v are rebound, the tensors updated in place."""
+    intermediate: m and v are rebound, the vector updated in place."""
     adam.t += 1
     bc1 = 1.0 - adam.beta1**adam.t
     bc2 = 1.0 - adam.beta2**adam.t
-    for k, g in grads.items():
-        adam.m[k] = adam.beta1 * adam.m[k] + (1 - adam.beta1) * g
-        adam.v[k] = adam.beta2 * adam.v[k] + (1 - adam.beta2) * g * g
-        m_hat = adam.m[k] / bc1
-        v_hat = adam.v[k] / bc2
-        tensors[k] -= adam.lr * m_hat / (np.sqrt(v_hat) + adam.eps)
+    adam.m = adam.beta1 * adam.m + (1 - adam.beta1) * grad
+    adam.v = adam.beta2 * adam.v + (1 - adam.beta2) * grad * grad
+    m_hat = adam.m / bc1
+    v_hat = adam.v / bc2
+    vector -= adam.lr * m_hat / (np.sqrt(v_hat) + adam.eps)
 
 
 @dataclass(frozen=True)

@@ -22,6 +22,9 @@ def run(*argv):
     return main([str(a) for a in argv])
 
 
+NOT_CKPT = "not an mplr checkpoint: "
+
+
 @pytest.fixture(scope="module")
 def tiny_checkpoint(kin_dir, tmp_path_factory):
     out = tmp_path_factory.mktemp("tiny")
@@ -37,6 +40,13 @@ class TestStats:
         out = capsys.readouterr().out
         assert "entities =" in out
         assert "train_duplicates = 0" in out
+
+    def test_out_writes_summary_and_manifest(self, kin_dir, tmp_path, capsys):
+        out = tmp_path / "stats"
+        assert run("stats", "--dataset-dir", kin_dir, "--out", out) == 0
+        printed = capsys.readouterr().out
+        assert (out / "summary.txt").read_text() == printed
+        assert "command = stats" in (out / "manifest.txt").read_text()
 
     def test_missing_dataset_exits_one(self, tmp_path, capsys):
         assert run("stats", "--dataset-dir", tmp_path / "nope") == 1
@@ -220,7 +230,7 @@ class TestPipeline:
         assert not out.exists()
 
     @pytest.mark.parametrize("batch_size, message", [
-        (8, "non-finite input to loss"),  # the second batch's loss
+        (8, "non-finite loss at epoch 1, batch starting at 8"),  # the second batch
         (128, "non-finite scores"),  # one batch, then validation
     ])
     def test_huge_learning_rate_fails_in_one_line(self, kin_dir, tmp_path,
@@ -284,29 +294,47 @@ class TestPipeline:
     @pytest.mark.parametrize(
         "dropped, meta, message",
         [
-            pytest.param("__meta__", {}, "missing '__meta__'", id="__meta__"),
-            pytest.param("proj_W", {}, "missing 'proj_W'", id="proj_W"),
+            pytest.param("__meta__", {}, f"{NOT_CKPT}missing '__meta__'",
+                         id="__meta__"),
+            pytest.param("proj_W", {}, f"{NOT_CKPT}missing 'proj_W'", id="proj_W"),
             # a None value deletes the setting from __meta__
-            pytest.param(None, {"gate_order": None}, "missing 'gate_order'",
-                         id="gate_order"),
-            pytest.param(None, {"colour": "red"}, "unknown setting 'colour'",
-                         id="unknown-setting"),
+            pytest.param(None, {"gate_order": None},
+                         f"{NOT_CKPT}missing 'gate_order'", id="gate_order"),
+            pytest.param(None, {"colour": "red"},
+                         f"{NOT_CKPT}unknown setting 'colour'", id="unknown-setting"),
             # cut to one row, or rows doubled: shapes that broadcast, so an
             # unchecked eval would exit 0 with a wrong MRR
-            pytest.param(("proj_b",), {}, "'proj_b' has shape (1,), expected (13,)",
+            pytest.param(("proj_b",), {},
+                         f"{NOT_CKPT}'proj_b' has shape (1,), expected (13,)",
                          id="shape"),
             pytest.param(("proj_b", "cell0_fwd_b", "query_emb"), {},
-                         "'query_emb' has shape (24, 8), expected (12, 8)",
+                         f"{NOT_CKPT}'query_emb' has shape (24, 8), "
+                         "expected (12, 8)",
                          id="broadcast-shapes"),
             # settings that reached ModelParams and raised a TypeError
-            pytest.param(None, {"rank": "3"}, "'rank' is '3', not an integer",
-                         id="string-rank"),
-            pytest.param(None, {"max_len": 2.5}, "'max_len' is 2.5, not an integer",
+            pytest.param(None, {"rank": "3"},
+                         f"{NOT_CKPT}'rank' is '3', not an integer", id="string-rank"),
+            pytest.param(None, {"max_len": 2.5},
+                         f"{NOT_CKPT}'max_len' is 2.5, not an integer",
                          id="float-max-len"),
-            pytest.param(None, {"hidden_dim": True}, "'hidden_dim' is True, not an integer",
+            pytest.param(None, {"hidden_dim": True},
+                         f"{NOT_CKPT}'hidden_dim' is True, not an integer",
                          id="bool-hidden-dim"),
-            pytest.param(None, {"predicates": 12}, "'predicates' is not a list of names",
+            pytest.param(None, {"predicates": 12},
+                         f"{NOT_CKPT}'predicates' is not a list of names",
                          id="int-predicates"),
+            # well-formed settings that ModelParams refuses
+            pytest.param(None, {"normalize": "l3"},
+                         "normalize must be one of (None, 'l1', 'l2')", id="normalize"),
+            pytest.param(None, {"epsilon_mode": "x"},
+                         "epsilon_mode must be one of ('corrected', 'literal')",
+                         id="epsilon-mode"),
+            pytest.param(None, {"gate_order": "fiog"},
+                         "checkpoint gate order 'fiog' unsupported", id="gate-order-fiog"),
+            pytest.param(None, {"rank": 0}, "all model dimensions must be positive",
+                         id="rank-0"),
+            pytest.param(None, {"seed": -1}, "seed must be at least 0, not -1",
+                         id="negative-seed"),
         ],
     )
     def test_incomplete_checkpoint_exits_one(
@@ -333,7 +361,7 @@ class TestPipeline:
             assert run(command, "--dataset-dir", kin_dir, "--out", out,
                        "--checkpoint", bad) == 1
             err = capsys.readouterr().err
-            assert err == f"error: not an mplr checkpoint: {message}\n"
+            assert err == f"error: {message}\n"
             assert not out.exists()
 
     def test_npy_file_is_not_a_checkpoint(self, kin_dir, tiny_checkpoint, tmp_path,
@@ -490,6 +518,12 @@ class TestConfigFile:
         cfg.write_text("no_such_option = 1\n")
         assert run("--config", cfg, "stats", "--dataset-dir", kin_dir) == 1
         assert "unknown option" in capsys.readouterr().err
+
+    def test_config_line_without_equals_names_its_line(self, kin_dir, tmp_path, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("# settings\ntop_n = 2\nlambda_max 3\n")
+        assert run("--config", cfg, "stats", "--dataset-dir", kin_dir) == 1
+        assert capsys.readouterr().err == f"error: {cfg}:3: expected key = value\n"
 
     def test_usage_error_exits_one(self, capsys):
         assert run("frobnicate") == 1

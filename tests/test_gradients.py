@@ -369,17 +369,19 @@ def test_unread_cell_tensors_are_absent_at_one_hop():
 
 
 def test_out_buffer_is_zero_filled_and_returned():
+    # the grads are views of `out`, a vector laid out like the parameters
     ops, params, queries = reference_setup(max_len=2)
     fresh_loss, fresh = loss_and_gradients(ops, params, queries)
-    rng = np.random.default_rng(0)
-    out = {k: rng.standard_normal(v.shape) for k, v in params.tensors.items()}
-    out["proj_b"][:] = np.nan
-    arrays = dict(out)
+    out = np.random.default_rng(0).standard_normal(params.vector.size)
+    out[-params.tensors["proj_b"].size :] = np.nan
     loss, grads = loss_and_gradients(ops, params, queries, out=out)
-    assert grads is out and loss == fresh_loss
+    assert loss == fresh_loss and grads.keys() == params.tensors.keys()
+    assert np.array_equal(out, np.concatenate([g.ravel() for g in fresh.values()]))
     for key in fresh:
-        assert grads[key] is arrays[key]
+        assert grads[key].base is out
         assert np.array_equal(grads[key], fresh[key]), key
+    with pytest.raises(ValueError, match="does not hold"):
+        loss_and_gradients(ops, params, queries, out=out[1:])
 
 
 def test_calls_without_out_return_distinct_arrays():

@@ -483,6 +483,12 @@ class TestReport:
                            match=rf"^predicate index {index} out of range: .* 0\.\.2$"):
             call(toy_kg)
 
+    @pytest.mark.parametrize("max_len", [1, 0])
+    def test_max_len_below_two_is_refused(self, toy_kg, max_len):
+        # patterns have two or more hops; the scan used to fail while joining
+        with pytest.raises(ValueError, match=rf"^max_len must be at least 2 .* {max_len}$"):
+            saturation_report(toy_kg, max_len=max_len)
+
     def test_second_report_builds_no_operators(self, monkeypatch):
         kg = random_kg(3, num_entities=8, num_predicates=3, edge_prob=0.3)
         built = []

@@ -312,6 +312,14 @@ class TestLoaderOracle:
             KnowledgeGraph(["a", "b"], ["r"], np.array(triples))
         assert str(got.value) == str(want.value)
 
+    @pytest.mark.parametrize("entities, predicates, message", [
+        (["a", "b", "a"], ["r"], "duplicate entity identifiers"),
+        (["a", "b"], ["r", "s", "r"], "duplicate predicate identifiers"),
+    ], ids=["entities", "predicates"])
+    def test_duplicate_identifiers_are_refused(self, entities, predicates, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            KnowledgeGraph(entities, predicates, [(0, 0, 1)])
+
     @pytest.mark.parametrize("array", [np.zeros((2, 2), dtype=np.int64),
                                        np.zeros(6, dtype=np.int64),
                                        np.zeros((2, 3))])

@@ -35,81 +35,103 @@ from conftest import adam_step_reference, model_params_reference, random_kg
 class TestAdam:
     def test_first_step_magnitude(self):
         lr = 0.001
-        tensors = {"w": np.array([1.0, -2.0])}
-        adam = AdamOptimizer(tensors, lr=lr)
+        vector = np.array([1.0, -2.0])
+        adam = AdamOptimizer(vector, lr=lr)
         g = np.array([0.5, -3.0])
-        adam.step(tensors, {"w": g})
-        delta = np.abs(tensors["w"] - np.array([1.0, -2.0]))
+        adam.step(vector, g)
+        delta = np.abs(vector - np.array([1.0, -2.0]))
         # first step moves by lr * |g| / (|g| + eps), a whisker under lr
         assert np.all(np.abs(delta - lr) < 1e-5)
         assert np.all(delta < lr)
 
     def test_step_direction_opposes_gradient(self):
-        tensors = {"w": np.zeros(2)}
-        adam = AdamOptimizer(tensors, lr=0.1)
-        adam.step(tensors, {"w": np.array([1.0, -1.0])})
-        assert tensors["w"][0] < 0 < tensors["w"][1]
+        vector = np.zeros(2)
+        adam = AdamOptimizer(vector, lr=0.1)
+        adam.step(vector, np.array([1.0, -1.0]))
+        assert vector[0] < 0 < vector[1]
 
     def test_zero_gradient_leaves_parameter_unchanged(self):
-        tensors = {"w": np.array([3.14, -1.0])}
-        adam = AdamOptimizer(tensors, lr=0.5)
+        vector = np.array([3.14, -1.0])
+        adam = AdamOptimizer(vector, lr=0.5)
         for _ in range(10):
-            adam.step(tensors, {"w": np.zeros(2)})
-        assert np.array_equal(tensors["w"], np.array([3.14, -1.0]))
+            adam.step(vector, np.zeros(2))
+        assert np.array_equal(vector, np.array([3.14, -1.0]))
 
     def test_in_place_step_equals_the_allocating_reference(self):
         # sizes below, at and past one block; zero and negative-zero grads
-        shapes = {"scalar": (), "one": (1,), "seven": (7,), "tail": (ADAM_BLOCK + 3,),
-                  "rows": (5, ADAM_BLOCK // 4 + 1)}
         rng = np.random.default_rng(3)
-        tensors = {k: rng.standard_normal(shape) for k, shape in shapes.items()}
-        ref_tensors = {k: v.copy() for k, v in tensors.items()}
-        adam = AdamOptimizer(tensors, lr=0.01)
-        ref = AdamOptimizer(ref_tensors, lr=0.01)
-        for _ in range(5):
-            grads = {k: rng.standard_normal(shape) for k, shape in shapes.items()}
-            for g in grads.values():
-                flat = g.reshape(-1)
-                flat[::3] = 0.0
-                flat[1::5] = -0.0
-            kept = {k: g.copy() for k, g in grads.items()}
-            adam.step(tensors, grads)
-            adam_step_reference(ref, ref_tensors, grads)
-            for k in shapes:
-                assert np.array_equal(tensors[k], ref_tensors[k]), k
-                assert np.array_equal(adam.m[k], ref.m[k]), k
-                assert np.array_equal(adam.v[k], ref.v[k]), k
-                assert np.array_equal(grads[k], kept[k]), k
+        for size in (1, 7, ADAM_BLOCK, 2 * ADAM_BLOCK + 3):
+            vector = rng.standard_normal(size)
+            ref_vector = vector.copy()
+            adam = AdamOptimizer(vector, lr=0.01)
+            ref = AdamOptimizer(ref_vector, lr=0.01)
+            for _ in range(5):
+                grad = rng.standard_normal(size)
+                grad[::3] = 0.0
+                grad[1::5] = -0.0
+                kept = grad.copy()
+                adam.step(vector, grad)
+                adam_step_reference(ref, ref_vector, grad)
+                assert np.array_equal(vector, ref_vector), size
+                assert np.array_equal(adam.m, ref.m) and np.array_equal(adam.v, ref.v), size
+                assert np.array_equal(grad, kept), size
 
-    @pytest.mark.parametrize("which", ["tensor", "gradient"])
-    def test_non_contiguous_arrays_are_refused(self, which):
-        # a flat view of a strided array would be a copy, and the update lost
-        arrays = {"tensor": np.zeros((4, 6)), "gradient": np.ones((4, 6))}
-        arrays[which] = arrays[which].T.copy().T
-        tensors = {"w": arrays["tensor"]}
-        adam = AdamOptimizer(tensors)
-        with pytest.raises(ValueError, match="'w' is not"):
-            adam.step(tensors, {"w": arrays["gradient"]})
-        assert not tensors["w"].any() and not adam.m["w"].any()
+    def test_strided_vector_is_stepped_in_place(self):
+        # a slice of a 1-D vector writes through at any stride
+        rng = np.random.default_rng(4)
+        buffer = rng.standard_normal(2 * ADAM_BLOCK + 6)
+        grads = rng.standard_normal((3, len(buffer)))
+        vector, between = buffer[::2], buffer[1::2].copy()
+        ref_vector = vector.copy()
+        adam = AdamOptimizer(vector, lr=0.01)
+        ref = AdamOptimizer(ref_vector, lr=0.01)
+        for g in grads:
+            adam.step(vector, g[1::2])
+            adam_step_reference(ref, ref_vector, g[1::2])
+        assert np.array_equal(buffer[::2], ref_vector)
+        assert np.array_equal(buffer[1::2], between)
+
+    @pytest.mark.parametrize("which", ["vector", "gradient"])
+    def test_other_shapes_are_refused(self, which):
+        # a shorter gradient would update only a prefix of the vector
+        arrays = {"vector": np.zeros(6), "gradient": np.ones(6)}
+        adam = AdamOptimizer(arrays["vector"])
+        arrays[which] = arrays[which][:5]
+        with pytest.raises(ValueError, match=r"shape \(6,\), not"):
+            adam.step(arrays["vector"], arrays["gradient"])
+        with pytest.raises(ValueError, match=r"shape \(6,\), not"):
+            adam.step(np.zeros((2, 3)), np.ones((2, 3)))
+        assert adam.t == 0 and not arrays["vector"].any() and not adam.m.any()
 
     def test_training_state_is_one_buffer_each(self, tmp_path):
-        # parameters, gradients, both moments, a copy and a loaded checkpoint:
-        # each a set of disjoint views that exactly covers one buffer
+        # the tensors of the parameters, of a copy and of a loaded checkpoint
+        # are consecutive views that exactly cover their vector; a gradient
+        # has the same layout, and Adam's moments are vectors of its size
         params = ModelParams(5, rank=2, max_len=3, embed_dim=4, hidden_dim=3, seed=1)
-        adam = AdamOptimizer(params.tensors)
+        adam = AdamOptimizer(params.vector)
         dup = params.copy()
         path = tmp_path / "checkpoint.npz"
         save_checkpoint(params, path)
         loaded = load_checkpoint(path)
-        for state in (params.tensors, params.zero_grads(), adam.m, adam.v, dup.tensors,
-                      loaded.tensors):
-            (flat,) = {id(a.base): a.base for a in state.values()}.values()
-            assert sum(a.size for a in state.values()) == flat.size
-            assert all(a.flags.c_contiguous for a in state.values())
         for key, t in params.tensors.items():
             assert not np.shares_memory(dup.tensors[key], t), key
             assert np.array_equal(dup.tensors[key], t), key
             assert np.array_equal(loaded.tensors[key], t), key
+        assert np.array_equal(dup.vector, params.vector)
+        assert np.array_equal(loaded.vector, params.vector)
+        kg = random_kg(1, num_entities=6, num_predicates=5, edge_prob=0.3)
+        grad = np.empty_like(params.vector)
+        _, grads = loss_and_gradients(build_operators(kg), params,
+                                      group_queries(kg.triples), out=grad)
+        count = np.arange(params.vector.size, dtype=np.float64)
+        for vector, views in ((params.vector, params.tensors), (dup.vector, dup.tensors),
+                              (loaded.vector, loaded.tensors), (grad, grads)):
+            assert vector.shape == adam.m.shape == adam.v.shape
+            assert all(a.base is vector for a in views.values())
+            vector[...] = count
+            assert np.array_equal(np.concatenate([a.ravel() for a in views.values()]),
+                                  count)
+        assert not np.shares_memory(adam.m, adam.v)
 
 
 def rule_chain_dataset(num_instances=4, num_valid=1):
@@ -190,11 +212,21 @@ class TestTrain:
         with pytest.raises(TrainingDivergedError, match="epoch 1"):
             train(kg, splits, cfg)
 
+    def test_huge_learning_rate_stops_at_the_batch_that_diverged(self):
+        # one step of lr 1e308 overflows the next batch's forward pass; train
+        # names that batch, with no numpy warnings
+        kg, splits = rule_chain_dataset()
+        cfg = TrainConfig(max_epochs=2, patience=2, seed=0,
+                          **(SMALL_CONFIG | dict(batch_size=1, learning_rate=1e308)))
+        with pytest.raises(TrainingDivergedError,
+                           match=r"^non-finite loss at epoch 1, batch starting at 1 "):
+            train(kg, splits, cfg)
+
     @pytest.mark.parametrize("max_len", [1, 2, 3])
     def test_training_equals_adam_over_every_tensor(self, max_len):
         # the parameters hold only the cell tensors the unroll reads, and the
-        # allocating Adam over every tensor, with every gradient scaled, gives
-        # the same bits as train
+        # allocating Adam over every tensor's gradient, scaled, gives the same
+        # bits as train
         kg = random_kg(4, num_entities=9, num_predicates=3, edge_prob=0.3)
         splits = DatasetSplits(kg.triples, [], [], ("train",))
         config = TrainConfig(max_len=max_len, rank=2, embed_dim=6, hidden_dim=5,
@@ -205,16 +237,17 @@ class TestTrain:
                              hidden_dim=5, seed=2, predicates=kg.predicates)
         start = params.copy()
         ops, queries = build_operators(kg), group_queries(splits.train)
-        ref = AdamOptimizer(params.tensors, lr=config.learning_rate)
+        ref = AdamOptimizer(params.vector, lr=config.learning_rate)
         rng = np.random.default_rng(config.seed)
         for _ in range(config.max_epochs):
             order = rng.permutation(len(queries))
             for i in range(0, len(order), config.batch_size):
                 batch = [queries[j] for j in order[i : i + config.batch_size]]
                 _, grads = loss_and_gradients(ops, params, batch)
-                for g in grads.values():
-                    g *= 1.0 / len(batch)
-                adam_step_reference(ref, params.tensors, grads)
+                # every tensor's gradient, in the parameter vector's layout
+                grad = np.concatenate([g.ravel() for g in grads.values()])
+                grad *= 1.0 / len(batch)
+                adam_step_reference(ref, params.vector, grad)
         assert trained.tensors.keys() == params.tensors.keys()
         for key, t in params.tensors.items():
             assert np.array_equal(trained.tensors[key], t), key
@@ -345,9 +378,11 @@ class TestSupportRanks:
         assert report.hit_at[3] == float(np.mean(ranks <= 3))
         for p in preds:
             part = [g == preds.index(p) for g in groups]
-            assert report.per_predicate[kg.predicates[p]].mrr == float(
-                np.mean(1.0 / ranks[part])
-            )
+            pe = report.per_predicate[kg.predicates[p]]
+            assert pe.mrr == float(np.mean(1.0 / ranks[part]))
+            # a plain int, as the overall count is, so the report serializes
+            assert type(pe.num_queries) is int and pe.num_queries == sum(part)
+        assert type(report.num_queries) is int
 
 
 TRAINED_CONFIG = dict(max_epochs=60, patience=60, seed=0, **SMALL_CONFIG)
