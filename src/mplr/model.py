@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .operators import OperatorSet, RulePattern, pattern_rows, reaching_top, top_patterns
+from .operators import OperatorSet, RulePattern, pattern_rows, top_patterns
 
 GATE_ORDER = "ifgo"  # slices of the fused 4*hidden gate tensors
 # the ModelParams arguments a checkpoint records, in its order
@@ -350,9 +350,16 @@ def _attention_forward(params: ModelParams, queries, caches=None):
     hidden) attention inputs, and one projection and softmax turn those into
     the weights. With a `caches` list, the unroll (attention inputs and both
     directions' step caches) is appended to it for `_attention_backward`.
-    The blocks are views of one buffer (`packed`).
+    The blocks are views of one buffer (`packed`). A query index that names
+    no predicate of the model raises ValueError.
     """
-    x = params.tensors["query_emb"][np.asarray(queries, dtype=np.int64)]
+    queries = np.asarray(queries, dtype=np.int64)
+    P = params.num_predicates
+    bad = queries[(queries < 0) | (queries >= P)]
+    if len(bad):
+        raise ValueError(f"predicate index {bad[0]} out of range: "
+                         f"the model has {P} predicates, 0..{P - 1}")
+    x = params.tensors["query_emb"][queries]
     W, b = params.tensors["proj_W"], params.tensors["proj_b"]
     G, R, L = len(x), params.rank, params.max_len
     dh, K = params.hidden_dim, params.num_operators
@@ -506,14 +513,26 @@ def logit_loss_grad(s, v):
     return sigmoid(np.asarray(s, dtype=np.float64)) - v
 
 
+def _bincount_rows(index, weights, size):
+    """bincount(index, weights[r], minlength=size) of each row r, as one array."""
+    return np.array([np.bincount(index, weights=w, minlength=size) for w in weights])
+
+
+def _rank_sum(x):
+    """The rows of an (R, n) array added in rank order; numpy would sum a
+    single column pairwise from 8 rows on, so that one is doubled first."""
+    n = x.shape[1]
+    return np.add.reduce(x if n > 1 else np.repeat(x, 2, axis=1), axis=0)[:n]
+
+
 def _norm_divisors(u, row, num_rows, normalize):
-    """Per-row norms of the stored values u (row[i] owns u[i]) and their divisors."""
+    """Norms of the (R, n) values u per rank and row (row[i] owns u[:, i]), and divisors."""
     if normalize is None:
-        return None, np.ones(num_rows)
+        return None, np.ones((len(u), num_rows))
     if normalize == "l2":
-        n = np.sqrt(np.bincount(row, weights=u * u, minlength=num_rows))
+        n = np.sqrt(_bincount_rows(row, u * u, num_rows))
     elif normalize == "l1":
-        n = np.bincount(row, weights=np.abs(u), minlength=num_rows)
+        n = _bincount_rows(row, np.abs(u), num_rows)
     else:
         raise ValueError(f"unknown normalize mode {normalize!r}")
     return n, np.where(n > 0, n, 1.0)
@@ -535,11 +554,11 @@ class _Propagation:
     is built once, as sorted keys row * |E| + entity, together with the edges
     that enter it: source position at the level before, destination position,
     a (group, operator) slot and the (R, n) per-rank edge weights, gathered
-    by one flat index into the C-ordered attention. A value is
-    bincount(dst, u[src] * w); nothing is pruned, so exact zeros stay stored.
-    `extra_keys` are added to the last level; `excluded` = (operator, tail)
-    per row drops the edge (start, operator, tail) wherever it occurs
-    (operator -1: none).
+    by one flat index into the C-ordered attention. A level's values are (R,
+    n), row r bincount(dst, u[r, src] * w[r]); nothing is pruned, so exact
+    zeros stay stored. `extra_keys` are added to the last level; `excluded`
+    = (operator, tail) per row drops the edge (start, operator, tail)
+    wherever it occurs (operator -1: none).
     """
 
     def __init__(self, ops, weights, groups, starts, *, extra_keys=None, excluded=None):
@@ -550,7 +569,7 @@ class _Propagation:
         E = ops.num_entities
         starts = np.asarray(starts, dtype=np.int64)
         groups = np.asarray(groups, dtype=np.int64)
-        self.num_rows, self.num_slots = len(starts), G * K
+        self.rank, self.num_rows, self.num_slots = R, len(starts), G * K
         keys = np.arange(len(starts)) * E + starts
         self.keys = [keys]
         self.edges = []  # per hop: (src, dst, slot, (R, n) weights)
@@ -572,30 +591,29 @@ class _Propagation:
                 (src, inv[: len(src)], g * K + op, np.take(flat, rank_offsets + at))
             )
 
-    def forward(self, r):
-        """Values of rank r at every level, starting from 1 at each row's start."""
-        U = [np.ones(self.num_rows)]
+    def forward(self):
+        """(R, n) values at every level, starting from 1 at each row's start."""
+        U = [np.ones((self.rank, self.num_rows))]
         for (src, dst, _, w), keys in zip(self.edges, self.keys[1:]):
-            U.append(np.bincount(dst, weights=U[-1][src] * w[r], minlength=len(keys)))
+            U.append(_bincount_rows(dst, U[-1].take(src, axis=1) * w, len(keys)))
         return U
 
-    def backward(self, r, U, dU, dA, inject=None):
-        """Reverse mode of rank r from dU, the gradient at the last level.
+    def backward(self, U, dU, dA, inject=None):
+        """Reverse mode from dU, the (R, n) gradient at the last level.
 
-        Adds each hop's operator gradients, bincount(slot, U[src] * dU[dst]),
-        to dA[:, r] of shape (G, L, K). inject[i] = (positions, values) is
-        added to the gradient of level i on the way down.
+        Adds hop i's operator gradients, bincount(slot, U[i][r, src] * dU[r,
+        dst]) for each rank r, to dA[:, :, i] of shape (G, R, K). inject[i] =
+        (index, values) is added to level i's gradient on the way down.
         """
-        G = dA.shape[0]
+        G, R = dA.shape[:2]
         for i in reversed(range(len(self.edges))):
             src, dst, slot, w = self.edges[i]
-            g = dU[dst]
-            dA[:, r, i] += np.bincount(
-                slot, weights=U[i][src] * g, minlength=self.num_slots
-            ).reshape(G, -1)
+            g = dU.take(dst, axis=1)
+            grad = _bincount_rows(slot, U[i].take(src, axis=1) * g, self.num_slots)
+            dA[:, :, i] += grad.reshape(R, G, -1).transpose(1, 0, 2)
             if i == 0:
                 break
-            dU = np.bincount(src, weights=w[r] * g, minlength=len(self.keys[i]))
+            dU = _bincount_rows(src, w * g, len(self.keys[i]))
             if inject is not None and inject[i] is not None:
                 np.add.at(dU, *inject[i])
 
@@ -613,7 +631,9 @@ class _BatchForward:
     stored at the last level even where the graph does not reach them, so
     their prediction is -corr there. An entity outside the support and the
     targets scores 0, so the loss is the sum over the stored entries plus
-    log 2 for each of the others. Everything reverse mode needs is kept.
+    log 2 for each of the others. Everything reverse mode needs is kept, rank
+    first: U, chain_U, pred (R, n); D, base, corr (R, targets); norms and
+    divisors (R, B). s adds the ranks' normalized predictions in rank order.
     """
 
     def __init__(self, ops, weights, preds, groups, heads, target_lists,
@@ -652,27 +672,20 @@ class _BatchForward:
             np.searchsorted(ch.keys[-1], np.arange(len(c_key)) * E + c_ent)
             for ch in self.chains
         ]
-        # a_q(l) per target: (n_targets, R, L)
-        self.a_q = weights[np.arange(G), :, :, self.q_op][self.t_grp]
-
-        per_rank = []
-        s = np.zeros(len(self.keys))
-        for r in range(R):
-            U = self.prop.forward(r)
-            chain_U = [ch.forward(r) for ch in self.chains]
-            D = [cu[-1][read][self.c_slot] for cu, read in zip(chain_U, self.c_read)]
-            D.append(np.ones(len(t_key)))
-            base = [np.where(found, u[pos], 0.0)
-                    for u, (pos, found) in zip(U, self.base_at)]
-            corr = sum(self.a_q[:, r, l] * base[l] * D[l] for l in range(L))
-            pred = U[L].copy()
-            pred[self.t_pos] -= corr
-            n, d = _norm_divisors(U[L], self.row, B, normalize)
-            s += pred / d[self.row]
-            per_rank.append((U, chain_U, D, base, corr, pred, n, d))
-        (self.U, self.chain_U, self.D, self.base, self.corr, self.pred, self.norms,
-         self.divisors) = zip(*per_rank)
-        self.s = s
+        # a_q(l) per rank and target: (R, L, n_targets)
+        self.a_q = weights[np.arange(G), :, :, self.q_op][self.t_grp].transpose(1, 2, 0)
+        self.U = U = self.prop.forward()
+        self.chain_U = [ch.forward() for ch in self.chains]
+        self.D = [cu[-1].take(read[self.c_slot], axis=1)
+                  for cu, read in zip(self.chain_U, self.c_read)]
+        self.D.append(np.ones((R, len(t_key))))
+        self.base = [np.where(found, u.take(pos, axis=1), 0.0)
+                     for u, (pos, found) in zip(U, self.base_at)]
+        self.corr = sum(self.a_q[:, l] * self.base[l] * self.D[l] for l in range(L))
+        self.pred = U[L].copy()
+        self.pred[:, self.t_pos] -= self.corr
+        self.norms, self.divisors = _norm_divisors(U[L], self.row, B, normalize)
+        self.s = _rank_sum(self.pred / self.divisors.take(self.row, axis=1))
 
     def loss(self):
         stored = _logit_loss_sum(self.s, self.v)
@@ -681,37 +694,32 @@ class _BatchForward:
     def backward(self, ds):
         """dL/d(attention weights), shape (G, R, L, K), given dL/ds on the support."""
         G, R, L, K = self.weights.shape
-        row = self.row
+        row, d = self.row, self.divisors
         dA = np.zeros((G, R, L, K))
-        for r in range(R):
-            d = self.divisors[r]
-            dPred = ds / d[row]
-            dU = dPred.copy()
-            if self.normalize is not None:
-                dn = -np.bincount(row, weights=ds * self.pred[r], minlength=len(d)) / (d * d)
-                dn = np.where(self.norms[r] > 0, dn, 0.0)
-                if self.normalize == "l2":
-                    dU += (dn / d)[row] * self.U[r][L]
-                else:  # l1, states are non-negative
-                    dU += dn[row]
-            dCorr = -dPred[self.t_pos]
-            inject = [None] * L
-            for l in range(L):
-                base, D, a_q = self.base[r][l], self.D[r][l], self.a_q[:, r, l]
-                dA[np.arange(G), r, l, self.q_op] += np.bincount(
-                    self.t_grp, weights=dCorr * base * D, minlength=G
-                )
-                if l > 0:
-                    pos, found = self.base_at[l]
-                    inject[l] = (pos[found], (dCorr * a_q * D)[found])
-                if l < L - 1:
-                    chain, read = self.chains[l], self.c_read[l]
-                    dY = np.zeros(len(chain.keys[-1]))
-                    dY[read] = np.bincount(
-                        self.c_slot, weights=dCorr * a_q * base, minlength=len(read)
-                    )
-                    chain.backward(r, self.chain_U[r][l], dY, dA[:, :, l + 1:])
-            self.prop.backward(r, self.U[r], dU, dA, inject)
+        dPred = ds / d.take(row, axis=1)
+        dU = dPred.copy()
+        if self.normalize is not None:
+            dn = -_bincount_rows(row, ds * self.pred, d.shape[1]) / (d * d)
+            dn = np.where(self.norms > 0, dn, 0.0)
+            if self.normalize == "l2":
+                dU += (dn / d).take(row, axis=1) * self.U[L]
+            else:  # l1, states are non-negative
+                dU += dn.take(row, axis=1)
+        dCorr = -dPred.take(self.t_pos, axis=1)
+        inject = [None] * L
+        for l in range(L):
+            base, D, a_q = self.base[l], self.D[l], self.a_q[:, l]
+            dq = _bincount_rows(self.t_grp, dCorr * base * D, G)
+            dA[np.arange(G), :, l, self.q_op] += dq.T
+            if l > 0:
+                pos, found = self.base_at[l]
+                inject[l] = (np.s_[:, pos[found]], (dCorr * a_q * D)[:, found])
+            if l < L - 1:
+                chain, read = self.chains[l], self.c_read[l]
+                dY = np.zeros((R, len(chain.keys[-1])))
+                dY[:, read] = _bincount_rows(self.c_slot, dCorr * a_q * base, len(read))
+                chain.backward(self.chain_U[l], dY, dA[:, :, l + 1:])
+        self.prop.backward(self.U, dU, dA, inject)
         return dA
 
 
@@ -721,17 +729,15 @@ def support_scores(ops, weights, groups, heads, *, excluded=None, normalize=None
     Row b starts at heads[b] with attention weights[groups[b]]; keys are
     row * |E| + entity, and every entity not in them scores 0. `excluded` is
     an (operator, tail) pair per row: the edge (heads[b], operator, tails[b])
-    is removed from every hop (operator -1: nothing removed).
+    is removed from every hop (operator -1: nothing removed). The ranks'
+    normalized (R, n) last levels are added in rank order.
     """
     prop = _Propagation(ops, weights, groups, heads, excluded=excluded)
     keys = prop.keys[-1]
     row = keys // ops.num_entities
-    s = np.zeros(len(keys))
-    for r in range(weights.shape[1]):
-        u = prop.forward(r)[-1]
-        _, d = _norm_divisors(u, row, prop.num_rows, normalize)
-        s += u / d[row]
-    return keys, s
+    u = prop.forward()[-1]
+    _, d = _norm_divisors(u, row, prop.num_rows, normalize)
+    return keys, _rank_sum(u / d.take(row, axis=1))
 
 
 def score_entities(
@@ -864,7 +870,9 @@ def rules_from_attention(
         conf.append(total.ravel())
     conf = np.concatenate(conf)
     kept = np.flatnonzero(conf)
-    kept = kept[reaching_top(conf[kept], top_n)]
+    if top_n < len(kept):  # the rules reaching the top_n-th confidence; all if it is NaN
+        cut = np.partition(-conf[kept], top_n - 1)[top_n - 1]
+        kept = kept if np.isnan(cut) else kept[-conf[kept] <= cut]
     hops = pattern_rows(P, 1, L, kept)  # only the rows that can make the cut
     return [
         ExtractedRule(RulePattern(tuple(int(p) for p in hops[i] if p >= 0)),

@@ -60,30 +60,18 @@ def pattern_rows(num_predicates: int, min_len: int, max_len: int, rows) -> np.nd
     return out
 
 
-def reaching_top(scores, top_n: int) -> np.ndarray:
-    """Positions of the scores that reach the top_n-th highest, ties included;
-    all of them when that value is NaN."""
-    keep = np.arange(len(scores))
-    if top_n < len(keep):
-        first = -np.asarray(scores)
-        cut = np.partition(first, top_n - 1)[top_n - 1]
-        keep = keep if np.isnan(cut) else np.flatnonzero(first <= cut)
-    return keep
-
-
 def top_patterns(table: np.ndarray, scores, top_n: int) -> np.ndarray:
     """Rows of a pattern table ranked by `scores`, best first, cut at top_n.
 
     `scores` holds one value per row for each rank key, most significant key
     first; every key ranks higher values first. Ties go to the
     lexicographically smaller hop tuple, and the -1 padding puts a prefix
-    before its extensions. Only the rows that reach the top_n-th value of
-    the primary key, ties included, are sorted.
+    before its extensions. Every row is sorted: a caller that ranks many
+    rows passes only those that reach the top_n-th value of the primary key.
     """
-    keep = reaching_top(scores[0], top_n)
-    keys = tuple(table[keep, j] for j in reversed(range(table.shape[1])))
-    keys += tuple(-np.asarray(s)[keep] for s in reversed(scores))
-    return keep[np.lexsort(keys)[:top_n]]
+    keys = tuple(table[:, j] for j in reversed(range(table.shape[1])))
+    keys += tuple(-np.asarray(s) for s in reversed(scores))
+    return np.lexsort(keys)[:top_n]
 
 
 class OperatorSet:

@@ -728,8 +728,8 @@ def score_query(ops, attn, query, *, epsilon_mode="corrected", normalize=None):
     s[ent] = fwd.s
     uncorrected = np.zeros(ops.num_entities)
     corr_total = np.zeros(len(query.targets))
-    for U, corr, d in zip(fwd.U, fwd.corr, fwd.divisors):
-        uncorrected[ent] += U[-1] / d[0]
+    for U, corr, d in zip(fwd.U[-1], fwd.corr, fwd.divisors):
+        uncorrected[ent] += U / d[0]
         corr_total += corr / d[0]
     v = np.zeros(ops.num_entities)
     v[list(query.targets)] = 1.0

@@ -20,6 +20,7 @@ from mplr.model import (
     save_checkpoint,
     score_entities,
     softmax,
+    support_scores,
 )
 from mplr.training import evaluate
 
@@ -116,6 +117,23 @@ class TestAttention:
         for q in preds:
             extract_rules(params, q)
         assert {key: t.tobytes() for key, t in params.tensors.items()} == before
+
+    @pytest.mark.parametrize("q", [-1, 3])
+    def test_query_outside_the_predicates_is_refused(self, q):
+        # -1 used to read the last predicate's embedding, and |P| failed with
+        # a bare IndexError
+        kg = random_kg(4, num_entities=9, num_predicates=3, edge_prob=0.3)
+        ops = build_operators(kg)
+        params = ModelParams(3, rank=2, max_len=2, embed_dim=6, hidden_dim=5, seed=8)
+        message = rf"predicate index {q} out of range: the model has 3 predicates, 0\.\.2"
+        with pytest.raises(ValueError, match=message):
+            attention_forward(params, q)
+        with pytest.raises(ValueError, match=message):
+            extract_rules(params, q)
+        with pytest.raises(ValueError, match=message):
+            loss_and_gradients(ops, params, [MultiTargetQuery(0, q, (1,))])
+        with pytest.raises(ValueError, match=message):
+            evaluate(kg, params, [(0, 0, 1), (0, q, 1)], ops=ops)
 
     def test_unroll_memory_is_bounded(self):
         # 192 predicates at the default sizes; the kept unroll held 21.2 MB
@@ -328,6 +346,72 @@ class TestScoreQuery:
         attn = one_hot_attention(3, [0, 0])
         with pytest.raises(ValueError, match="does not match"):
             score_query(ops, attn, MultiTargetQuery(0, 0, (1,)))
+
+
+class TestRanks:
+    """The R ranks of one propagation never mix: each rank's values equal a
+    one-rank run on its slice of the attention, and the scores add the ranks
+    in rank order."""
+
+    @pytest.mark.parametrize("normalize", [None, "l1", "l2"])
+    @pytest.mark.parametrize("epsilon_mode", ["corrected", "literal"])
+    @pytest.mark.parametrize("max_len", [1, 2, 3])
+    def test_each_rank_equals_a_one_rank_run(self, max_len, epsilon_mode, normalize):
+        kg = random_kg(max_len, num_entities=12, num_predicates=3, edge_prob=0.12)
+        ops = build_operators(kg)
+        grouped = group_queries(kg.triples)
+        preds = [2, 0, 1]
+        queries = [q for p in preds for q in grouped if q.query == p][::2]
+        assert any(len(q.targets) > 1 for q in queries)
+        groups = [preds.index(q.query) for q in queries]
+        heads = [q.head for q in queries]
+        rng = np.random.default_rng(max_len)
+        weights = rng.dirichlet(np.ones(4), size=(len(preds), 3, max_len))
+
+        def run(w):
+            return _BatchForward(ops, w, preds, groups, heads,
+                                 [q.targets for q in queries],
+                                 epsilon_mode=epsilon_mode, normalize=normalize)
+
+        fwd = run(weights)
+        ds = rng.standard_normal(len(fwd.s))
+        dA = fwd.backward(ds)
+        excluded = (np.array([q.query + 1 for q in queries]),
+                    np.array([q.targets[0] for q in queries]))
+        keys, s = support_scores(ops, weights, groups, heads, excluded=excluded,
+                                 normalize=normalize)
+        want_s, want_scores = 0.0, 0.0
+        for r in range(3):
+            one = run(weights[:, r : r + 1])
+            assert np.array_equal(one.keys, fwd.keys)
+            for level, u in zip(fwd.U, one.U):
+                assert np.array_equal(level[r], u[0])
+            assert np.array_equal(fwd.corr[r], one.corr[0])
+            assert np.array_equal(fwd.divisors[r], one.divisors[0])
+            assert np.array_equal(dA[:, r], one.backward(ds)[:, 0])
+            want_s = want_s + one.s
+            one_keys, one_scores = support_scores(
+                ops, weights[:, r : r + 1], groups, heads, excluded=excluded,
+                normalize=normalize,
+            )
+            assert np.array_equal(one_keys, keys)
+            want_scores = want_scores + one_scores
+        assert np.array_equal(fwd.s, want_s)
+        assert np.array_equal(s, want_scores)
+
+    def test_ranks_add_in_order_on_a_single_entry(self):
+        # a head with no out-edge stores one entry; summed as one column,
+        # a reduction over 9 ranks would add them pairwise
+        kg = KnowledgeGraph(["a", "b", "c"], ["p"], [(0, 0, 1)])
+        ops = build_operators(kg)
+        for seed in range(10):
+            weights = np.random.default_rng(seed).dirichlet(np.ones(2), size=(1, 9, 2))
+            keys, s = support_scores(ops, weights, [0], [2])
+            assert list(keys) == [2]
+            want = 0.0
+            for r in range(9):
+                want = want + support_scores(ops, weights[:, r : r + 1], [0], [2])[1]
+            assert np.array_equal(s, want)
 
 
 class TestNormalization:
