@@ -15,6 +15,7 @@ import argparse
 import itertools
 import sys
 import time
+from dataclasses import fields
 from pathlib import Path
 from typing import NamedTuple
 
@@ -42,6 +43,7 @@ class Option(NamedTuple):
 
 
 EVERY = ("stats", "indicators", "train", "eval", "rules")
+TRAIN = TrainConfig()  # the defaults of the train-only options
 
 OPTIONS = {
     "dataset_dir": Option(None, str, EVERY),
@@ -56,15 +58,15 @@ OPTIONS = {
     "sample": Option(None, int, ("indicators",), minimum=1),
     "budget": Option(ind.DEFAULT_COST_BUDGET, float, ("indicators",), minimum=0.0),
     "predicates": Option(None, str, ("indicators",)),
-    "rank": Option(3, int, ("train",), minimum=1),
-    "embed_dim": Option(128, int, ("train",), minimum=1),
-    "hidden_dim": Option(128, int, ("train",), minimum=1),
-    "epochs": Option(10, int, ("train",), minimum=1),
-    "batch_size": Option(128, int, ("train",), minimum=1),
-    "learning_rate": Option(0.001, float, ("train",), "--lr", minimum=0.0),
-    "patience": Option(3, int, ("train",), minimum=1),
-    "normalize": Option("l2", ("l1", "l2", "none"), ("train",)),
-    "epsilon_mode": Option("corrected", EPSILON_MODES, ("train",)),
+    "rank": Option(TRAIN.rank, int, ("train",), minimum=1),
+    "embed_dim": Option(TRAIN.embed_dim, int, ("train",), minimum=1),
+    "hidden_dim": Option(TRAIN.hidden_dim, int, ("train",), minimum=1),
+    "epochs": Option(TRAIN.max_epochs, int, ("train",), minimum=1),
+    "batch_size": Option(TRAIN.batch_size, int, ("train",), minimum=1),
+    "learning_rate": Option(TRAIN.learning_rate, float, ("train",), "--lr", minimum=0.0),
+    "patience": Option(TRAIN.patience, int, ("train",), minimum=1),
+    "normalize": Option(TRAIN.normalize, ("l1", "l2", "none"), ("train",)),
+    "epsilon_mode": Option(TRAIN.epsilon_mode, EPSILON_MODES, ("train",)),
     "checkpoint": Option(None, str, ("eval", "rules")),
     "ks": Option("1,3,10", str, ("eval",)),
     "query": Option(None, str, ("rules",)),
@@ -239,19 +241,10 @@ def cmd_indicators(settings):
 
 
 def _train_config(settings):
-    return TrainConfig(
-        max_len=settings["max_rule_len"],
-        rank=settings["rank"],
-        embed_dim=settings["embed_dim"],
-        hidden_dim=settings["hidden_dim"],
-        batch_size=settings["batch_size"],
-        learning_rate=settings["learning_rate"],
-        max_epochs=settings["epochs"],
-        patience=settings["patience"],
-        seed=settings["seed"],
-        normalize=settings["normalize"],
-        epsilon_mode=settings["epsilon_mode"],
-    )
+    """TrainConfig, each field read from the option of its name or from `option_of`'s."""
+    option_of = {"max_len": "max_rule_len", "max_epochs": "epochs"}
+    return TrainConfig(**{f.name: settings[option_of.get(f.name, f.name)]
+                          for f in fields(TrainConfig)})
 
 
 def cmd_train(settings):

@@ -33,7 +33,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .kg import KnowledgeGraph
-from .operators import RulePattern, build_operators, concat_ranges, pattern_rows
+from .operators import (RulePattern, build_operators, concat_ranges, pattern_rows,
+                        top_patterns)
 # the per-triplet path count, which the scan does not call; bench/tracing.py
 # hooks it under this name
 from .operators import count_paths  # noqa: F401
@@ -311,8 +312,7 @@ def saturation_report(
     cut = eta[order[np.minimum(ends - counts + top_n, ends) - 1]]
     kept = np.flatnonzero(eta >= cut[slots])
     hops = pattern_rows(kg.num_predicates, 2, max_len, rows[kept])
-    keys = tuple(hops[:, j] for j in reversed(range(max_len)))
-    ranked = np.lexsort(keys + (-gamma[kept], -eta[kept], slots[kept]))
+    ranked = top_patterns(hops, (-slots[kept], eta[kept], gamma[kept]), len(kept))
     ranked_slots = slots[kept[ranked]]
     rank = np.arange(len(ranked)) - np.searchsorted(ranked_slots, ranked_slots)
     out: list[SaturationRecord] = []
@@ -326,10 +326,6 @@ def saturation_report(
 
 # ---------------------------------------------------------------------------
 # report rendering
-
-def pattern_label(pattern: RulePattern, kg: KnowledgeGraph) -> str:
-    return " & ".join(pattern.names(kg))
-
 
 def saturation_tsv(records, kg) -> str:
     lines = ["pattern\tpredicate\tgamma\tdelta\teta"]
@@ -345,17 +341,18 @@ def saturation_table(records, kg) -> str:
     """Aligned text table, one block per predicate, eta-descending rows."""
     if not records:
         return "(no saturation records)\n"
-    width = max(len(pattern_label(r.pattern, kg)) for r in records)
+    labels = [r.pattern.label(kg) for r in records]
+    width = max(map(len, labels))
     lines = []
     current = None
-    for r in records:
+    for r, label in zip(records, labels):
         if r.predicate != current:
             if current is not None:
                 lines.append("")
             lines.append(f"=> {kg.predicates[r.predicate]}")
             current = r.predicate
         lines.append(
-            f"  {pattern_label(r.pattern, kg):<{width}}  "
+            f"  {label:<{width}}  "
             f"gamma={r.gamma:.2f}  delta={r.delta:.2f}  eta={r.eta:.2f}"
         )
     return "\n".join(lines) + "\n"

@@ -538,6 +538,15 @@ def _norm_divisors(u, row, num_rows, normalize):
     return n, np.where(n > 0, n, 1.0)
 
 
+def _check_entities(num_entities, *indices):
+    """Refuse the first index, of any array, outside 0..num_entities - 1."""
+    for index in indices:
+        bad = index[(index < 0) | (index >= num_entities)]
+        if len(bad):
+            raise ValueError(f"entity index {bad[0]} out of range: the graph has "
+                             f"{num_entities} entities, 0..{num_entities - 1}")
+
+
 def _lookup(keys, wanted):
     """Positions of `wanted` in the sorted `keys`, and whether each is there."""
     pos = np.minimum(np.searchsorted(keys, wanted), len(keys) - 1)
@@ -645,6 +654,7 @@ class _BatchForward:
         B = len(heads)
         t_row = np.repeat(np.arange(B), [len(ts) for ts in target_lists])
         t_ent = np.concatenate([np.asarray(ts, dtype=np.int64) for ts in target_lists])
+        _check_entities(E, heads, t_ent)
         t_key = t_row * E + t_ent
         self.weights, self.normalize, self.num_cells = weights, normalize, B * E
         self.q_op = np.asarray(preds, dtype=np.int64) + 1
@@ -780,6 +790,7 @@ def loss_and_gradients(ops: OperatorSet, params: ModelParams, queries, *, out=No
     mean reduction, fills `out` (a vector laid out like `params.vector`,
     zero-filled first) or a fresh vector; its views by tensor name are
     returned with the loss, which may be non-finite, for the caller to report.
+    A head or target that names no entity of `ops` raises ValueError.
     """
     index: dict[int, int] = {}
     groups = [index.setdefault(q.query, len(index)) for q in queries]
@@ -893,11 +904,8 @@ def rules_tsv(rules, kg) -> str:
 def rules_table(rules, kg) -> str:
     if not rules:
         return "(no rules)\n"
-    width = max(len(" & ".join(r.hops.names(kg))) for r in rules)
-    lines = []
-    for r in rules:
-        body = " & ".join(r.hops.names(kg))
-        lines.append(
-            f"{body:<{width}} => {kg.predicates[r.predicate]:<16} {r.confidence:.4f}"
-        )
+    bodies = [r.hops.label(kg) for r in rules]
+    width = max(map(len, bodies))
+    lines = [f"{body:<{width}} => {kg.predicates[r.predicate]:<16} {r.confidence:.4f}"
+             for body, r in zip(bodies, rules)]
     return "\n".join(lines) + "\n"

@@ -41,6 +41,10 @@ class RulePattern:
     def names(self, kg: KnowledgeGraph) -> tuple[str, ...]:
         return tuple(kg.predicates[p] for p in self.hops)
 
+    def label(self, kg: KnowledgeGraph) -> str:
+        """The hops' names joined by " & ", as the text reports print a body."""
+        return " & ".join(self.names(kg))
+
 
 def pattern_rows(num_predicates: int, min_len: int, max_len: int, rows) -> np.ndarray:
     """Rows `rows` of the pattern table: every hop tuple of length
@@ -68,6 +72,8 @@ def top_patterns(table: np.ndarray, scores, top_n: int) -> np.ndarray:
     lexicographically smaller hop tuple, and the -1 padding puts a prefix
     before its extensions. Every row is sorted: a caller that ranks many
     rows passes only those that reach the top_n-th value of the primary key.
+    Rules rank by confidence; saturation candidates by minus their predicate
+    slot first, so that each predicate's patterns come out as one block.
     """
     keys = tuple(table[:, j] for j in reversed(range(table.shape[1])))
     keys += tuple(-np.asarray(s) for s in reversed(scores))

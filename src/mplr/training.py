@@ -23,8 +23,10 @@ from .operators import OperatorSet, build_operators
 from .indicators import BifurcationRecord, FORWARD
 from .model import (
     CORRECTED,
+    SETTINGS,
     ModelParams,
     _attention_forward,
+    _check_entities,
     _lookup,
     loss_and_gradients,
     support_scores,
@@ -141,17 +143,8 @@ def train(
         raise ValueError("empty train split")
     ops = ops or build_operators(kg)
     queries = group_queries(splits.train)
-    params = ModelParams(
-        kg.num_predicates,
-        rank=config.rank,
-        max_len=config.max_len,
-        embed_dim=config.embed_dim,
-        hidden_dim=config.hidden_dim,
-        seed=config.seed,
-        normalize=config.normalize,
-        epsilon_mode=config.epsilon_mode,
-        predicates=kg.predicates,
-    )
+    graph = ("num_predicates", "predicates")  # the settings the graph supplies
+    params = ModelParams(**{k: getattr(kg if k in graph else config, k) for k in SETTINGS})
     adam = AdamOptimizer(params.vector, lr=config.learning_rate)
     rng = np.random.default_rng(config.seed)
     stats: list[EpochStats] = []
@@ -301,7 +294,8 @@ def evaluate(
 
     One attention call covers every predicate; the queries are scored in
     chunks of EVAL_CHUNK on their supports, with the queried edge dropped
-    from propagation, and ranked in closed form.
+    from propagation, and ranked in closed form. A head or tail that names no
+    entity of the graph raises ValueError.
     """
     if not triples:
         raise ValueError("empty evaluation split")
@@ -311,6 +305,7 @@ def evaluate(
     order = np.argsort(group, kind="stable")  # per predicate, in split order
     group = group[order]
     h, q, t = np.asarray(triples, dtype=np.int64)[order].T
+    _check_entities(ops.num_entities, h, t)
     ranks = np.empty(len(order))
     # non-finite parameters give inf and nan scores without warnings; the
     # finite check below reports them in one error

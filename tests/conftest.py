@@ -1,9 +1,10 @@
 """Shared fixtures: the six-entity worked example, random graphs, brute-force
-oracles, and a synthetic multi-family kinship dataset generator."""
+oracles, and multi-family kinship datasets from the benchmark's generator."""
 
 import itertools
 import os
 import random
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -32,6 +33,10 @@ from mplr.model import (
     softmax,
 )
 from mplr.operators import IDENTITY_OP, RulePattern
+
+# the kinship generator is the benchmark's own (bench/ is not a package)
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
+from datagen import kinship_triples  # noqa: E402
 
 # ---------------------------------------------------------------------------
 # six-entity toy graph reproducing the worked adjacency/product matrices
@@ -828,81 +833,19 @@ def naive_bernoulli_loss(s, v):
 # ---------------------------------------------------------------------------
 # synthetic multi-family kinship data
 
-KIN_PREDICATES = [
-    "brotherOf", "sisterOf", "fatherOf", "motherOf", "husbandOf", "wifeOf",
-    "sonOf", "daughterOf", "uncleOf", "auntOf", "nephewOf", "nieceOf",
-]
-
-
-def make_family_triples(num_clans=3, seed=0):
+def make_family_triples(num_clans=3, seed=0, groups=1):
     """Two-generation family trees with the twelve kinship relations closed
-    over each tree (blood uncles/aunts only)."""
-    rng = random.Random(seed)
-    triples = set()
-
-    def marry(m, f):
-        triples.add((m, "husbandOf", f))
-        triples.add((f, "wifeOf", m))
-
-    def child_of(kid, gender, father, mother):
-        triples.add((father, "fatherOf", kid))
-        triples.add((mother, "motherOf", kid))
-        rel = "sonOf" if gender == "m" else "daughterOf"
-        triples.add((kid, rel, father))
-        triples.add((kid, rel, mother))
-
-    def siblings(kids):
-        for (a, ga), (b, _) in itertools.permutations(kids, 2):
-            triples.add((a, "brotherOf" if ga == "m" else "sisterOf", b))
-
-    for c in range(num_clans):
-        fresh = itertools.count()
-
-        def person(gender):
-            return f"c{c}_{gender}{next(fresh)}"
-
-        gpa, gma = person("m"), person("f")
-        marry(gpa, gma)
-        parents = []
-        for _ in range(rng.randint(2, 3)):
-            g = rng.choice("mf")
-            kid = person(g)
-            child_of(kid, g, gpa, gma)
-            parents.append((kid, g))
-        siblings(parents)
-        for kid, g in parents:
-            spouse = person("f" if g == "m" else "m")
-            if g == "m":
-                marry(kid, spouse)
-                father, mother = kid, spouse
-            else:
-                marry(spouse, kid)
-                father, mother = spouse, kid
-            grandkids = []
-            for _ in range(rng.randint(1, 3)):
-                gg = rng.choice("mf")
-                gk = person(gg)
-                child_of(gk, gg, father, mother)
-                grandkids.append((gk, gg))
-            siblings(grandkids)
-            for u, ug in parents:
-                if u == kid:
-                    continue
-                for gk, gg in grandkids:
-                    triples.add((u, "uncleOf" if ug == "m" else "auntOf", gk))
-                    triples.add((gk, "nephewOf" if gg == "m" else "nieceOf", u))
-    return sorted(triples)
+    over each tree: the benchmark's generator (`bench/datagen.py`) with 2-3
+    children per clan and 1-3 grandchildren per child; with groups > 1 each
+    relation r becomes the copies r_g0 .. r_g{groups-1}, clan c using copy
+    c % groups."""
+    return kinship_triples(random.Random(seed), num_clans, (2, 3), (1, 3), groups)
 
 
 def write_family_dataset(root, num_clans=3, seed=0, fractions=(0.84, 0.08, 0.08),
                          groups=1):
-    """Kinship splits on disk; with groups > 1 each relation r becomes the
-    copies r_g0 .. r_g{groups-1}, clan c using copy c % groups."""
-    triples = make_family_triples(num_clans, seed)
-    if groups > 1:
-        triples = [
-            (h, f"{r}_g{int(h.split('_')[0][1:]) % groups}", t) for h, r, t in triples
-        ]
+    """`make_family_triples`, shuffled from seed + 1 and split to disk."""
+    triples = make_family_triples(num_clans, seed, groups)
     rng = random.Random(seed + 1)
     rng.shuffle(triples)
     n = len(triples)

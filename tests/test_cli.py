@@ -8,7 +8,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mplr.cli import OPTIONS, _resolve, main
+from mplr.cli import OPTIONS, SPLIT_FILES, _resolve, _train_config, main
+from mplr.kg import load_dataset
+from mplr.model import load_checkpoint
+from mplr.training import TrainConfig
 
 from conftest import write_family_dataset
 
@@ -250,6 +253,45 @@ class TestPipeline:
         assert proc.returncode == 1
         assert proc.stderr.startswith(f"error: {message}")
         assert proc.stderr.count("\n") == 1
+
+    def test_checkpoint_records_every_model_setting_given(self, kin_dir, tmp_path):
+        out = tmp_path / "run"
+        assert run("train", "--dataset-dir", kin_dir, "--out", out, "--epochs", 1,
+                   "--rank", 2, "--max-rule-len", 3, "--embed-dim", 6,
+                   "--hidden-dim", 5, "--seed", 4, "--normalize", "l1",
+                   "--epsilon-mode", "literal") == 0
+        kg, _, _ = load_dataset(*(kin_dir / name for name in SPLIT_FILES))
+        assert load_checkpoint(out / "checkpoint.npz").meta() == {
+            "num_predicates": kg.num_predicates, "rank": 2, "max_len": 3,
+            "embed_dim": 6, "hidden_dim": 5, "seed": 4, "normalize": "l1",
+            "epsilon_mode": "literal", "predicates": kg.predicates, "gate_order": "ifgo",
+        }
+
+    def test_train_config_reads_every_training_option(self):
+        _, settings = _resolve(["train", "--batch-size", "7", "--lr", "0.25",
+                                "--epochs", "4", "--patience", "2",
+                                "--max-rule-len", "3", "--normalize", "none"])
+        assert _train_config(settings) == TrainConfig(
+            max_len=3, batch_size=7, learning_rate=0.25, max_epochs=4, patience=2,
+            normalize=None,
+        )
+
+    def test_train_only_defaults_are_train_configs(self):
+        train_only = {key: option.default for key, option in OPTIONS.items()
+                      if option.commands == ("train",)}
+        field = {"epochs": "max_epochs"}
+        assert sorted(train_only) == [
+            "batch_size", "embed_dim", "epochs", "epsilon_mode", "hidden_dim",
+            "learning_rate", "normalize", "patience", "rank",
+        ]
+        assert train_only == {key: getattr(TrainConfig(), field.get(key, key))
+                              for key in train_only}
+
+    @pytest.mark.parametrize("command", ["indicators", "train", "eval", "rules"])
+    def test_out_is_required(self, kin_dir, tiny_checkpoint, capsys, command):
+        ckpt = ["--checkpoint", tiny_checkpoint] if command in ("eval", "rules") else []
+        assert run(command, "--dataset-dir", kin_dir, *ckpt) == 1
+        assert capsys.readouterr().err == "error: --out is required\n"
 
     def test_train_ignores_the_eval_only_ks(self, kin_dir, tmp_path):
         # ks sets eval's report; train keeps only the validation MRR

@@ -14,6 +14,7 @@ from mplr.indicators import (
     CostBudgetError,
     EmptySubgraphError,
     bifurcation,
+    bifurcation_table,
     estimate_cost,
     sample_subgraph,
     saturation_report,
@@ -378,8 +379,9 @@ class TestReport:
     def test_records_are_the_best_rows_of_the_scan(self, max_len, top_n):
         # every row of the scan sorted by eta, then gamma, both descending,
         # then hop tuple, a prefix before its extensions; sparse graphs leave
-        # most patterns at 0, so the zero rows fill many of the cuts
-        for seed in range(8):
+        # most patterns at 0, so the zero rows fill many of the cuts; seeds
+        # 65, 90, 96 and 110 tie two patterns on eta but not on gamma
+        for seed in (*range(8), 65, 90, 96, 110):
             kg = random_kg(seed, num_entities=7, num_predicates=3, edge_prob=0.15)
             active = [q for q in range(kg.num_predicates) if kg.num_edges(q)]
             gamma, delta = dense_scan(kg, OperatorSet(kg), max_len, active, True)
@@ -512,6 +514,13 @@ class TestReport:
         assert "unused" in caplog.text
         assert all(r.predicate == 0 for r in records)
 
+    def test_nothing_to_report_gives_no_records(self, caplog):
+        kg = KnowledgeGraph(["a", "b"], ["r", "unused"], [(0, 0, 1)])
+        assert saturation_report(kg, max_len=2, top_n=0) == []
+        with caplog.at_level(logging.WARNING):
+            assert saturation_report(kg, max_len=2, predicates=[1]) == []
+        assert "unused" in caplog.text
+
     def test_budget_gate(self, family_data):
         kg, _, _ = family_data
         assert estimate_cost(kg, 2) > 0
@@ -544,3 +553,7 @@ class TestReport:
         assert "gamma=" in table
         recs = [bifurcation(kg, 0, FORWARD, 3)]
         assert "predicate\tdirection" in bifurcation_tsv(recs, kg)
+
+    def test_renderers_of_no_records(self, toy_kg):
+        assert saturation_table([], toy_kg) == "(no saturation records)\n"
+        assert bifurcation_table([], toy_kg) == "(no bifurcation records)\n"

@@ -128,6 +128,12 @@ class TestLoading:
         with pytest.raises(ValueError, match="graph source names no split"):
             load_dataset(*paths, graph_source=())
 
+    def test_split_by_name(self, tmp_path):
+        paths = write_dataset(tmp_path, "a\tr\tb\n", valid="b\tr\tc\n", test="c\tr\ta\n")
+        _, splits, _ = load_dataset(*paths)
+        assert [splits.split(name) for name in ("train", "valid", "test")] == [
+            [(0, 0, 1)], [(1, 0, 2)], [(2, 0, 0)]]
+
     def test_inverse_of_a_name_already_loaded_keeps_its_index(self, tmp_path):
         # a name spelled like an inverse is an ordinary predicate: it keeps its
         # first-appearance index and no reversed edges are added to the graph

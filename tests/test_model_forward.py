@@ -152,6 +152,26 @@ class TestAttention:
         assert peak <= 20e6
 
 
+class TestEntityIndices:
+    @pytest.mark.parametrize("head, tail", [(0, 7), (0, -1), (0, 3), (0, 4),
+                                            (5, 0), (3, 0), (-1, 0)])
+    @pytest.mark.parametrize("entry", ["evaluate", "loss_and_gradients"])
+    def test_index_outside_the_entities_is_refused(self, entry, head, tail):
+        # an out-of-range tail used to give evaluate an MRR of 0.4; an
+        # out-of-range head failed with a bare IndexError or numpy's message
+        kg = KnowledgeGraph(["a", "b", "c"], ["p"], [(0, 0, 1), (1, 0, 2)])
+        ops = build_operators(kg)
+        params = ModelParams(1, rank=1, max_len=2, embed_dim=4, hidden_dim=4)
+        bad = tail if head in (0, 1, 2) else head
+        message = rf"entity index {bad} out of range: the graph has 3 entities, 0\.\.2"
+        with pytest.raises(ValueError, match=message):
+            if entry == "evaluate":
+                evaluate(kg, params, [(0, 0, 1), (head, 0, tail)], ops=ops)
+            else:
+                batch = [MultiTargetQuery(0, 0, (1,)), MultiTargetQuery(head, 0, (tail,))]
+                loss_and_gradients(ops, params, batch)
+
+
 class TestScoreQuery:
     def test_pure_pattern_path_count(self, toy):
         kg, ops = toy
@@ -426,6 +446,11 @@ class TestNormalization:
         l1 = score_entities(ops, attn, [head], normalize="l1")[0]
         np.testing.assert_allclose(l1, raw / np.abs(raw).sum(), atol=1e-12)
 
+    def test_unknown_mode_is_refused(self, toy):
+        _, ops = toy
+        with pytest.raises(ValueError, match="unknown normalize mode 'l3'"):
+            score_entities(ops, one_hot_attention(4, [0, 0]), [0], normalize="l3")
+
     def test_zero_state_rows_left_alone(self, toy):
         kg, ops = toy
         e, p = kg.entity_index, kg.predicate_index
@@ -517,6 +542,14 @@ class TestLoss:
 
 
 class TestCheckpoint:
+    def test_name_list_of_the_wrong_length_is_refused(self):
+        with pytest.raises(ValueError, match="2 predicate names for 3 predicates"):
+            ModelParams(3, predicates=["p0", "p1"])
+
+    def test_attention_tensor_must_be_three_dimensional(self):
+        with pytest.raises(ValueError, match="rank x hops x operators"):
+            AttentionTensor(np.full((2, 4), 0.25))
+
     def test_round_trip_bit_identical(self, tmp_path):
         params = ModelParams(
             6, rank=2, max_len=2, embed_dim=10, hidden_dim=7, seed=5,

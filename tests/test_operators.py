@@ -404,3 +404,10 @@ class TestEnumeratePatterns:
     def test_invalid_range(self):
         with pytest.raises(ValueError):
             list(enumerate_patterns(2, 3, 2))
+
+    def test_pattern_names_and_label(self, toy_kg):
+        pattern = RulePattern((1, 0))
+        assert pattern.names(toy_kg) == ("sisterOf", "daughterOf")
+        assert pattern.label(toy_kg) == "sisterOf & daughterOf"
+        with pytest.raises(ValueError, match="empty rule pattern"):
+            RulePattern(())

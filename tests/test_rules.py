@@ -163,3 +163,4 @@ class TestExtractRules:
         assert tsv.startswith("rule\tpredicate\tconfidence")
         table = rules_table(rules, toy_kg)
         assert "=> daughterOf" in table
+        assert rules_table([], toy_kg) == "(no rules)\n"
