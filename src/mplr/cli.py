@@ -23,6 +23,7 @@ from . import indicators as ind
 from .kg import load_dataset
 from .model import (
     EPSILON_MODES,
+    NORMALIZE_MODES,
     extract_rules,
     load_checkpoint,
     rules_table,
@@ -65,7 +66,9 @@ OPTIONS = {
     "batch_size": Option(TRAIN.batch_size, int, ("train",), minimum=1),
     "learning_rate": Option(TRAIN.learning_rate, float, ("train",), "--lr", minimum=0.0),
     "patience": Option(TRAIN.patience, int, ("train",), minimum=1),
-    "normalize": Option(TRAIN.normalize, ("l1", "l2", "none"), ("train",)),
+    # the model's modes, with None spelled none and listed last
+    "normalize": Option(TRAIN.normalize, tuple(sorted(
+        (mode or "none" for mode in NORMALIZE_MODES), key="none".__eq__)), ("train",)),
     "epsilon_mode": Option(TRAIN.epsilon_mode, EPSILON_MODES, ("train",)),
     "checkpoint": Option(None, str, ("eval", "rules")),
     "ks": Option("1,3,10", str, ("eval",)),

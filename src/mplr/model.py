@@ -16,7 +16,8 @@ entities a query reaches in l hops do not depend on the attention. States
 live only on that support, as (row, entity) keys, and one edge-list kernel
 propagates them forward and back, in training and in evaluation. An entity
 off the support scores 0: it adds log 2 to the loss and counts in closed
-form when ranking. Evaluation scores the test queries in fixed chunks.
+form when ranking. Evaluation scores the test queries in chunks sized by
+the out-edges of their heads, the edges the first hop gathers.
 
 All gradients are exact reverse-mode, hand-derived, and validated against
 central finite differences in the test suite. Everything is deterministic
@@ -857,8 +858,10 @@ def rules_from_attention(
     bit as a walk over all (|P|+1)^L sequences would.
     Rules of confidence 0 are dropped (attention weights are non-negative,
     so those are the rules no sequence reaches); ties go to the
-    lexicographically smaller hop tuple.
+    lexicographically smaller hop tuple. A top_n below 1 gives no rules.
     """
+    if top_n < 1:
+        return []
     weights = attn.weights
     R, L, K = weights.shape
     P = K - 1

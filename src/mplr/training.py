@@ -35,7 +35,10 @@ from .model import (
 from .model import attention_forward, score_entities  # noqa: F401
 
 TIE_RULE = "mean-rank-among-ties"
-EVAL_CHUNK = 128  # test queries scored at once, which bounds evaluation memory
+# first-hop edges of the test queries scored at once, which bounds the first
+# level of evaluation memory: a graph of mean out-degree d gets about
+# 4096 / (d + 1) queries per chunk; deeper hops are not bounded
+EVAL_EDGES = 4096
 ADAM_BLOCK = 16_384  # elements per in-place Adam block, sized to stay in cache
 
 
@@ -292,27 +295,48 @@ def evaluate(
 ) -> EvalReport:
     """Filtered link-prediction metrics over (h, q, ?) queries, one per triple.
 
-    One attention call covers every predicate; the queries are scored in
-    chunks of EVAL_CHUNK on their supports, with the queried edge dropped
-    from propagation, and ranked in closed form. A head or tail that names no
-    entity of the graph raises ValueError.
+    `triples` is a list or an (n, 3) array of (head, predicate, tail). One
+    attention call covers every predicate. The queries, grouped by predicate,
+    are scored on their supports in chunks of consecutive queries whose heads
+    own at most EVAL_EDGES first-hop edges (a chunk holds at least one query),
+    with the queried edge dropped from propagation, and ranked in closed
+    form. An empty split, a row that is not three integers, a k below 1 and
+    a head or tail that names no entity of the graph raise ValueError.
     """
-    if not triples:
+    try:
+        triples = np.asarray(triples)
+    except ValueError:  # ragged rows
+        triples = None
+    if triples is not None and triples.size == 0:
         raise ValueError("empty evaluation split")
+    if triples is None or triples.shape[1:] != (3,) or triples.dtype.kind not in "iu":
+        raise ValueError("evaluation rows must be (head, predicate, tail) index triples")
+    triples = triples.astype(np.int64, copy=False)
+    if any(k < 1 for k in ks):
+        raise ValueError(f"hit@k needs every k to be at least 1, not {tuple(ks)}")
     ops = ops or build_operators(kg)
-    index: dict[int, int] = {}
-    group = np.array([index.setdefault(q, len(index)) for _, q, _ in triples])
+    # predicates in order of first appearance; group g holds the g-th one
+    preds, first, group = np.unique(triples[:, 1], return_index=True, return_inverse=True)
+    by_first = np.argsort(first)
+    index = preds[by_first].tolist()
+    group = np.argsort(by_first)[group]
     order = np.argsort(group, kind="stable")  # per predicate, in split order
     group = group[order]
-    h, q, t = np.asarray(triples, dtype=np.int64)[order].T
+    h, q, t = triples[order].T
     _check_entities(ops.num_entities, h, t)
+    # a chunk ends before the query whose head's out-edges, identity loop
+    # included, would take its first hop past EVAL_EDGES
+    edges = np.zeros(len(h) + 1, dtype=np.int64)
+    np.cumsum(ops.indptr[h + 1] - ops.indptr[h], out=edges[1:])
     ranks = np.empty(len(order))
     # non-finite parameters give inf and nan scores without warnings; the
     # finite check below reports them in one error
     with np.errstate(over="ignore", invalid="ignore"):
-        weights = _attention_forward(params, list(index))
-        for start in range(0, len(order), EVAL_CHUNK):
-            c = slice(start, start + EVAL_CHUNK)
+        weights = _attention_forward(params, index)
+        start = 0
+        while start < len(h):
+            stop = np.searchsorted(edges, edges[start] + EVAL_EDGES, side="right") - 1
+            c = slice(start, max(stop, start + 1))
             keys, scores = support_scores(
                 ops, weights, group[c], h[c], excluded=(q[c] + 1, t[c]),
                 normalize=params.normalize,
@@ -323,6 +347,7 @@ def evaluate(
                 pred = q[c][keys[bad][0] // ops.num_entities]
                 raise ValueError(f"non-finite scores for predicate {kg.predicates[pred]!r}")
             ranks[c] = _ranks(keys, scores, ops.num_entities, h[c], t[c])
+            start = c.stop
     rr = 1.0 / ranks
     hits = {k: np.where(ranks <= k, 1.0, 0.0) for k in ks}
     bounds = np.searchsorted(group, np.arange(len(index) + 1))

@@ -8,9 +8,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mplr.cli import OPTIONS, SPLIT_FILES, _resolve, _train_config, main
+from mplr.cli import OPTIONS, SPLIT_FILES, CliError, _resolve, _train_config, main
 from mplr.kg import load_dataset
-from mplr.model import load_checkpoint
+from mplr.model import NORMALIZE_MODES, load_checkpoint
 from mplr.training import TrainConfig
 
 from conftest import write_family_dataset
@@ -286,6 +286,16 @@ class TestPipeline:
         ]
         assert train_only == {key: getattr(TrainConfig(), field.get(key, key))
                               for key in train_only}
+
+    def test_normalize_choices_are_the_models_modes(self):
+        choices = OPTIONS["normalize"].kind
+        assert sorted(choices) == sorted(mode or "none" for mode in NORMALIZE_MODES)
+        assert choices[-1] == "none"
+        for mode in NORMALIZE_MODES:
+            _, settings = _resolve(["train", "--normalize", mode or "none"])
+            assert _train_config(settings).normalize == mode
+        with pytest.raises(CliError, match="^normalize must be l1/l2/none, not 'l3'$"):
+            _resolve(["train", "--normalize", "l3"])
 
     @pytest.mark.parametrize("command", ["indicators", "train", "eval", "rules"])
     def test_out_is_required(self, kin_dir, tiny_checkpoint, capsys, command):

@@ -154,6 +154,15 @@ class TestExtractRules:
         total = sum(r.confidence for r in rules)
         assert total <= 3.0 + 1e-9
 
+    @pytest.mark.parametrize("top_n", [0, -1, -5])
+    def test_top_n_below_one_gives_no_rules(self, top_n):
+        # 3 predicates at L = 2 have 12 rules; a negative slice once kept 12 + top_n
+        params = ModelParams(3, rank=2, max_len=2, embed_dim=6, hidden_dim=6, seed=1)
+        assert len(extract_rules(params, query=0, top_n=100)) == 12
+        assert extract_rules(params, query=0, top_n=top_n) == []
+        a = mplr.model.attention_forward(params, 0)
+        assert rules_from_attention(a, query=0, top_n=top_n) == []
+
     def test_renderers(self, toy_kg):
         params = ModelParams(
             toy_kg.num_predicates, rank=1, max_len=2, embed_dim=6, hidden_dim=6, seed=2

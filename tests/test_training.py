@@ -450,6 +450,34 @@ class TestEvaluate:
         with pytest.raises(ValueError, match="empty"):
             evaluate(kg, params, [])
 
+    def test_array_split_equals_list_split(self, trained):
+        kg, splits, params = trained
+        want = evaluate(kg, params, splits.valid).as_tsv()
+        assert evaluate(kg, params, np.array(splits.valid)).as_tsv() == want
+
+    @pytest.mark.parametrize("triples, message", [
+        pytest.param(np.empty((0, 3), dtype=np.int64), "^empty evaluation split$",
+                     id="empty-array"),
+        pytest.param([(0, 0)], "^evaluation rows must be", id="two-fields"),
+        pytest.param(np.zeros((2, 4), dtype=np.int64), "^evaluation rows must be",
+                     id="four-columns"),
+        pytest.param([(0, 0, 1), (0, 0)], "^evaluation rows must be", id="ragged"),
+        pytest.param([0, 0, 1], "^evaluation rows must be", id="one-flat-row"),
+        pytest.param([("a", "q", "b")], "^evaluation rows must be", id="names"),
+        pytest.param([(0.7, 0, 1)], "^evaluation rows must be", id="floats"),
+        pytest.param(5, "^evaluation rows must be", id="scalar"),
+    ])
+    def test_malformed_split_rejected(self, trained, triples, message):
+        kg, _, params = trained
+        with pytest.raises(ValueError, match=message):
+            evaluate(kg, params, triples)
+
+    @pytest.mark.parametrize("ks", [(0,), (1, 0), (-3, 10)])
+    def test_k_below_one_rejected(self, trained, ks):
+        kg, splits, params = trained
+        with pytest.raises(ValueError, match="^hit@k needs every k to be at least 1"):
+            evaluate(kg, params, splits.valid, ks=ks)
+
     def test_non_finite_scores_rejected(self, trained, monkeypatch):
         kg, splits, params = trained
         real = training.support_scores
@@ -462,6 +490,81 @@ class TestEvaluate:
         monkeypatch.setattr(training, "support_scores", poisoned)
         with pytest.raises(ValueError, match="non-finite scores for predicate 'q'"):
             evaluate(kg, params, splits.valid)
+
+
+def chunk_heads(monkeypatch):
+    """The heads of each chunk that `evaluate` scores, one list per call."""
+    calls = []
+    real = training.support_scores
+
+    def recorded(ops, weights, groups, heads, **kwargs):
+        calls.append(heads.tolist())
+        return real(ops, weights, groups, heads, **kwargs)
+
+    monkeypatch.setattr(training, "support_scores", recorded)
+    return calls
+
+
+class TestEvalChunks:
+    """Rows are propagated independently and each row's sums run in edge
+    order, so where the chunks split cannot change a report."""
+
+    @pytest.mark.parametrize("normalize", [None, "l1", "l2"])
+    @pytest.mark.parametrize("max_len", [2, 3])
+    def test_report_independent_of_the_edge_budget(self, family_data, monkeypatch,
+                                                   max_len, normalize):
+        kg, splits, _ = family_data
+        ops = kg.operators
+        triples = splits.train + splits.valid + splits.test
+        params = ModelParams(kg.num_predicates, rank=3, max_len=max_len, embed_dim=6,
+                             hidden_dim=5, seed=2, normalize=normalize)
+        calls = chunk_heads(monkeypatch)
+        reports = {}
+        for budget in (1, 64, training.EVAL_EDGES, 10**9):
+            monkeypatch.setattr(training, "EVAL_EDGES", budget)
+            calls.clear()
+            reports[budget] = evaluate(kg, params, triples, ops=ops).as_tsv()
+            # every query is scored once, and only a chunk of one passes the budget
+            assert sorted(sum(calls, [])) == sorted(h for h, _, _ in triples)
+            for heads in calls:
+                edges = sum(ops.indptr[h + 1] - ops.indptr[h] for h in heads)
+                assert len(heads) == 1 or edges <= budget
+            if budget == 1:
+                assert len(calls) == len(triples)
+            if budget == 64:
+                assert 1 < len(calls) < len(triples)
+            if budget == 10**9:
+                assert len(calls) == 1
+        assert len(set(reports.values())) == 1
+
+    def test_answers_off_the_support_independent_of_the_edge_budget(self, monkeypatch):
+        # off-support answers and a head without out-edges rank in closed form
+        kg = support_kg()
+        params = ModelParams(3, rank=2, max_len=2, embed_dim=6, hidden_dim=5, seed=1)
+        triples = SUPPORT_CASES + kg.triples
+        reports = set()
+        for budget in (1, 7, 10**9):
+            monkeypatch.setattr(training, "EVAL_EDGES", budget)
+            reports.add(evaluate(kg, params, triples).as_tsv())
+        assert len(reports) == 1
+
+    def test_hub_head_gets_a_chunk_of_its_own(self, monkeypatch):
+        # e0 points at every other entity under p0; e1..e5 have two out-edges each
+        n = 30
+        edges = {(0, 0, t) for t in range(1, n)}
+        edges |= {(h, p, h + 1 + p) for h in range(1, 6) for p in (0, 1)}
+        kg = KnowledgeGraph([f"e{i}" for i in range(n)], ["p0", "p1"], sorted(edges))
+        ops = kg.operators
+        assert ops.indptr[1] - ops.indptr[0] == n  # its edges and its identity loop
+        triples = [(1, 0, 2), (2, 0, 3), (0, 0, 5), (3, 0, 4), (0, 0, 9), (4, 1, 6)]
+        params = ModelParams(2, rank=2, max_len=2, embed_dim=4, hidden_dim=4, seed=0)
+        calls = chunk_heads(monkeypatch)
+        monkeypatch.setattr(training, "EVAL_EDGES", 10)
+        got = evaluate(kg, params, triples, ops=ops).as_tsv()
+        # p0's queries in split order, then p1's; 3 edges per light head
+        assert calls == [[1, 2], [0], [3], [0], [4]]
+        monkeypatch.setattr(training, "EVAL_EDGES", 10**9)
+        assert evaluate(kg, params, triples, ops=ops).as_tsv() == got
 
 
 class TestHitUpperBound:
