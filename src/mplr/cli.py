@@ -20,7 +20,7 @@ from pathlib import Path
 from typing import NamedTuple
 
 from . import indicators as ind
-from .kg import load_dataset
+from .kg import load_dataset, read_text
 from .model import (
     EPSILON_MODES,
     NORMALIZE_MODES,
@@ -93,7 +93,7 @@ class _Parser(argparse.ArgumentParser):
 
 def _parse_config_file(path):
     settings = {}
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), 1):
+    for lineno, raw in enumerate(read_text(path).splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -163,7 +163,8 @@ def _prepare_out(settings, filenames):
     out = Path(out)
     out.mkdir(parents=True, exist_ok=True)
     if not settings["overwrite"]:
-        clobbered = [str(out / f) for f in filenames if (out / f).exists()]
+        clobbered = [str(out / f) for f in [*filenames, "manifest.txt"]
+                     if (out / f).exists()]
         if clobbered:
             raise CliError(
                 "refusing to overwrite existing outputs (use --overwrite): "

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kg import KnowledgeGraph
+from .kg import KnowledgeGraph, tsv
 from .operators import (RulePattern, build_operators, concat_ranges, pattern_rows,
                         top_patterns)
 # the per-triplet path count, which the scan does not call; bench/tracing.py
@@ -328,13 +328,9 @@ def saturation_report(
 # report rendering
 
 def saturation_tsv(records, kg) -> str:
-    lines = ["pattern\tpredicate\tgamma\tdelta\teta"]
-    for r in records:
-        lines.append(
-            f"{','.join(r.pattern.names(kg))}\t"
-            f"{kg.predicates[r.predicate]}\t{r.gamma!r}\t{r.delta!r}\t{r.eta!r}"
-        )
-    return "\n".join(lines) + "\n"
+    return tsv(["pattern", "predicate", "gamma", "delta", "eta"],
+               ([",".join(r.pattern.names(kg)), kg.predicates[r.predicate],
+                 r.gamma, r.delta, r.eta] for r in records))
 
 
 def saturation_table(records, kg) -> str:
@@ -359,13 +355,9 @@ def saturation_table(records, kg) -> str:
 
 
 def bifurcation_tsv(records, kg) -> str:
-    lines = ["predicate\tdirection\tlambda\tproportion"]
-    for r in records:
-        for lam in sorted(r.proportions):
-            lines.append(
-                f"{kg.predicates[r.predicate]}\t{r.direction}\t{lam}\t{r.proportions[lam]!r}"
-            )
-    return "\n".join(lines) + "\n"
+    return tsv(["predicate", "direction", "lambda", "proportion"],
+               ([kg.predicates[r.predicate], r.direction, lam, r.proportions[lam]]
+                for r in records for lam in sorted(r.proportions)))
 
 
 def bifurcation_table(records, kg) -> str:

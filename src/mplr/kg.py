@@ -1,4 +1,4 @@
-"""Knowledge graph loading, vocabularies, and query grouping.
+"""Knowledge graph loading, vocabularies, query grouping, and TSV reports.
 
 Triple files are UTF-8 text, one triple per line, three TAB-separated fields:
 head, relation, tail. Entity and predicate identifiers are opaque strings;
@@ -24,6 +24,7 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
@@ -195,6 +196,21 @@ class LoadSummary:
         return "\n".join(lines) + "\n"
 
 
+def read_text(path) -> str:
+    """A UTF-8 file's text; ValueError, naming the path, if it is not UTF-8."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
+
+
+def tsv(header, rows, preamble=()) -> str:
+    """A TAB-separated report: the preamble lines, the header, one line per
+    row with each field written by str (a float as its repr), a final newline."""
+    lines = [*preamble, "\t".join(header), *("\t".join(map(str, row)) for row in rows)]
+    return "\n".join(lines) + "\n"
+
+
 def _triple_fields(path) -> list[str]:
     """The stripped fields of one TAB-separated triple file, three per non-empty
     line in line order; raises TripleParseError with the line number.
@@ -203,8 +219,7 @@ def _triple_fields(path) -> list[str]:
     stripped fields of one split of the lines joined by tabs; only a file
     that fails is walked line by line, to name its first bad line.
     """
-    with open(path, encoding="utf-8") as fh:
-        numbered = fh.read().split("\n")
+    numbered = read_text(path).split("\n")
     lines = list(filter(None, numbered))
     if not lines:
         return []

@@ -33,6 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .kg import tsv
 from .operators import OperatorSet, RulePattern, pattern_rows, top_patterns
 
 GATE_ORDER = "ifgo"  # slices of the fused 4*hidden gate tensors
@@ -91,6 +92,34 @@ def packed(shapes, flat=None):
     return views
 
 
+def _tensor_shapes(num_predicates, rank, max_len, embed_dim, hidden_dim, seed,
+                   normalize, epsilon_mode, predicates):
+    """Every tensor's shape, by name in the parameter vector's order, that
+    the settings build; ValueError for settings out of range. A direction
+    holds only the cell tensors some step of its unroll reads (`ModelParams`)."""
+    if normalize not in NORMALIZE_MODES:
+        raise ValueError(f"normalize must be one of {NORMALIZE_MODES}")
+    if epsilon_mode not in EPSILON_MODES:
+        raise ValueError(f"epsilon_mode must be one of {EPSILON_MODES}")
+    if min(num_predicates, rank, max_len, embed_dim, hidden_dim) < 1:
+        raise ValueError("all model dimensions must be positive")
+    if seed < 0:
+        raise ValueError(f"seed must be at least 0, not {seed}")
+    if predicates is not None and len(predicates) != num_predicates:
+        raise ValueError(f"{len(predicates)} predicate names for {num_predicates} predicates")
+    dh, de = hidden_dim, embed_dim
+    cell = {"Wx": (de, 4 * dh), "Wh": (dh, 4 * dh), "b": (4 * dh,)}
+    reads_from = {"Wx": 1, "Wh": 2, "b": 1}  # the steps a cell runs before reading it
+    shapes = {"query_emb": (num_predicates, de)}
+    for direction, steps in (("fwd", max_len), ("bwd", max_len - 1)):
+        for name, shape in cell.items():
+            if steps >= reads_from[name]:
+                shapes[f"{direction}_{name}"] = (rank, *shape)
+    shapes["proj_W"] = (2 * dh, num_predicates + 1)
+    shapes["proj_b"] = (num_predicates + 1,)
+    return shapes
+
+
 class ModelParams:
     """All trainable state: query embeddings, R bidirectional cells, shared projection.
 
@@ -115,39 +144,13 @@ class ModelParams:
     it was trained on.
     """
 
-    def __init__(
-        self,
-        num_predicates,
-        rank=3,
-        max_len=2,
-        embed_dim=128,
-        hidden_dim=128,
-        seed=0,
-        normalize="l2",
-        epsilon_mode=CORRECTED,
-        predicates=None,
-    ):
-        if normalize not in NORMALIZE_MODES:
-            raise ValueError(f"normalize must be one of {NORMALIZE_MODES}")
-        if epsilon_mode not in EPSILON_MODES:
-            raise ValueError(f"epsilon_mode must be one of {EPSILON_MODES}")
-        if min(num_predicates, rank, max_len, embed_dim, hidden_dim) < 1:
-            raise ValueError("all model dimensions must be positive")
-        if seed < 0:
-            raise ValueError(f"seed must be at least 0, not {seed}")
-        if predicates is not None and len(predicates) != num_predicates:
-            raise ValueError(
-                f"{len(predicates)} predicate names for {num_predicates} predicates"
-            )
-        self.num_predicates = num_predicates
-        self.rank = rank
-        self.max_len = max_len
-        self.embed_dim = embed_dim
-        self.hidden_dim = hidden_dim
-        self.seed = seed
-        self.normalize = normalize
-        self.epsilon_mode = epsilon_mode
-        self.predicates = None if predicates is None else list(predicates)
+    def __init__(self, num_predicates, rank=3, max_len=2, embed_dim=128, hidden_dim=128,
+                 seed=0, normalize="l2", epsilon_mode=CORRECTED, predicates=None):
+        settings = dict(zip(SETTINGS, (
+            num_predicates, rank, max_len, embed_dim, hidden_dim, seed, normalize,
+            epsilon_mode, None if predicates is None else list(predicates))))
+        shapes = _tensor_shapes(**settings)
+        vars(self).update(settings)  # each setting is an attribute of its name
 
         rng = np.random.default_rng(seed)
 
@@ -158,18 +161,9 @@ class ModelParams:
             out *= bound - -bound
             out += -bound
 
-        dh, de = hidden_dim, embed_dim
-        cell = {"Wx": (de, 4 * dh), "Wh": (dh, 4 * dh), "b": (4 * dh,)}
-        reads_from = {"Wx": 1, "Wh": 2, "b": 1}  # the steps a cell runs before reading it
-        shapes = {"query_emb": (num_predicates, de)}
-        for direction, steps in (("fwd", max_len), ("bwd", max_len - 1)):
-            for name, shape in cell.items():
-                if steps >= reads_from[name]:
-                    shapes[f"{direction}_{name}"] = (rank, *shape)
-        shapes["proj_W"] = (2 * dh, num_predicates + 1)
-        shapes["proj_b"] = (num_predicates + 1,)
         self.vector = np.zeros(sum(math.prod(shape) for shape in shapes.values()))
         t = self.tensors = packed(shapes, self.vector)
+        dh, de = hidden_dim, embed_dim
         uniform(t["query_emb"], de)
         for r in range(rank):
             for direction in ("fwd", "bwd"):
@@ -177,8 +171,8 @@ class ModelParams:
                     key = f"{direction}_{name}"
                     if key in t:
                         uniform(t[key][r], fan_in)
-                    else:
-                        rng.bit_generator.advance(math.prod(cell[name]))
+                    else:  # the (fan_in, 4 * hidden) draws of a dropped tensor
+                        rng.bit_generator.advance(fan_in * 4 * dh)
         for key in ("fwd_b", "bwd_b"):
             if key in t:
                 t[key][:, dh : 2 * dh] = 1.0
@@ -202,28 +196,26 @@ class ModelParams:
         return {key: getattr(self, key) for key in SETTINGS} | {"gate_order": GATE_ORDER}
 
 
-def _members(params):
-    """(name, array) of every checkpoint member, in the file's order: rank
-    r's slice of a cell tensor is the member cell{r}_{direction}_{name}."""
-    t = params.tensors
-    cells = [key for key in t if key[:4] in ("fwd_", "bwd_")]
-    yield "query_emb", t["query_emb"]
-    for r in range(params.rank):
+def _members(shapes, rank):
+    """(member, tensor name, index) of every checkpoint member in the file's
+    order, one at a time: the member is tensors[name][index], and rank r's
+    slice of a cell tensor is the member cell{r}_{direction}_{name}."""
+    cells = [key for key in shapes if key[:4] in ("fwd_", "bwd_")]
+    yield "query_emb", "query_emb", ()
+    for r in range(rank):
         for key in cells:
-            yield f"cell{r}_{key}", t[key][r]
-    yield "proj_W", t["proj_W"]
-    yield "proj_b", t["proj_b"]
+            yield f"cell{r}_{key}", key, (r,)
+    for key in ("proj_W", "proj_b"):
+        yield key, key, ()
 
 
 def save_checkpoint(params: ModelParams, path) -> None:
     """Self-describing container: hyperparameters plus every tensor, bit-exact."""
     meta = json.dumps(params.meta()).encode()
+    members = _members(params.shapes(), params.rank)
     with open(path, "wb") as fh:
-        np.savez(
-            fh,
-            __meta__=np.frombuffer(meta, dtype=np.uint8),
-            **dict(_members(params)),
-        )
+        np.savez(fh, __meta__=np.frombuffer(meta, dtype=np.uint8),
+                 **{member: params.tensors[key][index] for member, key, index in members})
 
 
 def load_checkpoint(path) -> ModelParams:
@@ -236,7 +228,10 @@ def load_checkpoint(path) -> ModelParams:
     with data:
         if "__meta__" not in data.files:
             raise ValueError("not an mplr checkpoint: missing '__meta__'")
-        meta = json.loads(bytes(data["__meta__"].tobytes()))
+        try:
+            meta = json.loads(bytes(data["__meta__"].tobytes()))
+        except ValueError as exc:  # UnicodeDecodeError is one
+            raise ValueError(f"not an mplr checkpoint: '__meta__' is not JSON ({exc})") from None
         for key in (*SETTINGS, "gate_order"):
             if not isinstance(meta, dict) or key not in meta:
                 raise ValueError(f"not an mplr checkpoint: missing {key!r}")
@@ -255,17 +250,19 @@ def load_checkpoint(path) -> ModelParams:
         if names is not None and not (isinstance(names, list)
                                       and all(isinstance(n, str) for n in names)):
             raise ValueError("not an mplr checkpoint: 'predicates' is not a list of names")
-        params = ModelParams(**meta)
-        for key, built in _members(params):
-            if key not in data.files:
-                raise ValueError(f"not an mplr checkpoint: missing {key!r}")
-            tensor = data[key]
-            if tensor.shape != built.shape:
-                raise ValueError(
-                    f"not an mplr checkpoint: {key!r} has shape {tensor.shape}, "
-                    f"expected {built.shape}"
-                )
-            built[...] = tensor
+        # every member is checked against the settings before they allocate anything
+        shapes, tensors = _tensor_shapes(**meta), []
+        for member, key, index in _members(shapes, meta["rank"]):
+            if member not in data.files:
+                raise ValueError(f"not an mplr checkpoint: missing {member!r}")
+            tensor, want = data[member], shapes[key][len(index):]
+            if tensor.shape != want:
+                raise ValueError(f"not an mplr checkpoint: {member!r} has shape "
+                                 f"{tensor.shape}, expected {want}")
+            tensors.append((key, index, tensor))
+    params = ModelParams(**meta)
+    for key, index, tensor in tensors:
+        params.tensors[key][index] = tensor
     return params
 
 
@@ -564,11 +561,11 @@ class _Propagation:
     is built once, as sorted keys row * |E| + entity, together with the edges
     that enter it: source position at the level before, destination position,
     a (group, operator) slot and the (R, n) per-rank edge weights, gathered
-    by one flat index into the C-ordered attention. A level's values are (R,
-    n), row r bincount(dst, u[r, src] * w[r]); nothing is pruned, so exact
-    zeros stay stored. `extra_keys` are added to the last level; `excluded`
-    = (operator, tail) per row drops the edge (start, operator, tail)
-    wherever it occurs (operator -1: none).
+    by one flat index into the C-ordered attention. `U` holds each level's
+    (R, n) values, 1 at each row's start and then row r bincount(dst, u[r,
+    src] * w[r]); nothing is pruned, so exact zeros stay stored. `extra_keys`
+    are added to the last level; `excluded` = (operator, tail) per row drops
+    the edge (start, operator, tail) wherever it occurs (operator -1: none).
     """
 
     def __init__(self, ops, weights, groups, starts, *, extra_keys=None, excluded=None):
@@ -579,9 +576,10 @@ class _Propagation:
         E = ops.num_entities
         starts = np.asarray(starts, dtype=np.int64)
         groups = np.asarray(groups, dtype=np.int64)
-        self.rank, self.num_rows, self.num_slots = R, len(starts), G * K
+        self.num_slots = G * K
         keys = np.arange(len(starts)) * E + starts
         self.keys = [keys]
+        self.U = [np.ones((R, len(starts)))]
         self.edges = []  # per hop: (src, dst, slot, (R, n) weights)
         flat = weights.reshape(-1)  # C order: (g, r, l, k) at ((g*R + r)*L + l)*K + k
         rank_offsets = (np.arange(R) * (L * K))[:, None]
@@ -597,18 +595,11 @@ class _Propagation:
             g = groups[row]
             self.keys.append(keys)
             at = g * (R * L * K) + (hop - 1) * K + op
-            self.edges.append(
-                (src, inv[: len(src)], g * K + op, np.take(flat, rank_offsets + at))
-            )
+            dst, w = inv[: len(src)], np.take(flat, rank_offsets + at)
+            self.edges.append((src, dst, g * K + op, w))
+            self.U.append(_bincount_rows(dst, self.U[-1].take(src, axis=1) * w, len(keys)))
 
-    def forward(self):
-        """(R, n) values at every level, starting from 1 at each row's start."""
-        U = [np.ones((self.rank, self.num_rows))]
-        for (src, dst, _, w), keys in zip(self.edges, self.keys[1:]):
-            U.append(_bincount_rows(dst, U[-1].take(src, axis=1) * w, len(keys)))
-        return U
-
-    def backward(self, U, dU, dA, inject=None):
+    def backward(self, dU, dA, inject=None):
         """Reverse mode from dU, the (R, n) gradient at the last level.
 
         Adds hop i's operator gradients, bincount(slot, U[i][r, src] * dU[r,
@@ -619,7 +610,7 @@ class _Propagation:
         for i in reversed(range(len(self.edges))):
             src, dst, slot, w = self.edges[i]
             g = dU.take(dst, axis=1)
-            grad = _bincount_rows(slot, U[i].take(src, axis=1) * g, self.num_slots)
+            grad = _bincount_rows(slot, self.U[i].take(src, axis=1) * g, self.num_slots)
             dA[:, :, i] += grad.reshape(R, G, -1).transpose(1, 0, 2)
             if i == 0:
                 break
@@ -642,8 +633,9 @@ class _BatchForward:
     their prediction is -corr there. An entity outside the support and the
     targets scores 0, so the loss is the sum over the stored entries plus
     log 2 for each of the others. Everything reverse mode needs is kept, rank
-    first: U, chain_U, pred (R, n); D, base, corr (R, targets); norms and
-    divisors (R, B). s adds the ranks' normalized predictions in rank order.
+    first: the propagations (with their values U), pred (R, n); D, base, corr
+    (R, targets); norms and divisors (R, B). s adds the ranks' normalized
+    predictions in rank order.
     """
 
     def __init__(self, ops, weights, preds, groups, heads, target_lists,
@@ -685,10 +677,9 @@ class _BatchForward:
         ]
         # a_q(l) per rank and target: (R, L, n_targets)
         self.a_q = weights[np.arange(G), :, :, self.q_op][self.t_grp].transpose(1, 2, 0)
-        self.U = U = self.prop.forward()
-        self.chain_U = [ch.forward() for ch in self.chains]
-        self.D = [cu[-1].take(read[self.c_slot], axis=1)
-                  for cu, read in zip(self.chain_U, self.c_read)]
+        self.U = U = self.prop.U
+        self.D = [ch.U[-1].take(read[self.c_slot], axis=1)
+                  for ch, read in zip(self.chains, self.c_read)]
         self.D.append(np.ones((R, len(t_key))))
         self.base = [np.where(found, u.take(pos, axis=1), 0.0)
                      for u, (pos, found) in zip(U, self.base_at)]
@@ -729,8 +720,8 @@ class _BatchForward:
                 chain, read = self.chains[l], self.c_read[l]
                 dY = np.zeros((R, len(chain.keys[-1])))
                 dY[:, read] = _bincount_rows(self.c_slot, dCorr * a_q * base, len(read))
-                chain.backward(self.chain_U[l], dY, dA[:, :, l + 1:])
-        self.prop.backward(self.U, dU, dA, inject)
+                chain.backward(dY, dA[:, :, l + 1:])
+        self.prop.backward(dU, dA, inject)
         return dA
 
 
@@ -746,8 +737,8 @@ def support_scores(ops, weights, groups, heads, *, excluded=None, normalize=None
     prop = _Propagation(ops, weights, groups, heads, excluded=excluded)
     keys = prop.keys[-1]
     row = keys // ops.num_entities
-    u = prop.forward()[-1]
-    _, d = _norm_divisors(u, row, prop.num_rows, normalize)
+    u = prop.U[-1]
+    _, d = _norm_divisors(u, row, len(heads), normalize)
     return keys, _rank_sum(u / d.take(row, axis=1))
 
 
@@ -781,6 +772,14 @@ def score_entities(
 # ---------------------------------------------------------------------------
 # training-facing entry points
 
+def first_appearance(values):
+    """The distinct values in order of first appearance, and the position of
+    each value among them: the predicate groups of a batch or a split."""
+    distinct, first, inverse = np.unique(values, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    return distinct[order], np.argsort(order)[inverse]
+
+
 def loss_and_gradients(ops: OperatorSet, params: ModelParams, queries, *, out=None):
     """Summed loss and parameter gradients over a batch of queries.
 
@@ -793,9 +792,7 @@ def loss_and_gradients(ops: OperatorSet, params: ModelParams, queries, *, out=No
     returned with the loss, which may be non-finite, for the caller to report.
     A head or target that names no entity of `ops` raises ValueError.
     """
-    index: dict[int, int] = {}
-    groups = [index.setdefault(q.query, len(index)) for q in queries]
-    preds = list(index)
+    preds, groups = first_appearance([q.query for q in queries])
     caches = []
     # parameters blown up by a huge step overflow to inf and nan here, with
     # no warnings; the caller's finite check of the loss reports them
@@ -896,12 +893,9 @@ def rules_from_attention(
 
 
 def rules_tsv(rules, kg) -> str:
-    lines = ["rule\tpredicate\tconfidence"]
-    for r in rules:
-        lines.append(
-            f"{','.join(r.hops.names(kg))}\t{kg.predicates[r.predicate]}\t{r.confidence!r}"
-        )
-    return "\n".join(lines) + "\n"
+    return tsv(["rule", "predicate", "confidence"],
+               ([",".join(r.hops.names(kg)), kg.predicates[r.predicate], r.confidence]
+                for r in rules))
 
 
 def rules_table(rules, kg) -> str:

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .kg import KnowledgeGraph, DatasetSplits, group_queries
+from .kg import KnowledgeGraph, DatasetSplits, group_queries, tsv
 from .operators import OperatorSet, build_operators
 from .indicators import BifurcationRecord, FORWARD
 from .model import (
@@ -28,6 +28,7 @@ from .model import (
     _attention_forward,
     _check_entities,
     _lookup,
+    first_appearance,
     loss_and_gradients,
     support_scores,
 )
@@ -221,12 +222,10 @@ class EvalReport:
 
     def as_tsv(self) -> str:
         ks = sorted(self.hit_at)
-        header = "predicate\tqueries\tmrr\t" + "\t".join(f"hit@{k}" for k in ks)
-        lines = [f"# tie_rule = {TIE_RULE}", header]
-        for name, pe in self._rows():
-            lines.append("\t".join([name, str(pe.num_queries), repr(pe.mrr),
-                                    *(repr(pe.hit_at[k]) for k in ks)]))
-        return "\n".join(lines) + "\n"
+        return tsv(["predicate", "queries", "mrr", *(f"hit@{k}" for k in ks)],
+                   ([name, pe.num_queries, pe.mrr, *(pe.hit_at[k] for k in ks)]
+                    for name, pe in self._rows()),
+                   preamble=[f"# tie_rule = {TIE_RULE}"])
 
     def as_text(self) -> str:
         ks = sorted(self.hit_at)
@@ -315,11 +314,7 @@ def evaluate(
     if any(k < 1 for k in ks):
         raise ValueError(f"hit@k needs every k to be at least 1, not {tuple(ks)}")
     ops = ops or build_operators(kg)
-    # predicates in order of first appearance; group g holds the g-th one
-    preds, first, group = np.unique(triples[:, 1], return_index=True, return_inverse=True)
-    by_first = np.argsort(first)
-    index = preds[by_first].tolist()
-    group = np.argsort(by_first)[group]
+    index, group = first_appearance(triples[:, 1])
     order = np.argsort(group, kind="stable")  # per predicate, in split order
     group = group[order]
     h, q, t = triples[order].T

@@ -55,6 +55,33 @@ class TestStats:
         assert run("stats", "--dataset-dir", tmp_path / "nope") == 1
         assert "missing dataset" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("name", SPLIT_FILES)
+    def test_split_file_that_is_not_utf8_is_named(self, kin_dir, tmp_path, name, capsys):
+        data = tmp_path / "data"
+        data.mkdir()
+        for split in SPLIT_FILES:
+            (data / split).write_bytes((kin_dir / split).read_bytes())
+        (data / name).write_bytes(b"\xff" + (kin_dir / name).read_bytes())
+        assert run("stats", "--dataset-dir", data) == 1
+        assert capsys.readouterr().err == (
+            f"error: {data / name}: not UTF-8 text (invalid start byte at byte 0)\n")
+
+    def test_manifest_of_another_command_is_not_overwritten(self, kin_dir, tmp_path,
+                                                           capsys):
+        out = tmp_path / "stats"
+        assert run("stats", "--dataset-dir", kin_dir, "--out", out) == 0
+        manifest = (out / "manifest.txt").read_text()
+        capsys.readouterr()
+        assert run("indicators", "--dataset-dir", kin_dir, "--out", out) == 1
+        assert capsys.readouterr().err == (
+            "error: refusing to overwrite existing outputs (use --overwrite): "
+            f"{out / 'manifest.txt'}\n")
+        assert sorted(p.name for p in out.iterdir()) == ["manifest.txt", "summary.txt"]
+        assert (out / "manifest.txt").read_text() == manifest
+        assert run("indicators", "--dataset-dir", kin_dir, "--out", out,
+                   "--overwrite") == 0
+        assert "command = indicators" in (out / "manifest.txt").read_text()
+
     @pytest.mark.parametrize("source", ["none", ",", ""], ids=["none", "comma", "empty"])
     def test_graph_source_naming_no_split_exits_one(self, kin_dir, source, capsys):
         assert run("stats", "--dataset-dir", kin_dir, "--graph-source", source) == 1
@@ -387,6 +414,13 @@ class TestPipeline:
                          id="rank-0"),
             pytest.param(None, {"seed": -1}, "seed must be at least 0, not -1",
                          id="negative-seed"),
+            # settings whose tensors no machine holds are refused by the
+            # members' shapes before anything is allocated
+            pytest.param(None, {"hidden_dim": 10**7},
+                         f"{NOT_CKPT}'cell0_fwd_Wx' has shape (8, 32), "
+                         "expected (8, 40000000)", id="huge-hidden-dim"),
+            pytest.param(None, {"rank": 10**12}, f"{NOT_CKPT}missing 'cell1_fwd_Wx'",
+                         id="huge-rank"),
         ],
     )
     def test_incomplete_checkpoint_exits_one(
@@ -414,6 +448,23 @@ class TestPipeline:
                        "--checkpoint", bad) == 1
             err = capsys.readouterr().err
             assert err == f"error: {message}\n"
+            assert not out.exists()
+
+    @pytest.mark.parametrize("meta", [b"not json", b"\xff\xfe{}"], ids=["text", "bytes"])
+    def test_meta_that_is_not_json_exits_one(self, kin_dir, tiny_checkpoint, tmp_path,
+                                             capsys, meta):
+        with np.load(tiny_checkpoint) as data:
+            kept = {k: data[k] for k in data.files}
+        kept["__meta__"] = np.frombuffer(meta, np.uint8)
+        bad = tmp_path / "bad.npz"
+        np.savez(bad, **kept)
+        for command in ("eval", "rules"):
+            out = tmp_path / command
+            assert run(command, "--dataset-dir", kin_dir, "--out", out,
+                       "--checkpoint", bad) == 1
+            err = capsys.readouterr().err
+            assert err.startswith(f"error: {NOT_CKPT}'__meta__' is not JSON (")
+            assert err.count("\n") == 1
             assert not out.exists()
 
     def test_npy_file_is_not_a_checkpoint(self, kin_dir, tiny_checkpoint, tmp_path,
@@ -576,6 +627,13 @@ class TestConfigFile:
         cfg.write_text("# settings\ntop_n = 2\nlambda_max 3\n")
         assert run("--config", cfg, "stats", "--dataset-dir", kin_dir) == 1
         assert capsys.readouterr().err == f"error: {cfg}:3: expected key = value\n"
+
+    def test_config_file_that_is_not_utf8_is_named(self, kin_dir, tmp_path, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_bytes(b"top_n = 2\n\xff\n")
+        assert run("--config", cfg, "stats", "--dataset-dir", kin_dir) == 1
+        assert capsys.readouterr().err == (
+            f"error: {cfg}: not UTF-8 text (invalid start byte at byte 10)\n")
 
     def test_usage_error_exits_one(self, capsys):
         assert run("frobnicate") == 1

@@ -208,7 +208,8 @@ def kernel_operator_grads(ops, x, g):
     prop = _Propagation(ops, np.ones((1, 1, 1, K)), np.zeros(len(i), dtype=int), i)
     keys = prop.keys[1]
     dA = np.zeros((1, 1, 1, K))
-    prop.backward([x[b, i][None], None], g[b[keys // E], keys % E][None], dA)
+    prop.U = [x[b, i][None], None]
+    prop.backward(g[b[keys // E], keys % E][None], dA)
     return dA[0, 0, 0]
 
 
